@@ -19,6 +19,7 @@
 //! for cache-sized populations.
 
 use qob_plan::QuerySpec;
+use qob_storage::encoding::{FNV1A64_OFFSET, FNV1A64_PRIME};
 use qob_storage::{CmpOp, Predicate};
 
 /// A 128-bit structural hash of a bound query, invariant to literal values.
@@ -47,20 +48,18 @@ struct Hasher {
     b: u64,
 }
 
-const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
 // A second lane with a different, odd offset basis: the streams stay
 // decorrelated because the avalanche paths start from different states.
 const FNV_OFFSET_B: u64 = 0x6c62_272e_07bb_0142 ^ 0x9e37_79b9_7f4a_7c15;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl Hasher {
     fn new() -> Self {
-        Hasher { a: FNV_OFFSET_A, b: FNV_OFFSET_B }
+        Hasher { a: FNV1A64_OFFSET, b: FNV_OFFSET_B }
     }
 
     fn byte(&mut self, byte: u8) {
-        self.a = (self.a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        self.b = (self.b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        self.a = (self.a ^ u64::from(byte)).wrapping_mul(FNV1A64_PRIME);
+        self.b = (self.b ^ u64::from(byte)).wrapping_mul(FNV1A64_PRIME);
     }
 
     fn bytes(&mut self, bytes: &[u8]) {

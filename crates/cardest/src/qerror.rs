@@ -43,8 +43,8 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
 /// observed sample point.  NaN values are ignored like in [`percentile`];
 /// returns `None` if nothing remains.
 ///
-/// This is the one shared implementation behind both the q-error summaries
-/// here and the latency percentiles of `qob bench-load`.
+/// This is the one nearest-rank implementation over unsorted `f64` samples;
+/// `qob-plangrid` takes its median plan rank from it.
 pub fn nearest_rank_percentile(values: &[f64], q: f64) -> Option<f64> {
     let sorted = sorted_finite(values)?;
     let q = q.clamp(0.0, 1.0);

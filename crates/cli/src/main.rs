@@ -38,9 +38,6 @@ USAGE:
     qob top [OPTIONS]       live dashboard over a running server: QPS, latency
                             quantiles, pool utilization, hottest fingerprints
                             and recent regressions, refreshing in place
-    qob bench-load [OPTIONS]
-                            drive concurrent connections against a running
-                            server and write a BENCH_load.json summary
     qob plangrid [OPTIONS]  rank every estimator x cost-model x enumerator
                             combination against the true plan-space optimum
                             and write a BENCH_planspace.json summary
@@ -90,9 +87,6 @@ SERVE OPTIONS:
         --workers <n>        shared execution pool size — morsels from every
                              concurrent query interleave on these threads;
                              0 = all cores                  [default: 0]
-        --per-query-pools    disable the shared pool: each statement spawns
-                             its own scoped worker threads (the historical
-                             behaviour, and the load bench's baseline)
         --max-concurrent <n> statements allowed to execute at once; the rest
                              wait in the admission queue (0 = unlimited)
                                                        [default: 2x workers]
@@ -119,15 +113,6 @@ INGEST OPTIONS:
                              (tiny | small | benchmark) as CSV files into
                              <DIR>, then ingest them back
         --output <PATH>      summary path            [default: BENCH_ingest.json]
-
-BENCH-LOAD OPTIONS:
-        --addr <HOST:PORT>   server address             [default: 127.0.0.1:4547]
-        --connections <n>    concurrent client connections        [default: 64]
-        --requests <n>       requests per connection              [default: 8]
-        --label <name>       run label recorded in the summary [default: shared]
-        --output <PATH>      summary path              [default: BENCH_load.json]
-    -e, --execute <SQL>      override the built-in statement mix (;-separated;
-                             a FILE argument works too)
 
 PLANGRID OPTIONS:
         --seed <n>           master seed: plan-space sampling, quickpick and
@@ -157,8 +142,6 @@ CONNECT OPTIONS:
         --stats              print the server's stats response (JSON) and exit
         --metrics            scrape the server's metrics (Prometheus text
                              exposition, validated before printing) and exit
-        --bench-json <PATH>  with --metrics: also write a BENCH_*.json summary
-                             (latency quantiles + counters) to PATH
         --history [n]        print the server's per-fingerprint query history
                              (JSON: counts, p50/p99, regressions) and exit;
                              the optional value caps the list to the n
@@ -326,7 +309,6 @@ fn main() -> ExitCode {
         Some("serve") => serve_main(&args[1..]),
         Some("connect") => connect_main(&args[1..]),
         Some("top") => top_main(&args[1..]),
-        Some("bench-load") => bench_load_main(&args[1..]),
         Some("plangrid") => plangrid_main(&args[1..]),
         Some("ingest") => ingest_main(&args[1..]),
         _ => oneshot_main(&args),
@@ -615,9 +597,6 @@ struct ServeOptions {
     slow_query_ms: u64,
     /// Shared execution pool size (`0` on the command line = all cores).
     workers: usize,
-    /// `--per-query-pools`: run without the shared pool (scoped per-query
-    /// workers, the historical behaviour).
-    per_query_pools: bool,
     /// Admission concurrency limit; `None` = twice the pool size.
     max_concurrent: Option<usize>,
     max_queued: usize,
@@ -670,7 +649,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
         data_dir: None,
         slow_query_ms: 0,
         workers: qob_exec::default_threads(),
-        per_query_pools: false,
         max_concurrent: None,
         max_queued: 256,
         mem_budget: 0,
@@ -701,7 +679,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
                 // Same `0 = all cores` rule as --threads.
                 options.workers = parse_threads(&value_of(args, &mut i, "--workers")?)?
             }
-            "--per-query-pools" => options.per_query_pools = true,
             "--max-concurrent" => {
                 options.max_concurrent = Some(parse_count(
                     &value_of(args, &mut i, "--max-concurrent")?,
@@ -765,9 +742,8 @@ fn serve_main(args: &[String]) -> ExitCode {
         regression_ratio: options.regression_ratio,
         ..SessionOptions::default()
     };
-    let workers = if options.per_query_pools { 0 } else { options.workers };
     let scheduler = qob_core::SchedulerConfig {
-        workers,
+        workers: options.workers,
         max_concurrent: options.max_concurrent.unwrap_or(2 * options.workers),
         max_queued: options.max_queued,
     };
@@ -780,14 +756,10 @@ fn serve_main(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if workers > 0 {
-        eprintln!(
-            "execution: shared pool of {workers} workers, {} concurrent statements, {} queued max",
-            scheduler.max_concurrent, scheduler.max_queued
-        );
-    } else {
-        eprintln!("execution: per-query worker pools ({} threads per statement)", options.threads);
-    }
+    eprintln!(
+        "execution: shared pool of {} workers, {} concurrent statements, {} queued max",
+        scheduler.workers, scheduler.max_concurrent, scheduler.max_queued
+    );
     eprintln!("qob server listening on {} (JSON lines; see docs/PROTOCOL.md)", handle.local_addr());
     handle.join();
     eprintln!("qob server stopped");
@@ -816,8 +788,6 @@ struct ConnectOptions {
     /// `--set name=value` session options, applied in order before the
     /// main request on the same connection.
     sets: Vec<(String, String)>,
-    /// With `--metrics`: also write a `BENCH_*.json` summary here.
-    bench_json: Option<String>,
 }
 
 fn parse_connect_args(args: &[String]) -> Result<ConnectOptions, String> {
@@ -827,7 +797,6 @@ fn parse_connect_args(args: &[String]) -> Result<ConnectOptions, String> {
         action: ConnectAction::Script { explain: false },
         raw_json: false,
         sets: Vec::new(),
-        bench_json: None,
     };
     let mut explain = false;
     let mut i = 0;
@@ -862,7 +831,6 @@ fn parse_connect_args(args: &[String]) -> Result<ConnectOptions, String> {
                 options.action =
                     ConnectAction::TraceExport { out: value_of(args, &mut i, "--trace-out")? }
             }
-            "--bench-json" => options.bench_json = Some(value_of(args, &mut i, "--bench-json")?),
             "--ping" => options.action = ConnectAction::Ping,
             "--shutdown" => options.action = ConnectAction::Shutdown,
             "--json" => options.raw_json = true,
@@ -952,7 +920,7 @@ fn connect_main(args: &[String]) -> ExitCode {
     };
 
     if matches!(options.action, ConnectAction::Metrics) {
-        return render_metrics(&response, options.bench_json.as_deref(), options.raw_json);
+        return render_metrics(&response, options.raw_json);
     }
     if let ConnectAction::TraceExport { out } = &options.action {
         return write_trace(&response, out, options.raw_json);
@@ -991,9 +959,8 @@ fn write_trace(response: &Json, path: &str, raw_json: bool) -> ExitCode {
 }
 
 /// Renders a `metrics` response: validates the Prometheus exposition before
-/// printing it, and optionally writes the summary as a `BENCH_*.json` file
-/// (the committed infrastructure behind the CI observability smoke).
-fn render_metrics(response: &Json, bench_json: Option<&str>, raw_json: bool) -> ExitCode {
+/// printing it.
+fn render_metrics(response: &Json, raw_json: bool) -> ExitCode {
     let Some(body) = response.get("body").and_then(Json::as_str) else {
         eprintln!("error: malformed metrics response: {response}");
         return ExitCode::FAILURE;
@@ -1001,24 +968,6 @@ fn render_metrics(response: &Json, bench_json: Option<&str>, raw_json: bool) -> 
     if let Err(e) = qob_obs::validate_exposition(body) {
         eprintln!("error: server sent an invalid exposition: {e}");
         return ExitCode::FAILURE;
-    }
-    if let Some(path) = bench_json {
-        let Some(summary) = response.get("summary") else {
-            eprintln!("error: metrics response carries no summary");
-            return ExitCode::FAILURE;
-        };
-        let name = std::path::Path::new(path)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("bench")
-            .trim_start_matches("BENCH_")
-            .to_owned();
-        let bench = Json::obj(vec![("bench", Json::str(name)), ("summary", summary.clone())]);
-        if let Err(e) = std::fs::write(path, format!("{bench}\n")) {
-            eprintln!("error: cannot write `{path}`: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote bench summary to `{path}`");
     }
     if raw_json {
         println!("{response}");
@@ -1367,253 +1316,6 @@ fn top_main(args: &[String]) -> ExitCode {
         }
         std::thread::sleep(std::time::Duration::from_millis(options.interval_ms));
     }
-}
-
-// ---------------------------------------------------------------------------
-// `qob bench-load`
-// ---------------------------------------------------------------------------
-
-/// The built-in load mix: a cheap 2-way join (the "point query" a loaded
-/// server must keep answering) blended with three execution-heavy joins
-/// over the wide fact tables (`cast_info`, `movie_info`), so the run
-/// measures the scheduler rather than the wire protocol.
-const LOAD_MIX: &str = "\
-SELECT COUNT(*) FROM title t, movie_companies mc \
- WHERE mc.movie_id = t.id AND t.production_year > 2005;\
-SELECT COUNT(*) FROM title t, cast_info ci, name n \
- WHERE ci.movie_id = t.id AND ci.person_id = n.id;\
-SELECT COUNT(*) FROM title t, movie_info mi, cast_info ci \
- WHERE mi.movie_id = t.id AND ci.movie_id = t.id;\
-SELECT MIN(t.title) FROM title t, movie_info mi, info_type it, cast_info ci, name n \
- WHERE mi.movie_id = t.id AND mi.info_type_id = it.id \
-   AND ci.movie_id = t.id AND ci.person_id = n.id";
-
-struct BenchLoadOptions {
-    addr: String,
-    connections: usize,
-    requests: usize,
-    label: String,
-    output: String,
-    /// `None` = the built-in mix.
-    source: Option<Source>,
-}
-
-fn parse_bench_load_args(args: &[String]) -> Result<BenchLoadOptions, String> {
-    let mut options = BenchLoadOptions {
-        addr: qob_server::DEFAULT_ADDR.to_owned(),
-        connections: 64,
-        requests: 8,
-        label: "shared".to_owned(),
-        output: "BENCH_load.json".to_owned(),
-        source: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "-h" | "--help" => return Err(String::new()),
-            "--addr" => options.addr = value_of(args, &mut i, "--addr")?,
-            "--connections" => {
-                options.connections =
-                    parse_count(&value_of(args, &mut i, "--connections")?, "--connections")?.max(1)
-            }
-            "--requests" => {
-                options.requests =
-                    parse_count(&value_of(args, &mut i, "--requests")?, "--requests")?.max(1)
-            }
-            "--label" => options.label = value_of(args, &mut i, "--label")?,
-            "--output" => options.output = value_of(args, &mut i, "--output")?,
-            "-e" | "--execute" => {
-                options.source = Some(Source::Inline(value_of(args, &mut i, "-e")?))
-            }
-            "-" => options.source = Some(Source::Stdin),
-            flag if flag.starts_with('-') => {
-                return Err(format!("unknown bench-load flag `{flag}`"))
-            }
-            file => options.source = Some(Source::File(file.to_owned())),
-        }
-        i += 1;
-    }
-    Ok(options)
-}
-
-/// `results[0].rows` of a query response, if the statement succeeded.
-fn first_rows(response: &Json) -> Option<u64> {
-    if response.get("ok").and_then(Json::as_bool) != Some(true) {
-        return None;
-    }
-    response.get("results")?.as_array()?.first()?.get("rows")?.as_u64()
-}
-
-/// Nearest-rank percentile of a latency sample, delegating to the one
-/// shared NaN-safe helper ([`qob_core::nearest_rank_percentile`]).
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    let values: Vec<f64> = sorted.iter().map(|&v| v as f64).collect();
-    qob_core::nearest_rank_percentile(&values, q).unwrap_or(0.0) as u64
-}
-
-/// What one bench connection brings home.
-struct ConnectionRun {
-    latencies_us: Vec<u64>,
-    errors: usize,
-    mismatches: usize,
-}
-
-fn bench_load_main(args: &[String]) -> ExitCode {
-    let options = match parse_bench_load_args(args) {
-        Ok(options) => options,
-        Err(message) if message.is_empty() => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(message) => {
-            eprintln!("error: {message}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let script = match &options.source {
-        None => LOAD_MIX.to_owned(),
-        Some(source) => match read_source(source) {
-            Ok(script) => script,
-            Err(message) => {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let statements: Vec<String> =
-        script.split(';').map(str::trim).filter(|s| !s.is_empty()).map(str::to_owned).collect();
-    if statements.is_empty() {
-        eprintln!("error: the statement mix is empty");
-        return ExitCode::FAILURE;
-    }
-
-    // Sequential pass: one connection answers each statement once — these
-    // answers are the ground truth every concurrent response must match.
-    let mut baseline_client =
-        match Client::connect_with_retry(&options.addr, std::time::Duration::from_secs(10)) {
-            Ok(client) => client,
-            Err(e) => {
-                eprintln!("error: cannot connect to {}: {e}", options.addr);
-                return ExitCode::FAILURE;
-            }
-        };
-    let mut expected = Vec::with_capacity(statements.len());
-    for statement in &statements {
-        match baseline_client.query(statement).ok().as_ref().and_then(first_rows) {
-            Some(rows) => expected.push(rows),
-            None => {
-                eprintln!("error: baseline failed for `{statement}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    // Concurrent pass: every connection cycles through the mix (offset by
-    // its id so the server sees a blend at any instant), timing each
-    // request client-side and checking the answer against the baseline.
-    let expected = std::sync::Arc::new(expected);
-    let statements = std::sync::Arc::new(statements);
-    let wall_started = Instant::now();
-    let threads: Vec<_> = (0..options.connections)
-        .map(|conn| {
-            let addr = options.addr.clone();
-            let statements = std::sync::Arc::clone(&statements);
-            let expected = std::sync::Arc::clone(&expected);
-            let requests = options.requests;
-            std::thread::spawn(move || {
-                let mut run = ConnectionRun { latencies_us: Vec::new(), errors: 0, mismatches: 0 };
-                let Ok(mut client) =
-                    Client::connect_with_retry(&addr, std::time::Duration::from_secs(10))
-                else {
-                    run.errors = requests;
-                    return run;
-                };
-                for r in 0..requests {
-                    let idx = (conn + r) % statements.len();
-                    let started = Instant::now();
-                    let response = client.query(&statements[idx]);
-                    let elapsed = started.elapsed();
-                    match response.ok().as_ref().and_then(first_rows) {
-                        Some(rows) if rows == expected[idx] => {
-                            run.latencies_us.push(elapsed.as_micros().min(u64::MAX as u128) as u64)
-                        }
-                        Some(_) => run.mismatches += 1,
-                        None => run.errors += 1,
-                    }
-                }
-                run
-            })
-        })
-        .collect();
-    let mut latencies = Vec::new();
-    let mut errors = 0usize;
-    let mut mismatches = 0usize;
-    for thread in threads {
-        match thread.join() {
-            Ok(run) => {
-                latencies.extend(run.latencies_us);
-                errors += run.errors;
-                mismatches += run.mismatches;
-            }
-            Err(_) => errors += options.requests,
-        }
-    }
-    let wall = wall_started.elapsed();
-    latencies.sort_unstable();
-    let total = options.connections * options.requests;
-    let qps = latencies.len() as f64 / wall.as_secs_f64().max(1e-9);
-    let (p50, p95, p99) =
-        (percentile(&latencies, 0.50), percentile(&latencies, 0.95), percentile(&latencies, 0.99));
-
-    // Scrape the server's own view of the run: admission counters, pool
-    // gauges, queue-wait percentiles, cache/replan counters.
-    let stats = baseline_client.request(&Request::Stats).ok();
-    let summary =
-        baseline_client.request(&Request::Metrics).ok().and_then(|m| m.get("summary").cloned());
-
-    let mut pairs = vec![
-        ("bench", Json::str("load")),
-        ("label", Json::str(options.label.clone())),
-        ("connections", Json::Num(options.connections as f64)),
-        ("requests_per_connection", Json::Num(options.requests as f64)),
-        ("total_requests", Json::Num(total as f64)),
-        ("errors", Json::Num(errors as f64)),
-        ("mismatches", Json::Num(mismatches as f64)),
-        ("wall_ms", Json::Num(wall.as_millis() as f64)),
-        ("qps", Json::Num((qps * 100.0).round() / 100.0)),
-        ("p50_us", Json::Num(p50 as f64)),
-        ("p95_us", Json::Num(p95 as f64)),
-        ("p99_us", Json::Num(p99 as f64)),
-    ];
-    if let Some(stats) = stats {
-        pairs.push(("server_stats", stats));
-    }
-    if let Some(summary) = summary {
-        pairs.push(("metrics_summary", summary));
-    }
-    let out = Json::obj(pairs);
-    if let Err(e) = std::fs::write(&options.output, format!("{out}\n")) {
-        eprintln!("error: cannot write `{}`: {e}", options.output);
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "bench-load [{}]: {} connections x {} requests — {:.1} qps, \
-         p50 {}us p95 {}us p99 {}us, {} errors, {} mismatches → {}",
-        options.label,
-        options.connections,
-        options.requests,
-        qps,
-        p50,
-        p95,
-        p99,
-        errors,
-        mismatches,
-        options.output
-    );
-    if errors > 0 || mismatches > 0 {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 // ---------------------------------------------------------------------------
@@ -2263,15 +1965,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_percentile_helper_matches_nearest_rank() {
-        assert_eq!(percentile(&[], 0.5), 0);
-        assert_eq!(percentile(&[10], 0.99), 10);
-        let sorted = [1u64, 2, 3, 4];
-        assert_eq!(percentile(&sorted, 0.50), 2);
-        assert_eq!(percentile(&sorted, 0.95), 4);
-    }
-
-    #[test]
     fn threads_flag_parses_with_zero_meaning_all_cores() {
         assert_eq!(parse_args(&args(&["--threads", "4"])).unwrap().threads, 4);
         assert_eq!(parse_args(&args(&["--threads", "1"])).unwrap().threads, 1);
@@ -2345,11 +2038,6 @@ mod tests {
 
         let options = parse_connect_args(&args(&["--metrics"])).unwrap();
         assert!(matches!(options.action, ConnectAction::Metrics));
-        assert!(options.bench_json.is_none());
-        let options =
-            parse_connect_args(&args(&["--metrics", "--bench-json", "BENCH_smoke.json"])).unwrap();
-        assert_eq!(options.bench_json.as_deref(), Some("BENCH_smoke.json"));
-        assert!(parse_connect_args(&args(&["--bench-json"])).is_err());
     }
 
     #[test]
@@ -2551,7 +2239,6 @@ mod tests {
     fn scheduler_serve_flags_parse() {
         let defaults = parse_serve_args(&[]).unwrap();
         assert_eq!(defaults.workers, qob_exec::default_threads(), "shared pool defaults on");
-        assert!(!defaults.per_query_pools);
         assert_eq!(defaults.max_concurrent, None, "limit defaults to 2x workers at serve time");
         assert_eq!(defaults.max_queued, 256);
         assert_eq!(defaults.mem_budget, 0);
@@ -2579,59 +2266,9 @@ mod tests {
             parse_serve_args(&args(&["--workers", "0"])).unwrap().workers,
             qob_exec::default_threads()
         );
-        assert!(parse_serve_args(&args(&["--per-query-pools"])).unwrap().per_query_pools);
         assert!(parse_serve_args(&args(&["--workers", "many"])).is_err());
         assert!(parse_serve_args(&args(&["--max-concurrent", "-1"])).is_err());
         assert!(parse_serve_args(&args(&["--mem-budget", "big"])).is_err());
-    }
-
-    #[test]
-    fn bench_load_args_parse() {
-        let defaults = parse_bench_load_args(&[]).unwrap();
-        assert_eq!(defaults.addr, qob_server::DEFAULT_ADDR);
-        assert_eq!(defaults.connections, 64);
-        assert_eq!(defaults.requests, 8);
-        assert_eq!(defaults.label, "shared");
-        assert_eq!(defaults.output, "BENCH_load.json");
-        assert!(defaults.source.is_none(), "the built-in mix is the default");
-
-        let options = parse_bench_load_args(&args(&[
-            "--addr",
-            "127.0.0.1:9",
-            "--connections",
-            "32",
-            "--requests",
-            "5",
-            "--label",
-            "per-query",
-            "--output",
-            "out.json",
-            "-e",
-            "SELECT 1",
-        ]))
-        .unwrap();
-        assert_eq!(options.connections, 32);
-        assert_eq!(options.requests, 5);
-        assert_eq!(options.label, "per-query");
-        assert_eq!(options.output, "out.json");
-        assert!(matches!(options.source, Some(Source::Inline(_))));
-        assert!(parse_bench_load_args(&args(&["--connections", "many"])).is_err());
-        assert!(parse_bench_load_args(&args(&["--bogus"])).is_err());
-        assert_eq!(parse_bench_load_args(&args(&["--help"])).err().unwrap(), "");
-
-        // The built-in mix parses in the JOB dialect.
-        assert_eq!(parse_script(LOAD_MIX).unwrap().len(), 4);
-    }
-
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        assert_eq!(percentile(&[], 0.99), 0);
-        let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&sorted, 0.50), 50);
-        assert_eq!(percentile(&sorted, 0.95), 95);
-        assert_eq!(percentile(&sorted, 0.99), 99);
-        assert_eq!(percentile(&sorted, 1.0), 100);
-        assert_eq!(percentile(&[7], 0.5), 7);
     }
 
     #[test]

@@ -88,6 +88,8 @@ pub struct BenchmarkContext {
     /// vs. memory), so a failed harvest is never mistaken for an empty one.
     truth_cache: Mutex<HashMap<String, Result<Arc<TrueCardinalities>, ExecutionError>>>,
     truth_options: TrueCardinalityOptions,
+    /// 1 when [`BenchmarkContext::new`] generated the data, else 0.
+    datagen_runs: u64,
 }
 
 /// Snapshot metadata key recording [`Scale::movies`].
@@ -101,7 +103,7 @@ impl BenchmarkContext {
     pub fn new(scale: Scale, index_config: IndexConfig) -> Result<Self, StorageError> {
         let mut db = generate_imdb(&scale)?;
         db.build_indexes(index_config)?;
-        Ok(Self::from_database(db, scale))
+        Ok(BenchmarkContext { datagen_runs: 1, ..Self::from_database(db, scale) })
     }
 
     /// Wraps an already-built database (generated or snapshot-loaded) with
@@ -121,6 +123,7 @@ impl BenchmarkContext {
                 timeout: Some(std::time::Duration::from_secs(60)),
                 ..TrueCardinalityOptions::default()
             },
+            datagen_runs: 0,
         }
     }
 
@@ -204,6 +207,12 @@ impl BenchmarkContext {
     /// ground truth are unaffected by index changes).
     pub fn set_index_config(&mut self, index_config: IndexConfig) -> Result<(), StorageError> {
         self.db.build_indexes(index_config)
+    }
+
+    /// Full data generations that built this context (`stats.datagen_runs`
+    /// on the wire): 0 forever for a wrapped, ingested or snapshot-loaded one.
+    pub fn datagen_runs(&self) -> u64 {
+        self.datagen_runs
     }
 
     /// The catalog.

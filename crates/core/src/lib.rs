@@ -51,7 +51,7 @@ pub mod metrics {
 
 pub use adaptive::{execute_adaptive, AdaptiveOutcome, ReplanEvent};
 pub use context::{BenchmarkContext, ColumnStorageSize, EstimatorKind, TableStorageSize};
-pub use qob_cardest::{nearest_rank_percentile, percentile};
+pub use qob_cardest::percentile;
 pub use session::{
     ExecutionReport, OperatorReport, PlanCacheStatus, QueryReport, ReplanReport, SchedulerConfig,
     ScriptOutcome, ServerContext, Session, SessionError, SessionOptions, TraceReport,

@@ -482,14 +482,14 @@ impl ScriptOutcome {
 /// Server-wide execution scheduling: the shared worker pool and the
 /// admission limits in front of it.
 ///
-/// The default (`workers == 0`, `max_concurrent == 0`) reproduces the
-/// historical behaviour exactly: every statement executes immediately on a
-/// per-query scoped thread pool.  `qob serve` flips both on.
+/// The default (`workers == 0`, `max_concurrent == 0`) is a context without
+/// a scheduler: every statement executes immediately on query-private
+/// scoped threads, as in one-shot runs.  `qob serve` always sets both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// Shared worker-pool size.  `0` disables the shared pool: each
     /// statement spawns its own scoped workers, sized by the session's
-    /// `threads` option (the historical per-query mode).
+    /// `threads` option.
     pub workers: usize,
     /// Statements allowed to execute concurrently.  `0` means unlimited
     /// (no admission control at all — statements never queue).
@@ -625,8 +625,8 @@ impl ServerContext {
     }
 
     /// Wraps a context with explicit default options for new sessions and
-    /// no shared scheduler (per-query pools, unlimited concurrency — the
-    /// historical behaviour).
+    /// no shared scheduler (query-private scoped workers, unlimited
+    /// concurrency — what one-shot runs use).
     pub fn with_defaults(ctx: BenchmarkContext, defaults: SessionOptions) -> Self {
         Self::with_scheduler(ctx, defaults, SchedulerConfig::default())
     }
@@ -670,7 +670,7 @@ impl ServerContext {
     }
 
     /// Shared-pool gauges `(workers, busy, queued_tasks)`, all zero when
-    /// the server runs per-query pools.
+    /// the context has no scheduler.
     pub fn pool_gauges(&self) -> (usize, usize, usize) {
         match &self.shared.exec_pool {
             Some(pool) => (pool.workers(), pool.busy(), pool.queued()),
@@ -755,7 +755,7 @@ impl ServerContext {
 
     /// The shared pool's retained pipeline spans (most recent
     /// [`qob_exec::SPAN_RING_CAPACITY`] participant stints), oldest first —
-    /// empty when the server runs per-query pools.
+    /// empty for a context without a scheduler.
     pub fn pipeline_spans(&self) -> Vec<qob_exec::PipelineSpan> {
         self.shared.exec_pool.as_ref().map(|p| p.spans()).unwrap_or_default()
     }
@@ -799,7 +799,7 @@ impl ServerContext {
         let (workers, busy, queued_tasks) = self.pool_gauges();
         ex.gauge(
             "qob_pool_workers",
-            "Shared execution pool size (0 = per-query pools)",
+            "Shared execution pool size (0 = no scheduler)",
             workers as u64,
         );
         ex.gauge("qob_pool_busy", "Shared-pool workers currently running morsels", busy as u64);
@@ -1752,7 +1752,7 @@ mod tests {
             SessionOptions::default(),
             SchedulerConfig { workers: 3, max_concurrent: 2, max_queued: 8 },
         );
-        assert_eq!(plain.pool_gauges(), (0, 0, 0), "defaults run per-query pools");
+        assert_eq!(plain.pool_gauges(), (0, 0, 0), "defaults run without a scheduler");
         assert_eq!(scheduled.pool_gauges().0, 3);
         assert_eq!(scheduled.scheduler_config().max_concurrent, 2);
 

@@ -182,7 +182,6 @@ fn generate_company_profiles(scale: &Scale) -> Vec<CompanyProfile> {
 /// declarations; indexes are *not* built — the caller picks an
 /// [`qob_storage::IndexConfig`] and calls [`Database::build_indexes`].
 pub fn generate_imdb(scale: &Scale) -> Result<Database> {
-    crate::record_generation();
     let profiles = Profiles::generate(scale);
     let mut db = Database::new();
 

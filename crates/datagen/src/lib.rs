@@ -25,8 +25,6 @@
 //! All generators are deterministic: the same [`Scale`] always produces the
 //! same database.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 pub mod imdb;
 pub mod rng;
 pub mod scale;
@@ -35,17 +33,3 @@ pub mod tpch;
 pub use imdb::{declare_imdb_keys, generate_imdb, imdb_schema};
 pub use scale::Scale;
 pub use tpch::generate_tpch;
-
-/// Process-wide count of full database generations.
-static GENERATION_COUNT: AtomicU64 = AtomicU64::new(0);
-
-/// How many times this process has run a full database generation
-/// (IMDB or TPC-H).  The serve-path tests assert this stays flat while warm
-/// queries run — i.e. that a snapshot-backed server never regenerates.
-pub fn generation_count() -> u64 {
-    GENERATION_COUNT.load(Ordering::Relaxed)
-}
-
-pub(crate) fn record_generation() {
-    GENERATION_COUNT.fetch_add(1, Ordering::Relaxed);
-}

@@ -1,5 +1,6 @@
 //! Deterministic random sampling helpers used by the data generators.
 
+use qob_storage::encoding::fnv1a64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -9,12 +10,7 @@ use rand::{Rng, SeedableRng};
 /// generation order of one table does not perturb the others.
 pub fn stream_rng(seed: u64, stream: &str) -> StdRng {
     // Mix the stream name into the seed with FNV-1a so streams are independent.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in stream.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    StdRng::seed_from_u64(seed ^ h)
+    StdRng::seed_from_u64(seed ^ fnv1a64(stream.as_bytes()))
 }
 
 /// A zipf-like sampler over `0..n` with exponent `s`.

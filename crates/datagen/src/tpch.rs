@@ -78,7 +78,6 @@ pub const RETURN_FLAGS: &[&str] = &["R", "A", "N"];
 /// [`Scale::tpch_orders`]: customers = orders / 10, parts = orders / 5,
 /// suppliers = orders / 100, lineitems ≈ 4 × orders.
 pub fn generate_tpch(scale: &Scale) -> Result<Database> {
-    crate::record_generation();
     let mut db = Database::new();
     let orders_n = scale.tpch_orders();
     let customers_n = (orders_n / 10).max(10);

@@ -173,7 +173,8 @@ thread_local! {
 }
 
 /// Submitting (non-pool) threads draw trace ids from here; pool workers use
-/// `1..=workers`, so the ranges never collide.
+/// `1..=workers`, so the ranges never collide.  Only uniqueness and
+/// `>= 100` are promised: no test may depend on the exact value.
 static NEXT_SUBMITTER_TID: AtomicU32 = AtomicU32::new(100);
 
 /// Stable Chrome-trace `tid` for the calling thread: pool workers were
@@ -405,9 +406,9 @@ fn worker_main(shared: &PoolShared, index: usize) {
 
 /// Runs `count` parallel participants over `job`: on the shared pool when
 /// one is attached, otherwise on a query-private `std::thread::scope` pool
-/// (the historical per-query mode, kept for one-shot runs and as the
-/// `--per-query-pools` bench baseline).  Returns `true` if any participant
-/// panicked; panics never unwind past this call.
+/// (a context without a scheduler: one-shot runs, and the reference side of
+/// the pipeline and concurrent-execution differentials).  Returns `true` if
+/// any participant panicked; panics never unwind past this call.
 pub(crate) fn run_participants(
     pool: Option<&WorkerPool>,
     count: usize,

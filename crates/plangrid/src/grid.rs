@@ -32,6 +32,7 @@ use qob_enumerate::{
     dpccp, goo, quickpick, restricted, EnumerationError, Planner, PlannerConfig, ShapeRestriction,
 };
 use qob_plan::{PhysicalPlan, QuerySpec, RelSet};
+use qob_storage::encoding::fnv1a64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -207,12 +208,7 @@ pub fn estimator_names() -> Vec<&'static str> {
 /// FNV-1a over the query name folded with the master seed and a per-cell
 /// salt — gives every (query, model, cell) its own deterministic RNG stream.
 fn cell_seed(seed: u64, name: &str, model: usize, salt: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h ^ seed.rotate_left(17) ^ ((model as u64) << 8) ^ salt
+    fnv1a64(name.as_bytes()) ^ seed.rotate_left(17) ^ ((model as u64) << 8) ^ salt
 }
 
 /// Runs the grid over `queries` (JOB or generated), exploring each query's

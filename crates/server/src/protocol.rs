@@ -460,7 +460,7 @@ pub fn stats_response(
         ("active_connections", Json::Num(active_connections as f64)),
         ("uptime_ms", Json::Num(uptime.as_millis() as f64)),
         ("snapshot_loaded", Json::Bool(snapshot_loaded)),
-        ("datagen_runs", Json::Num(qob_datagen::generation_count() as f64)),
+        ("datagen_runs", Json::Num(ctx.datagen_runs() as f64)),
         ("admitted", Json::Num(server.metrics().admitted_total.get() as f64)),
         ("rejected", Json::Num(server.metrics().rejected_total.get() as f64)),
         ("pool_workers", Json::Num(server.pool_gauges().0 as f64)),
@@ -473,7 +473,7 @@ pub fn stats_response(
 }
 
 /// Renders the shared pool's per-worker busy/idle/steal accumulators (an
-/// empty array when the server runs per-query pools).
+/// empty array for a context without a scheduler).
 fn worker_timelines_json(server: &ServerContext) -> Json {
     Json::Arr(
         server
@@ -617,8 +617,8 @@ pub fn trace_export_response(server: &ServerContext) -> Json {
 }
 
 /// Builds the `metrics` response: the full Prometheus text exposition in
-/// `body`, plus a JSON `summary` for programmatic consumers (the CLI's
-/// bench-file output) — latency percentiles estimated from the histogram
+/// `body`, plus a JSON `summary` for programmatic consumers (`qob top`,
+/// the smoke scripts) — latency percentiles estimated from the histogram
 /// buckets and the headline counters.
 pub fn metrics_response(server: &ServerContext) -> Json {
     let m = server.metrics();

@@ -1,9 +1,9 @@
 //! End-to-end tests of the TCP server loop: one warm context, real
 //! sockets, the full request catalogue, and cooperative shutdown.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use qob_core::{BenchmarkContext, ServerContext};
+use qob_core::{BenchmarkContext, SchedulerConfig, ServerContext, SessionOptions};
 use qob_datagen::Scale;
 use qob_server::{serve, Client, Request, ServerConfig};
 use qob_storage::IndexConfig;
@@ -13,9 +13,13 @@ const THREE_WAY: &str = "SELECT COUNT(*) FROM title t, movie_companies mc, compa
                            AND cn.country_code = '[us]'";
 
 fn start_server() -> (qob_server::ServerHandle, String) {
+    start_scheduled(SchedulerConfig::default())
+}
+
+fn start_scheduled(scheduler: SchedulerConfig) -> (qob_server::ServerHandle, String) {
     let ctx = BenchmarkContext::new(Scale::tiny(), IndexConfig::PrimaryKeyOnly).unwrap();
     let handle = serve(
-        ServerContext::new(ctx),
+        ServerContext::with_scheduler(ctx, SessionOptions::default(), scheduler),
         ServerConfig { addr: "127.0.0.1:0".into(), snapshot_loaded: false },
     )
     .unwrap();
@@ -26,7 +30,7 @@ fn start_server() -> (qob_server::ServerHandle, String) {
 #[test]
 fn full_request_catalogue_over_one_connection() {
     let (handle, addr) = start_server();
-    let mut client = Client::connect_with_retry(&addr, Duration::from_secs(5)).unwrap();
+    let mut client = Client::connect(&addr).unwrap();
 
     // ping
     let pong = client.request(&Request::Ping).unwrap();
@@ -110,7 +114,7 @@ fn full_request_catalogue_over_one_connection() {
 #[test]
 fn prepared_statements_and_plan_cache_over_the_wire() {
     let (handle, addr) = start_server();
-    let mut client = Client::connect_with_retry(&addr, Duration::from_secs(5)).unwrap();
+    let mut client = Client::connect(&addr).unwrap();
 
     // Enable the plan cache for this session.
     let ack = client
@@ -185,7 +189,7 @@ fn prepared_statements_and_plan_cache_over_the_wire() {
     assert_eq!(err.get("ok").unwrap().as_bool(), Some(false));
 
     // Prepared statements are per-session: a second connection sees none.
-    let mut other = Client::connect_with_retry(&addr, Duration::from_secs(5)).unwrap();
+    let mut other = Client::connect(&addr).unwrap();
     let err = other
         .request(&Request::Execute {
             name: "by_country".into(),
@@ -206,7 +210,7 @@ fn wire_sessions_can_match_every_cli_execution_option() {
                             WHERE mc.movie_id = t.id AND mc.company_id = cn.id \
                               AND cn.country_code = '[us]' AND t.production_year > 2000";
     let (handle, addr) = start_server();
-    let mut client = Client::connect_with_retry(&addr, Duration::from_secs(5)).unwrap();
+    let mut client = Client::connect(&addr).unwrap();
 
     // Every execution option the CLI exposes is settable over the wire,
     // including morsel_size (historically missing) and adaptivity.
@@ -262,7 +266,7 @@ fn wire_sessions_can_match_every_cli_execution_option() {
 #[test]
 fn metrics_scrape_and_traces_over_the_wire() {
     let (handle, addr) = start_server();
-    let mut client = Client::connect_with_retry(&addr, Duration::from_secs(5)).unwrap();
+    let mut client = Client::connect(&addr).unwrap();
 
     // Default sessions carry no trace: the wire format is unchanged.
     let plain = client.query(THREE_WAY).unwrap();
@@ -340,9 +344,8 @@ fn sessions_are_isolated_across_connections() {
 fn pipelined_requests_are_answered_in_order() {
     use std::io::{BufRead, BufReader, Write};
     let (handle, addr) = start_server();
-    // Wait for the listener, then talk raw TCP: the Client type is
-    // strictly sequential, and this test is about batched writes.
-    drop(qob_server::Client::connect_with_retry(&addr, Duration::from_secs(5)).unwrap());
+    // Raw TCP: the Client type is strictly sequential, and this test is
+    // about batched writes.
     let stream = std::net::TcpStream::connect(&addr).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
@@ -384,18 +387,9 @@ fn pipelined_requests_are_answered_in_order() {
 
 #[test]
 fn scheduled_server_exposes_pool_and_admission_over_the_wire() {
-    let ctx = BenchmarkContext::new(Scale::tiny(), IndexConfig::PrimaryKeyOnly).unwrap();
-    let handle = serve(
-        ServerContext::with_scheduler(
-            ctx,
-            qob_core::SessionOptions::default(),
-            qob_core::SchedulerConfig { workers: 2, max_concurrent: 2, max_queued: 4 },
-        ),
-        ServerConfig { addr: "127.0.0.1:0".into(), snapshot_loaded: false },
-    )
-    .unwrap();
-    let addr = handle.local_addr().to_string();
-    let mut client = Client::connect_with_retry(&addr, Duration::from_secs(5)).unwrap();
+    let (handle, addr) =
+        start_scheduled(SchedulerConfig { workers: 2, max_concurrent: 2, max_queued: 4 });
+    let mut client = Client::connect(&addr).unwrap();
 
     client.request(&Request::Set { option: "tracing".into(), value: "true".into() }).unwrap();
     let response = client.query(THREE_WAY).unwrap();
@@ -437,7 +431,7 @@ fn history_and_trace_export_over_the_wire() {
     )
     .unwrap();
     let addr = handle.local_addr().to_string();
-    let mut client = Client::connect_with_retry(&addr, Duration::from_secs(5)).unwrap();
+    let mut client = Client::connect(&addr).unwrap();
 
     // Small morsels force multi-participant pipelines on the shared pool so
     // worker spans (not just submitter spans) land in the trace ring.
@@ -522,27 +516,64 @@ fn history_and_trace_export_over_the_wire() {
     handle.join();
 }
 
+/// `(rows, worst_q_error)` of [`THREE_WAY`] over `client`.
+fn three_way_answer(client: &mut Client) -> (u64, f64) {
+    let response = client.query(THREE_WAY).unwrap();
+    let results = response.get("results").unwrap().as_array().unwrap();
+    (
+        results[0].get("rows").unwrap().as_u64().unwrap(),
+        results[0].get("worst_q_error").unwrap().as_f64().unwrap(),
+    )
+}
+
 #[test]
 fn concurrent_clients_get_identical_answers() {
-    let (handle, addr) = start_server();
-    let workers: Vec<_> = (0..4)
-        .map(|_| {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                let mut client = Client::connect(&addr).unwrap();
-                let response = client.query(THREE_WAY).unwrap();
-                let results = response.get("results").unwrap().as_array().unwrap();
-                (
-                    results[0].get("rows").unwrap().as_u64().unwrap(),
-                    results[0].get("worst_q_error").unwrap().as_f64().unwrap(),
-                )
+    // A context without a scheduler, then a scheduled server with eight
+    // times more connections than admission slots: the surplus must queue
+    // (never be rejected), and every answer must equal the sequential one.
+    for (scheduler, clients, requests) in [
+        (SchedulerConfig::default(), 4, 1),
+        (SchedulerConfig { workers: 2, max_concurrent: 2, max_queued: 256 }, 16, 4),
+    ] {
+        let (handle, addr) = start_scheduled(scheduler);
+        let mut control = Client::connect(&addr).unwrap();
+        let baseline = three_way_answer(&mut control);
+
+        let workers: Vec<_> = (0..clients)
+            .map(|_| {
+                let addr = addr.clone();
+                std::thread::spawn(move || {
+                    let mut client = Client::connect(&addr).unwrap();
+                    (0..requests).map(|_| three_way_answer(&mut client)).collect::<Vec<_>>()
+                })
             })
-        })
-        .collect();
-    let answers: Vec<(u64, f64)> = workers.into_iter().map(|w| w.join().unwrap()).collect();
-    for pair in &answers[1..] {
-        assert_eq!(pair, &answers[0], "all clients must agree");
+            .collect();
+        for worker in workers {
+            for answer in worker.join().unwrap() {
+                assert_eq!(answer, baseline, "all clients must agree ({scheduler:?})");
+            }
+        }
+
+        // Every statement has answered, so admission is exactly empty; a pool
+        // worker lowers `pool_busy` (and pops a drained ticket) just *after*
+        // reporting its last slot done, so those two are read until they settle.
+        let gauge = |stats: &qob_server::Json, name: &str| stats.get(name).unwrap().as_u64();
+        let stats = control.request(&Request::Stats).unwrap();
+        assert_eq!(gauge(&stats, "rejected"), Some(0), "{scheduler:?}");
+        assert_eq!(gauge(&stats, "admission_executing"), Some(0), "{scheduler:?}");
+        assert_eq!(gauge(&stats, "admission_queued"), Some(0), "{scheduler:?}");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let stats = control.request(&Request::Stats).unwrap();
+            if gauge(&stats, "pool_busy") == Some(0) && gauge(&stats, "pool_queue_depth") == Some(0)
+            {
+                break;
+            }
+            assert!(Instant::now() < deadline, "pool never drained ({scheduler:?}): {stats}");
+            std::thread::yield_now();
+        }
+
+        handle.shutdown();
+        handle.join();
     }
-    handle.shutdown();
-    handle.join();
 }

@@ -47,12 +47,18 @@ pub enum EncodingPolicy {
     Plain,
 }
 
-/// FNV-1a 64-bit hash, the checksum used for snapshot pages and metadata.
+/// The FNV-1a 64-bit offset basis — the workspace's one definition.
+pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64-bit prime — the workspace's one definition.
+pub const FNV1A64_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64-bit hash: the checksum of snapshot pages and metadata, and the
+/// name-to-seed mix of `qob-datagen` streams and `qob-plangrid` cells.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = FNV1A64_OFFSET;
     for &b in bytes {
         hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash = hash.wrapping_mul(FNV1A64_PRIME);
     }
     hash
 }

@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Observability smoke: start a warm server, run a fixed query mix (plain,
 # traced, EXPLAIN ANALYZE, adaptive), scrape the metrics endpoint, assert
-# the exposition parses and the counters match exactly what just ran, and
-# write BENCH_serve_smoke.json (warm latency quantiles + cache/replan
-# counters).  A second server with a tiny --regression-ratio then forces
-# the regression detector end-to-end, and its scheduler timeline exports
-# as Chrome trace-event JSON (BENCH_trace.json, validated with jq).  CI
-# runs this on every push; re-run it locally after
-# `cargo build --release` to regenerate the committed bench files.
+# the exposition parses and the counters — in the text body and in the
+# response's JSON `summary` — match exactly what just ran.  A second
+# server with a tiny --regression-ratio then forces the regression
+# detector end-to-end, and its scheduler timeline exports as Chrome
+# trace-event JSON (validated with jq).  CI runs this on every push; it
+# checks behaviour, not speed (perf evidence: benchmark/README.md).
 #
 # Usage: scripts/observe_smoke.sh [path-to-qob-binary]
 set -euo pipefail
@@ -15,8 +14,7 @@ set -euo pipefail
 QOB=${1:-./target/release/qob}
 ADDR=${QOB_SMOKE_ADDR:-127.0.0.1:4549}
 REG_ADDR=${QOB_SMOKE_REG_ADDR:-127.0.0.1:4550}
-OUT=${QOB_SMOKE_OUT:-BENCH_serve_smoke.json}
-TRACE_OUT=${QOB_SMOKE_TRACE_OUT:-BENCH_trace.json}
+TRACE_OUT=observe-trace.json
 
 SQL="SELECT COUNT(*) FROM title t, movie_companies mc, company_name cn
      WHERE mc.movie_id = t.id AND mc.company_id = cn.id
@@ -66,7 +64,7 @@ grep -q '"event":"replan"' observe-serve.log
 # The scrape validates the exposition client-side (qob connect --metrics
 # refuses an unparseable body); the counters match the eight statements
 # this script just ran, exactly.
-"$QOB" connect --addr "$ADDR" --metrics --bench-json "$OUT" > observe-metrics.txt
+"$QOB" connect --addr "$ADDR" --metrics > observe-metrics.txt
 grep -q '^qob_queries_total 8$' observe-metrics.txt
 grep -q '^qob_query_errors_total 0$' observe-metrics.txt
 grep -q '^qob_execute_seconds_count 8$' observe-metrics.txt
@@ -75,12 +73,11 @@ grep -q '^# TYPE qob_query_seconds histogram$' observe-metrics.txt
 REPLANS=$(grep '^qob_replans_total ' observe-metrics.txt | grep -o '[0-9]*$')
 test "$REPLANS" -ge 1
 
-grep -q '"bench":"serve_smoke"' "$OUT"
-grep -q '"queries_total":8' "$OUT"
-grep -q '"query_p50_us":' "$OUT"
-grep -q '"query_p99_us":' "$OUT"
-grep -q '"plan_cache_hits":' "$OUT"
-grep -q '"replans_total":' "$OUT"
+# The same scrape as JSON: the `summary` object `qob top` reads.
+"$QOB" connect --addr "$ADDR" --metrics --json > observe-metrics.json
+jq -e '.summary.queries_total == 8' observe-metrics.json
+jq -e '.summary | has("query_p50_us") and has("query_p99_us")
+                  and has("plan_cache_hits") and has("replans_total")' observe-metrics.json
 
 # The per-fingerprint history mirrors the statement mix exactly: the main
 # query ran 7 times under one structural fingerprint (5 warm + 1 traced +
@@ -147,6 +144,6 @@ wait $REG_PID
 trap - EXIT
 rm -f observe-serve.log observe-run[1-5].out observe-traced.out \
   observe-analyze.out observe-adaptive.out observe-metrics.txt \
-  observe-history.json observe-history-top.json \
-  regress-serve.log regress-metrics.txt regress-history.json
-echo "observe smoke OK — wrote $OUT and $TRACE_OUT"
+  observe-metrics.json observe-history.json observe-history-top.json \
+  regress-serve.log regress-metrics.txt regress-history.json "$TRACE_OUT"
+echo "observe smoke OK"

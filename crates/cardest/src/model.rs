@@ -87,11 +87,14 @@ pub enum Damping {
     ExponentialBackoff,
 }
 
-/// Combines a set of selectivities in `[0, 1]` under the given damping rule.
-pub fn combine_selectivities(mut sels: Vec<f64>, damping: Damping) -> f64 {
+/// Combines selectivities in `[0, 1]` under the given damping rule (1 for
+/// none).  Independence multiplies them in the order given, without
+/// allocating; only exponential backoff has to collect and sort them.
+pub fn combine_selectivities(sels: impl Iterator<Item = f64>, damping: Damping) -> f64 {
     match damping {
-        Damping::Independence => sels.iter().product(),
+        Damping::Independence => sels.product(),
         Damping::ExponentialBackoff => {
+            let mut sels: Vec<f64> = sels.collect();
             sels.sort_by(|a, b| a.partial_cmp(b).expect("selectivities are not NaN"));
             sels.iter().enumerate().map(|(i, s)| s.powf(1.0 / (1u64 << i.min(62)) as f64)).product()
         }
@@ -135,13 +138,12 @@ pub fn independence_estimate(
     for rel in set.iter() {
         card *= base_rows(rel).max(0.0);
     }
-    let edges = query.edges_within(set);
-    if !edges.is_empty() {
-        let sels: Vec<f64> = edges.iter().map(|e| edge_selectivity(e).clamp(0.0, 1.0)).collect();
-        card *= combine_selectivities(sels, damping);
-        if per_join_shrink < 1.0 && edges.len() > 1 {
-            card *= per_join_shrink.powi(edges.len() as i32 - 1);
-        }
+    let within = query.joins.iter().filter(|e| set.contains(e.left) && set.contains(e.right));
+    let sels = within.clone().map(|e| edge_selectivity(e).clamp(0.0, 1.0));
+    card *= combine_selectivities(sels, damping);
+    if per_join_shrink < 1.0 {
+        // One shrink per join beyond the first.
+        card *= per_join_shrink.powi((within.count() as i32 - 1).max(0));
     }
     card.max(1.0)
 }
@@ -169,16 +171,16 @@ mod tests {
 
     #[test]
     fn combine_independence_multiplies() {
-        let c = combine_selectivities(vec![0.1, 0.5, 0.2], Damping::Independence);
+        let c = combine_selectivities([0.1, 0.5, 0.2].into_iter(), Damping::Independence);
         assert!((c - 0.01).abs() < 1e-12);
-        assert_eq!(combine_selectivities(vec![], Damping::Independence), 1.0);
+        assert_eq!(combine_selectivities(std::iter::empty(), Damping::Independence), 1.0);
     }
 
     #[test]
     fn exponential_backoff_is_larger_than_independence() {
-        let sels = vec![0.1, 0.5, 0.2];
-        let indep = combine_selectivities(sels.clone(), Damping::Independence);
-        let damped = combine_selectivities(sels, Damping::ExponentialBackoff);
+        let sels = [0.1, 0.5, 0.2];
+        let indep = combine_selectivities(sels.into_iter(), Damping::Independence);
+        let damped = combine_selectivities(sels.into_iter(), Damping::ExponentialBackoff);
         assert!(damped > indep, "damping lifts the combined selectivity");
         assert!(damped <= 1.0);
         // The most selective factor keeps its full weight, so the damped
@@ -188,7 +190,7 @@ mod tests {
 
     #[test]
     fn backoff_single_selectivity_is_unchanged() {
-        let s = combine_selectivities(vec![0.3], Damping::ExponentialBackoff);
+        let s = combine_selectivities([0.3].into_iter(), Damping::ExponentialBackoff);
         assert!((s - 0.3).abs() < 1e-12);
     }
 

@@ -57,20 +57,20 @@ pub fn histogram_predicate_selectivity(
             None => magic.range * magic.range,
         },
         Predicate::StrEq { value, .. } => {
-            equality_selectivity(stats, &Value::Str(value.clone()), use_exact_distinct, magic)
+            equality_given_mcv(stats, str_mcv_frequency(stats, value), use_exact_distinct, magic)
         }
         Predicate::StrIn { values, .. } => values
             .iter()
-            .map(|v| equality_selectivity(stats, &Value::Str(v.clone()), use_exact_distinct, magic))
+            .map(|v| {
+                equality_given_mcv(stats, str_mcv_frequency(stats, v), use_exact_distinct, magic)
+            })
             .sum::<f64>()
             .min(1.0),
         Predicate::Like { .. } => magic.like,
         Predicate::IsNull { .. } => stats.null_frac,
         Predicate::IsNotNull { .. } => 1.0 - stats.null_frac,
         Predicate::And(ps) => combine_selectivities(
-            ps.iter()
-                .map(|p| histogram_predicate_selectivity(stats, p, use_exact_distinct, magic))
-                .collect(),
+            ps.iter().map(|p| histogram_predicate_selectivity(stats, p, use_exact_distinct, magic)),
             Damping::Independence,
         ),
         Predicate::Or(ps) => {
@@ -104,7 +104,24 @@ pub fn equality_selectivity(
     use_exact_distinct: bool,
     magic: &MagicConstants,
 ) -> f64 {
-    if let Some(freq) = stats.mcv_frequency(value) {
+    equality_given_mcv(stats, stats.mcv_frequency(value), use_exact_distinct, magic)
+}
+
+/// The MCV frequency of a string literal, compared in place (the estimator
+/// runs once per relation set; cloning the literal into a [`Value`] each
+/// time was most of its cost on string predicates).
+fn str_mcv_frequency(stats: &ColumnStats, literal: &str) -> Option<f64> {
+    stats.mcv.iter().find(|(v, _)| matches!(v, Value::Str(s) if s == literal)).map(|(_, f)| *f)
+}
+
+/// [`equality_selectivity`] once the literal's MCV frequency is known.
+fn equality_given_mcv(
+    stats: &ColumnStats,
+    mcv_frequency: Option<f64>,
+    use_exact_distinct: bool,
+    magic: &MagicConstants,
+) -> f64 {
+    if let Some(freq) = mcv_frequency {
         return freq.clamp(0.0, 1.0);
     }
     let distinct = stats.distinct(use_exact_distinct);
@@ -139,25 +156,21 @@ pub fn histogram_base_rows(
     if relation.predicates.is_empty() {
         return rows;
     }
-    let sels: Vec<f64> = relation
-        .predicates
-        .iter()
-        .map(|p| {
-            // A predicate references exactly one column of the relation; use
-            // that column's statistics (composite AND/OR predicates in JOB
-            // always target a single column).
-            let col = p.referenced_columns().first().copied();
-            match col {
-                Some(c) => histogram_predicate_selectivity(
-                    &table_stats.columns[c.index()],
-                    p,
-                    use_exact_distinct,
-                    magic,
-                ),
-                None => 1.0,
-            }
-        })
-        .collect();
+    let sels = relation.predicates.iter().map(|p| {
+        // A predicate references exactly one column of the relation; use
+        // that column's statistics (composite AND/OR predicates in JOB
+        // always target a single column).
+        let col = p.referenced_columns().first().copied();
+        match col {
+            Some(c) => histogram_predicate_selectivity(
+                &table_stats.columns[c.index()],
+                p,
+                use_exact_distinct,
+                magic,
+            ),
+            None => 1.0,
+        }
+    });
     rows * combine_selectivities(sels, damping)
 }
 

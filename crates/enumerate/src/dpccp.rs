@@ -3,11 +3,9 @@
 //! the algorithm class the paper relies on for exhaustive enumeration
 //! ("exhaustive dynamic programming", citations [29, 12]).
 
-use std::collections::HashMap;
-
 use qob_plan::{PhysicalPlan, QuerySpec, RelSet};
 
-use crate::planner::{EnumerationError, OptimizedPlan, Planner, Sub};
+use crate::planner::{Entry, EnumerationError, OptimizedPlan, PlanTable, Planner};
 
 /// An already-executed plan prefix that re-planning must keep atomic: the
 /// relation set it covers, the subplan that produced it (grafted unchanged
@@ -78,9 +76,11 @@ fn enumerate_cmp(
     }
 }
 
-/// All csg-cmp pairs of the query's join graph.  Each unordered pair of
-/// disjoint, connected, edge-connected subgraphs appears exactly once (in one
-/// orientation).
+/// All csg-cmp pairs of the query's join graph: each unordered pair of
+/// disjoint, connected, edge-connected subgraphs exactly once (in one
+/// orientation), in the one order every dynamic program processes them —
+/// increasing size of the union, then union bits, then left-side bits.  Both
+/// sides of a pair precede it, and all splits of one set are adjacent.
 pub fn ccp_pairs(query: &QuerySpec) -> Vec<(RelSet, RelSet)> {
     let adjacency = query.adjacency();
     let mut csgs = Vec::new();
@@ -89,6 +89,10 @@ pub fn ccp_pairs(query: &QuerySpec) -> Vec<(RelSet, RelSet)> {
     for &s1 in &csgs {
         enumerate_cmp(query, &adjacency, s1, &mut |s2| pairs.push((s1, s2)));
     }
+    pairs.sort_unstable_by_key(|(a, b)| {
+        let u = a.union(*b);
+        (u.len(), u.bits(), a.bits())
+    });
     pairs
 }
 
@@ -115,80 +119,110 @@ pub fn optimize_bushy_with_prefixes(
     planner: &Planner<'_>,
     groups: &[PrefixGroup],
 ) -> Result<OptimizedPlan, EnumerationError> {
-    let best = dp_table(planner, groups)?;
-    let all = planner.query.all_rels();
-    let result = best.get(&all).ok_or(EnumerationError::DisconnectedQuery)?;
-    Ok(OptimizedPlan { plan: result.plan.clone(), cost: result.cost })
+    optimized_plan(planner, &optimize_bushy_table(planner, groups)?, groups)
 }
 
-/// The complete dynamic-programming table of [`optimize_bushy`]: the optimal
-/// subplan for *every* connected relation set of the query, keyed by set.
-///
-/// The full query's entry is exactly what [`optimize_bushy`] returns; the
-/// smaller entries are the per-subexpression optima the plan-space metrics
-/// (subplan optimality, OptMark-style) compare candidate subtrees against.
+/// The complete dynamic-programming table behind
+/// [`optimize_bushy_with_prefixes`]: the optimal cost, rows and winning split
+/// of *every* connected union of whole groups and free relations — no plans.
+/// Without groups those are the per-subexpression optima the plan-space
+/// metrics (subplan optimality, OptMark-style) compare candidate subtrees
+/// against.
 pub fn optimize_bushy_table(
     planner: &Planner<'_>,
-) -> Result<HashMap<RelSet, Sub>, EnumerationError> {
-    dp_table(planner, &[])
+    groups: &[PrefixGroup],
+) -> Result<PlanTable, EnumerationError> {
+    let mut table = seed_table(planner, groups)?;
+    // A single group (or a single-relation query) may already cover
+    // everything: then nothing is left to enumerate.
+    if !table.contains_key(&planner.query.all_rels()) {
+        fill_table(planner, &mut table, &ccp_pairs(planner.query));
+    }
+    Ok(table)
 }
 
-/// Shared DP core: seeds prefix groups and free leaves, processes the
-/// csg-cmp pairs in increasing union size, and returns the whole memo table.
-fn dp_table(
+/// Validates the query and the groups, and seeds a table with the atomic
+/// inputs: every prefix group, and every relation outside all groups.
+pub(crate) fn seed_table(
     planner: &Planner<'_>,
     groups: &[PrefixGroup],
-) -> Result<HashMap<RelSet, Sub>, EnumerationError> {
+) -> Result<PlanTable, EnumerationError> {
     planner.check_query()?;
-    let query = planner.query;
     let mut grouped = RelSet::empty();
+    let mut table = PlanTable::new();
     for group in groups {
         if !group.set.is_disjoint(grouped) {
             return Err(EnumerationError::OverlappingPrefixes);
         }
         grouped = grouped.union(group.set);
+        let rows = group.rows.max(1.0);
+        table.insert(group.set, Entry { set: group.set, cost: 0.0, rows, join: None });
     }
-    let mut best: HashMap<RelSet, Sub> = HashMap::new();
-    for group in groups {
-        best.insert(
-            group.set,
-            Sub { set: group.set, plan: group.plan.clone(), cost: 0.0, rows: group.rows.max(1.0) },
-        );
+    for rel in planner.query.all_rels().minus(grouped).iter() {
+        table.insert(RelSet::single(rel), planner.leaf(rel));
     }
-    for rel in 0..query.rel_count() {
-        if !grouped.contains(rel) {
-            let leaf = planner.leaf(rel);
-            best.insert(leaf.set, leaf);
-        }
-    }
-    let all = query.all_rels();
-    if best.contains_key(&all) {
-        // A single group (or a single-relation query) already covers
-        // everything: nothing is left to enumerate.
-        return Ok(best);
-    }
-    let mut pairs = ccp_pairs(query);
-    pairs.sort_by_key(|(a, b)| {
-        let u = a.union(*b);
-        (u.len(), u.bits(), a.bits())
-    });
-    for (s1, s2) in pairs {
-        let (Some(left), Some(right)) = (best.get(&s1), best.get(&s2)) else {
-            continue;
-        };
-        if let Some(candidate) = planner.best_join(left, right) {
-            match best.get(&candidate.set) {
+    Ok(table)
+}
+
+/// The DP core over [`ccp_pairs`]: prices each pair whose two sides
+/// are in the table and keeps the cheapest entry per union; an earlier pair
+/// wins ties.
+pub(crate) fn fill_table(planner: &Planner<'_>, table: &mut PlanTable, pairs: &[(RelSet, RelSet)]) {
+    for splits in pairs.chunk_by(|p, q| p.0.union(p.1) == q.0.union(q.1)) {
+        let set = splits[0].0.union(splits[0].1);
+        let mut best: Option<Entry> = None;
+        // Estimated only once a split has both sides (under prefix groups
+        // some sets have none).
+        let mut rows = None;
+        for (s1, s2) in splits {
+            let (Some(left), Some(right)) = (table.get(s1), table.get(s2)) else {
+                continue;
+            };
+            let rows = *rows.get_or_insert_with(|| planner.rows(set));
+            let candidate = planner.cheapest_join(left, right, rows);
+            match best {
                 Some(existing) if existing.cost <= candidate.cost => {}
-                _ => {
-                    best.insert(candidate.set, candidate);
-                }
+                _ => best = Some(candidate),
             }
         }
+        if let Some(best) = best {
+            table.insert(set, best);
+        }
     }
-    if !best.contains_key(&all) {
-        return Err(EnumerationError::DisconnectedQuery);
+}
+
+/// The full query's entry of a filled table as a plan with its cost.
+pub(crate) fn optimized_plan(
+    planner: &Planner<'_>,
+    table: &PlanTable,
+    groups: &[PrefixGroup],
+) -> Result<OptimizedPlan, EnumerationError> {
+    let all = planner.query.all_rels();
+    let cost = table.get(&all).ok_or(EnumerationError::DisconnectedQuery)?.cost;
+    Ok(OptimizedPlan { plan: build_plan(planner, table, groups, all), cost })
+}
+
+/// Rebuilds the operator tree of `set` top-down from the winning splits:
+/// scans for free relations, the group's own subplan (unchanged) for a
+/// prefix group, and join keys derived once per chosen join.
+fn build_plan(
+    planner: &Planner<'_>,
+    table: &PlanTable,
+    groups: &[PrefixGroup],
+    set: RelSet,
+) -> PhysicalPlan {
+    match table[&set].join {
+        Some((left, right, algorithm)) => PhysicalPlan::join(
+            algorithm,
+            build_plan(planner, table, groups, left),
+            build_plan(planner, table, groups, right),
+            planner.join_keys(left, right),
+        ),
+        None => match groups.iter().find(|group| group.set == set) {
+            Some(group) => group.plan.clone(),
+            None => PhysicalPlan::scan(set.min_rel().expect("atomic entries are non-empty")),
+        },
     }
-    Ok(best)
 }
 
 #[cfg(test)]

@@ -11,16 +11,17 @@ use crate::planner::{EnumerationError, OptimizedPlan, Planner, Sub};
 pub fn optimize_goo(planner: &Planner<'_>) -> Result<OptimizedPlan, EnumerationError> {
     planner.check_query()?;
     let query = planner.query;
-    let mut forest: Vec<Sub> = (0..query.rel_count()).map(|r| planner.leaf(r)).collect();
+    let mut forest: Vec<Sub> = (0..query.rel_count()).map(|r| planner.leaf_sub(r)).collect();
     while forest.len() > 1 {
         // Find the joinable pair with the smallest estimated output.
         let mut best_pair: Option<(usize, usize, f64)> = None;
         for i in 0..forest.len() {
             for j in i + 1..forest.len() {
-                if query.edges_between(forest[i].set, forest[j].set).is_empty() {
+                let (a, b) = (forest[i].entry.set, forest[j].entry.set);
+                if !query.joins.iter().any(|e| e.connects(a, b)) {
                     continue;
                 }
-                let out = planner.rows(forest[i].set.union(forest[j].set));
+                let out = planner.rows(a.union(b));
                 if best_pair.map(|(_, _, r)| out < r).unwrap_or(true) {
                     best_pair = Some((i, j, out));
                 }
@@ -31,14 +32,13 @@ pub fn optimize_goo(planner: &Planner<'_>) -> Result<OptimizedPlan, EnumerationE
             // query graph is disconnected.
             return Err(EnumerationError::DisconnectedQuery);
         };
-        let (first, second) = if i > j { (i, j) } else { (j, i) };
-        let b = forest.swap_remove(first);
-        let a = forest.swap_remove(second);
-        let joined = planner.best_join(&a, &b).expect("pair was checked to be joinable");
-        forest.push(joined);
+        // `i < j`: remove the higher index first so the lower one stays valid.
+        let b = forest.swap_remove(j);
+        let a = forest.swap_remove(i);
+        forest.push(planner.join_subs(a, b));
     }
     let result = forest.pop().ok_or(EnumerationError::EmptyQuery)?;
-    Ok(OptimizedPlan { plan: result.plan, cost: result.cost })
+    Ok(OptimizedPlan { plan: result.plan, cost: result.entry.cost })
 }
 
 #[cfg(test)]

@@ -15,11 +15,15 @@
 //!   bushy plan space, for ranking any plan against the true optimum
 //!   (OptMark-style effectiveness metrics).
 //!
-//! All enumerators share one physical-operator selection routine
-//! ([`planner::Planner`]) parameterised by a cost model, a cardinality
-//! source, and the availability of join algorithms and indexes — so the same
-//! machinery answers "optimal plan under true cardinalities" and "plan the
-//! optimizer would pick from system X's estimates".
+//! All enumerators share one [`planner::Planner`], parameterised by a cost
+//! model, a cardinality source, and the availability of join algorithms and
+//! indexes — so the same machinery answers "optimal plan under true
+//! cardinalities" and "plan the optimizer would pick from system X's
+//! estimates".  [`Planner::rows`] is the only caller of the cardinality
+//! source and estimates each relation set once; [`Planner::join`] is the only
+//! place a join is priced, from relation sets and row counts alone.  The
+//! dynamic programs therefore keep `{cost, rows, winning split}` per set and
+//! build one operator tree, top-down, at the end.
 
 pub mod dpccp;
 pub mod goo;
@@ -29,5 +33,7 @@ pub mod restricted;
 pub mod space;
 
 pub use dpccp::{ccp_pairs, optimize_bushy_table, optimize_bushy_with_prefixes, PrefixGroup};
-pub use planner::{EnumerationError, OptimizedPlan, Planner, PlannerConfig, ShapeRestriction};
+pub use planner::{
+    Entry, EnumerationError, OptimizedPlan, PlanTable, Planner, PlannerConfig, ShapeRestriction,
+};
 pub use space::{count_plans, explore, PlanSpace, PlanSpaceOptions};

@@ -1,11 +1,13 @@
 //! Shared planner state: configuration, per-subplan bookkeeping and physical
 //! join selection.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt;
 
 use qob_cardest::CardinalityEstimator;
 use qob_cost::{CostContext, CostModel, SubPlanInfo};
-use qob_plan::{JoinAlgorithm, JoinEdge, JoinKey, PhysicalPlan, QuerySpec, RelSet};
+use qob_plan::{JoinAlgorithm, JoinKey, PhysicalPlan, QuerySpec, RelSet};
 use qob_storage::Database;
 
 /// Which join-tree shapes the enumerator may produce (Section 6.2).
@@ -96,21 +98,52 @@ pub struct OptimizedPlan {
     pub cost: f64,
 }
 
-/// One memoised subplan during enumeration.
-#[derive(Debug, Clone)]
-pub struct Sub {
+/// One priced subplan without its operator tree: what the dynamic-programming
+/// tables store per relation set.  A whole table of these is enough to
+/// rebuild the winning [`PhysicalPlan`] top-down (see
+/// [`crate::dpccp`]), so no plan is ever built for a candidate that loses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Entry {
     /// The relations covered.
     pub set: RelSet,
-    /// Best plan found so far for this set.
-    pub plan: PhysicalPlan,
-    /// Cumulative cost of `plan`.
+    /// Cumulative cost of the best subplan found so far.
     pub cost: f64,
-    /// Estimated output rows (from the planner's cardinality source).
+    /// Estimated output rows (from the planner's cardinality source, or the
+    /// observed rows of a fixed prefix).
     pub rows: f64,
+    /// The winning join as `(build side, probe side, algorithm)`; `None` for
+    /// an atomic input (a base-relation scan or a fixed prefix).
+    pub join: Option<(RelSet, RelSet, JoinAlgorithm)>,
+}
+
+impl Entry {
+    /// How the cost models see this entry as a join input.
+    fn info(&self) -> SubPlanInfo {
+        SubPlanInfo {
+            rows: self.rows,
+            rels: self.set,
+            base_rel: if self.set.len() == 1 { self.set.min_rel() } else { None },
+        }
+    }
+}
+
+/// The per-set memo of the dynamic programs.
+pub type PlanTable = HashMap<RelSet, Entry>;
+
+/// A subplan that carries its operator tree — the forest/component element
+/// of the heuristics ([`crate::goo`], [`crate::quickpick`]), which build one
+/// tree per run instead of a table.
+#[derive(Debug, Clone)]
+pub struct Sub {
+    /// Set, cost and rows.
+    pub entry: Entry,
+    /// The operator tree.
+    pub plan: PhysicalPlan,
 }
 
 /// The shared planner: query, catalog, cost model, cardinality source and
-/// configuration.
+/// configuration.  One planner serves one `optimize` call (or several over
+/// the same query): it remembers every estimate it has fetched.
 pub struct Planner<'a> {
     /// Catalog.
     pub db: &'a Database,
@@ -118,10 +151,13 @@ pub struct Planner<'a> {
     pub query: &'a QuerySpec,
     /// Cost model.
     pub cost_model: &'a dyn CostModel,
-    /// Cardinality source (estimates or injected/true cardinalities).
+    /// Cardinality source (estimates or injected/true cardinalities).  Only
+    /// [`Planner::rows`] calls it.
     pub cards: &'a dyn CardinalityEstimator,
     /// Configuration.
     pub config: PlannerConfig,
+    /// Estimates fetched so far, clamped to at least one row.
+    estimates: RefCell<HashMap<RelSet, f64>>,
 }
 
 impl<'a> Planner<'a> {
@@ -133,164 +169,127 @@ impl<'a> Planner<'a> {
         cards: &'a dyn CardinalityEstimator,
         config: PlannerConfig,
     ) -> Self {
-        Planner { db, query, cost_model, cards, config }
+        Planner { db, query, cost_model, cards, config, estimates: RefCell::default() }
     }
 
-    /// The cost context for this query.
-    pub fn cost_context(&self) -> CostContext<'a> {
-        CostContext::new(self.db, self.query)
-    }
-
-    /// Builds the leaf subplan for one base relation.
-    pub fn leaf(&self, rel: usize) -> Sub {
-        let set = RelSet::single(rel);
-        let rows = self.cards.estimate(self.query, set).max(1.0);
-        let cost = self.cost_model.scan_cost(&self.cost_context(), rel, rows);
-        Sub { set, plan: PhysicalPlan::scan(rel), cost, rows }
-    }
-
-    /// Estimated output rows for a relation set.
+    /// Estimated output rows for a relation set (at least 1).  The single
+    /// door to the cardinality source: each set is estimated once for the
+    /// life of the planner, whichever enumerators ask and however often.
     pub fn rows(&self, set: RelSet) -> f64 {
-        self.cards.estimate(self.query, set).max(1.0)
+        if let Some(&rows) = self.estimates.borrow().get(&set) {
+            return rows;
+        }
+        let rows = self.cards.estimate(self.query, set).max(1.0);
+        self.estimates.borrow_mut().insert(set, rows);
+        rows
+    }
+
+    /// The table entry for scanning one base relation.
+    pub fn leaf(&self, rel: usize) -> Entry {
+        let set = RelSet::single(rel);
+        let rows = self.rows(set);
+        let cost = self.cost_model.scan_cost(&CostContext::new(self.db, self.query), rel, rows);
+        Entry { set, cost, rows, join: None }
     }
 
     /// Join keys for joining `left_set` (as the left/build side) with
     /// `right_set`, oriented so that `left_rel` of every key lies in
     /// `left_set`.
     pub fn join_keys(&self, left_set: RelSet, right_set: RelSet) -> Vec<JoinKey> {
-        self.query
-            .edges_between(left_set, right_set)
-            .into_iter()
-            .map(|e: JoinEdge| {
-                if left_set.contains(e.left) {
-                    JoinKey {
-                        left_rel: e.left,
-                        left_column: e.left_column,
-                        right_rel: e.right,
-                        right_column: e.right_column,
-                    }
-                } else {
-                    JoinKey {
-                        left_rel: e.right,
-                        left_column: e.right_column,
-                        right_rel: e.left,
-                        right_column: e.left_column,
-                    }
+        let edges = self.query.joins.iter().filter(|e| e.connects(left_set, right_set));
+        edges
+            .map(|e| {
+                let (left, right) = ((e.left, e.left_column), (e.right, e.right_column));
+                let (left, right) =
+                    if left_set.contains(e.left) { (left, right) } else { (right, left) };
+                JoinKey {
+                    left_rel: left.0,
+                    left_column: left.1,
+                    right_rel: right.0,
+                    right_column: right.1,
                 }
             })
             .collect()
     }
 
-    /// The cheapest allowed algorithm for one oriented join, and its join
-    /// cost (the cost of the join operator alone, excluding both inputs).
-    /// Returns `None` when `keys` is empty (no edge connects the sides).
-    fn cheapest_algorithm(
-        &self,
-        keys: &[JoinKey],
-        left_info: &SubPlanInfo,
-        right_info: &SubPlanInfo,
-        out_rows: f64,
-    ) -> Option<(JoinAlgorithm, f64)> {
-        if keys.is_empty() {
-            return None;
-        }
-        let ctx = self.cost_context();
-        let mut best: Option<(JoinAlgorithm, f64)> = None;
+    /// True if an index-nested-loop join can probe base relation `inner`
+    /// from `outer`: the first join edge between the two (in `query.joins`
+    /// order — the first join key) drives the lookup, so its inner column
+    /// must be indexed.
+    fn index_lookup_available(&self, outer: RelSet, inner: usize) -> bool {
+        let edge = self.query.joins.iter().find(|e| e.connects(outer, RelSet::single(inner)));
+        edge.is_some_and(|e| {
+            let column = if e.right == inner { e.right_column } else { e.left_column };
+            self.db.has_index(self.query.relations[inner].table, column)
+        })
+    }
+
+    /// The join of `left` (build/outer side) with `right` (probe/inner side)
+    /// in this fixed orientation, under the cheapest allowed algorithm;
+    /// `rows` is the estimate for the union.  The two sides must be disjoint
+    /// and share a join edge (every csg-cmp pair does).
+    ///
+    /// This is the only place a join is priced.  Every cost model prices a
+    /// join from the row counts and base-relation status of its inputs,
+    /// never from their internal shape, so entries need no operator tree and
+    /// [`crate::space`] can cost whole families of trees without building
+    /// one.  Algorithms are tried Hash, SortMerge, NestedLoop,
+    /// IndexNestedLoop and an earlier one wins ties.
+    pub fn join(&self, left: &Entry, right: &Entry, rows: f64) -> Entry {
+        let ctx = CostContext::new(self.db, self.query);
+        let (left_info, right_info) = (left.info(), right.info());
+        let price = |alg| self.cost_model.join_cost(&ctx, alg, &left_info, &right_info, rows);
+        let mut best = (JoinAlgorithm::Hash, price(JoinAlgorithm::Hash));
         let mut consider = |alg: JoinAlgorithm| {
-            let join_cost = self.cost_model.join_cost(&ctx, alg, left_info, right_info, out_rows);
-            if best.map(|(_, c)| join_cost < c).unwrap_or(true) {
-                best = Some((alg, join_cost));
+            let join_cost = price(alg);
+            if join_cost < best.1 {
+                best = (alg, join_cost);
             }
         };
-        consider(JoinAlgorithm::Hash);
         if self.config.allow_sort_merge {
             consider(JoinAlgorithm::SortMerge);
         }
         if self.config.allow_nested_loop {
             consider(JoinAlgorithm::NestedLoop);
         }
-        if self.config.allow_index_nested_loop {
-            if let Some(inner_rel) = right_info.base_rel {
-                let inner_table = self.query.relations[inner_rel].table;
-                // INL is available only when every join key column of the
-                // inner side is the indexed one; in practice the first key
-                // drives the index lookup.
-                if let Some(first) = keys.first() {
-                    if self.db.has_index(inner_table, first.right_column) {
-                        consider(JoinAlgorithm::IndexNestedLoop);
-                    }
-                }
-            }
+        if self.config.allow_index_nested_loop
+            && right_info.base_rel.is_some_and(|inner| self.index_lookup_available(left.set, inner))
+        {
+            consider(JoinAlgorithm::IndexNestedLoop);
         }
-        best
+        Entry {
+            set: left.set.union(right.set),
+            cost: left.cost + right.cost + best.1,
+            rows,
+            join: Some((left.set, right.set, best.0)),
+        }
     }
 
-    /// The best join of `left` (build/outer side) with `right` (probe/inner
-    /// side) in this fixed orientation, considering every allowed algorithm.
-    /// Returns `None` if no join edge connects the two sides.
-    pub fn best_join_oriented(&self, left: &Sub, right: &Sub) -> Option<Sub> {
-        let keys = self.join_keys(left.set, right.set);
-        let set = left.set.union(right.set);
-        let out_rows = self.rows(set);
-        let left_info = SubPlanInfo {
-            rows: left.rows,
-            rels: left.set,
-            base_rel: if left.plan.is_leaf() { left.set.min_rel() } else { None },
-        };
-        let right_info = SubPlanInfo {
-            rows: right.rows,
-            rels: right.set,
-            base_rel: if right.plan.is_leaf() { right.set.min_rel() } else { None },
-        };
-        let (alg, join_cost) = self.cheapest_algorithm(&keys, &left_info, &right_info, out_rows)?;
-        Some(Sub {
-            set,
-            plan: PhysicalPlan::join(alg, left.plan.clone(), right.plan.clone(), keys),
-            cost: left.cost + right.cost + join_cost,
-            rows: out_rows,
-        })
+    /// The cheaper orientation of joining `a` and `b` ([`Planner::join`]
+    /// both ways); `a` as the build side wins ties.
+    pub fn cheapest_join(&self, a: &Entry, b: &Entry, rows: f64) -> Entry {
+        let (ab, ba) = (self.join(a, b, rows), self.join(b, a, rows));
+        if ab.cost <= ba.cost {
+            ab
+        } else {
+            ba
+        }
     }
 
-    /// The minimum join cost of combining subplans covering `a` and `b` —
-    /// both orientations, every allowed algorithm — *excluding* the costs of
-    /// the inputs themselves.
-    ///
-    /// Every cost model prices a join from the row counts and base-relation
-    /// status of its inputs, never from their internal shape, so this is a
-    /// pure function of the two relation sets.  That property is what lets
-    /// the plan-space enumerator ([`crate::space`]) cost entire families of
-    /// join trees without materialising each one.  Returns `None` if no join
-    /// edge connects the two sides.
-    pub fn pair_join_cost(&self, a: RelSet, b: RelSet) -> Option<f64> {
-        let info = |set: RelSet| SubPlanInfo {
-            rows: self.rows(set),
-            rels: set,
-            base_rel: if set.len() == 1 { set.min_rel() } else { None },
-        };
-        let out_rows = self.rows(a.union(b));
-        let mut best: Option<f64> = None;
-        for (left, right) in [(a, b), (b, a)] {
-            let keys = self.join_keys(left, right);
-            if let Some((_, cost)) =
-                self.cheapest_algorithm(&keys, &info(left), &info(right), out_rows)
-            {
-                if best.map(|c| cost < c).unwrap_or(true) {
-                    best = Some(cost);
-                }
-            }
-        }
-        best
+    /// The leaf subplan of the heuristics for one base relation.
+    pub fn leaf_sub(&self, rel: usize) -> Sub {
+        Sub { entry: self.leaf(rel), plan: PhysicalPlan::scan(rel) }
     }
 
-    /// The best join of two subplans considering *both* orientations (used by
-    /// the bushy and zig-zag enumerators, and by the heuristics).
-    pub fn best_join(&self, a: &Sub, b: &Sub) -> Option<Sub> {
-        let ab = self.best_join_oriented(a, b);
-        let ba = self.best_join_oriented(b, a);
-        match (ab, ba) {
-            (Some(x), Some(y)) => Some(if x.cost <= y.cost { x } else { y }),
-            (x, y) => x.or(y),
-        }
+    /// [`Planner::cheapest_join`] for the heuristics: joins two trees that
+    /// share a join edge into one.
+    pub fn join_subs(&self, a: Sub, b: Sub) -> Sub {
+        let entry =
+            self.cheapest_join(&a.entry, &b.entry, self.rows(a.entry.set.union(b.entry.set)));
+        let (_, probe, algorithm) = entry.join.expect("a join entry");
+        let (left, right) = if probe == b.entry.set { (a, b) } else { (b, a) };
+        let keys = self.join_keys(left.entry.set, right.entry.set);
+        Sub { entry, plan: PhysicalPlan::join(algorithm, left.plan, right.plan, keys) }
     }
 
     /// Validates that the query can be optimized at all.
@@ -406,9 +405,42 @@ mod tests {
         let leaf = p.leaf(0);
         assert_eq!(leaf.set, RelSet::single(0));
         assert_eq!(leaf.rows, 10_000.0);
+        assert_eq!(leaf.join, None);
         assert!((leaf.cost - 2_000.0).abs() < 1e-9, "τ·|f| = 0.2·10000");
         assert_eq!(p.rows(RelSet::from_iter([0, 1])), 5_000.0);
         assert!(p.check_query().is_ok());
+    }
+
+    /// Counts calls into the wrapped cardinality source.
+    struct Counting<'a>(&'a dyn CardinalityEstimator, std::cell::Cell<usize>);
+
+    impl CardinalityEstimator for Counting<'_> {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn estimate(&self, query: &QuerySpec, set: RelSet) -> f64 {
+            self.1.set(self.1.get() + 1);
+            self.0.estimate(query, set)
+        }
+    }
+
+    #[test]
+    fn each_set_is_estimated_once_whichever_enumerators_ask() {
+        let (db, q, cards) = star_fixture(IndexConfig::PrimaryAndForeignKey);
+        let model = SimpleCostModel::new();
+        let counting = Counting(&cards, std::cell::Cell::new(0));
+        let p = Planner::new(&db, &q, &model, &counting, PlannerConfig::default());
+        let connected = q.connected_subexpressions().len();
+        crate::dpccp::optimize_bushy(&p).unwrap();
+        assert_eq!(counting.1.get(), connected, "DPccp: one estimate per connected set");
+        for shape in [ShapeRestriction::LeftDeep, ShapeRestriction::ZigZag] {
+            crate::restricted::optimize_restricted(&p, shape).unwrap();
+        }
+        crate::goo::optimize_goo(&p).unwrap();
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
+        crate::quickpick::quickpick_best(&p, 50, &mut rng).unwrap();
+        crate::space::explore(&p, &Default::default(), &mut rng).unwrap();
+        assert_eq!(counting.1.get(), connected, "the planner's memo answers every later request");
     }
 
     #[test]
@@ -424,38 +456,70 @@ mod tests {
     }
 
     #[test]
-    fn best_join_picks_indexed_lookup_when_available() {
+    fn join_considers_an_indexed_lookup_only_where_one_exists() {
+        use qob_plan::JoinAlgorithm::IndexNestedLoop;
         let (db, q, cards) = star_fixture(IndexConfig::PrimaryKeyOnly);
-        let model = SimpleCostModel::new();
-        let p = Planner::new(&db, &q, &model, &cards, PlannerConfig::default());
-        let f = p.leaf(0);
-        let d3 = p.leaf(3);
-        // Orientation f (outer) → d3 (inner, PK-indexed): INL is available.
-        let joined = p.best_join_oriented(&f, &d3).unwrap();
+        // A model under which an index lookup always wins when offered.
+        struct LookupsAreFree;
+        impl CostModel for LookupsAreFree {
+            fn name(&self) -> &str {
+                "lookups are free"
+            }
+            fn scan_cost(&self, _: &CostContext<'_>, _: usize, rows: f64) -> f64 {
+                rows
+            }
+            fn join_cost(
+                &self,
+                _: &CostContext<'_>,
+                algorithm: JoinAlgorithm,
+                _: &SubPlanInfo,
+                _: &SubPlanInfo,
+                rows: f64,
+            ) -> f64 {
+                if algorithm == IndexNestedLoop {
+                    0.0
+                } else {
+                    rows
+                }
+            }
+        }
+        let p = Planner::new(&db, &q, &LookupsAreFree, &cards, PlannerConfig::default());
+        let (f, d3) = (p.leaf(0), p.leaf(3));
+        let rows = p.rows(f.set.union(d3.set));
+        // f (outer) → d3 (inner): the edge's inner column is d3's primary key.
+        let joined = p.join(&f, &d3, rows);
         assert_eq!(joined.set, RelSet::from_iter([0, 3]));
-        assert!(joined.cost > f.cost + d3.cost);
-        // Disallowing INL changes the picked algorithm.
+        assert_eq!(joined.join, Some((f.set, d3.set, IndexNestedLoop)));
+        assert_eq!(joined.cost, f.cost + d3.cost);
+        // d3 (outer) → f (inner): f.d3_id carries no index under PK-only.
+        assert_eq!(p.join(&d3, &f, rows).join, Some((d3.set, f.set, JoinAlgorithm::Hash)));
+        // ... so the cheaper orientation probes d3, whichever side comes first.
+        assert_eq!(p.cheapest_join(&d3, &f, rows), joined);
+        // A composite inner side is never probed by index.
+        let fd3 = joined;
+        let d1 = p.leaf(1);
+        let rows = p.rows(fd3.set.union(d1.set));
+        assert_eq!(p.join(&d1, &fd3, rows).join, Some((d1.set, fd3.set, JoinAlgorithm::Hash)));
+        // Disallowing INL removes the option.
         let cfg = PlannerConfig { allow_index_nested_loop: false, ..Default::default() };
-        let p2 = Planner::new(&db, &q, &model, &cards, cfg);
-        let joined2 = p2.best_join_oriented(&f, &d3).unwrap();
-        assert!(
-            !joined2.plan.uses_algorithm(qob_plan::JoinAlgorithm::IndexNestedLoop),
-            "INL disabled"
-        );
+        let p2 = Planner::new(&db, &q, &LookupsAreFree, &cards, cfg);
+        assert_eq!(p2.join(&f, &d3, rows).join, Some((f.set, d3.set, JoinAlgorithm::Hash)));
     }
 
     #[test]
-    fn best_join_returns_none_without_edges() {
-        let (db, q, cards) = star_fixture(IndexConfig::PrimaryKeyOnly);
+    fn ties_go_to_the_first_side_as_build_and_to_hash() {
+        // C_mm prices Hash and SortMerge alike and ignores orientation.
+        let (db, q, cards) = star_fixture(IndexConfig::NoIndexes);
         let model = SimpleCostModel::new();
         let p = Planner::new(&db, &q, &model, &cards, PlannerConfig::default());
-        let d1 = p.leaf(1);
-        let d2 = p.leaf(2);
-        assert!(p.best_join(&d1, &d2).is_none(), "d1 and d2 are not connected");
+        let (f, d3) = (p.leaf(0), p.leaf(3));
+        let rows = p.rows(f.set.union(d3.set));
+        assert_eq!(p.cheapest_join(&f, &d3, rows).join, Some((f.set, d3.set, JoinAlgorithm::Hash)));
+        assert_eq!(p.cheapest_join(&d3, &f, rows).join, Some((d3.set, f.set, JoinAlgorithm::Hash)));
     }
 
     #[test]
-    fn nested_loop_only_considered_when_allowed() {
+    fn join_subs_builds_the_tree_of_the_cheapest_join() {
         let (db, q, cards) = star_fixture(IndexConfig::NoIndexes);
         let model = SimpleCostModel::new();
         let cfg = PlannerConfig {
@@ -465,11 +529,13 @@ mod tests {
             shape: ShapeRestriction::Bushy,
         };
         let p = Planner::new(&db, &q, &model, &cards, cfg);
-        let f = p.leaf(0);
-        let d3 = p.leaf(3);
-        let joined = p.best_join(&f, &d3).unwrap();
+        let joined = p.join_subs(p.leaf_sub(3), p.leaf_sub(0));
         // Hash is cheaper than NL under C_mm, so NL is considered but not chosen.
-        assert!(joined.plan.uses_algorithm(qob_plan::JoinAlgorithm::Hash));
+        assert!(joined.plan.uses_algorithm(JoinAlgorithm::Hash));
+        assert!(joined.plan.validate_partial(&q).is_ok());
+        assert_eq!(joined.plan.rels(), joined.entry.set);
+        let rows = p.rows(joined.entry.set);
+        assert_eq!(joined.entry, p.cheapest_join(&p.leaf(3), &p.leaf(0), rows));
     }
 
     #[test]

@@ -16,11 +16,7 @@ pub fn random_plan(
 ) -> Result<OptimizedPlan, EnumerationError> {
     planner.check_query()?;
     let query = planner.query;
-    let mut components: Vec<Sub> = (0..query.rel_count()).map(|r| planner.leaf(r)).collect();
-    if components.len() == 1 {
-        let only = components.pop().expect("one component");
-        return Ok(OptimizedPlan { plan: only.plan, cost: only.cost });
-    }
+    let mut components: Vec<Sub> = (0..query.rel_count()).map(|r| planner.leaf_sub(r)).collect();
     let mut edge_order: Vec<usize> = (0..query.joins.len()).collect();
     edge_order.shuffle(rng);
     for edge_idx in edge_order {
@@ -28,8 +24,8 @@ pub fn random_plan(
             break;
         }
         let edge = query.joins[edge_idx];
-        let a = components.iter().position(|c| c.set.contains(edge.left));
-        let b = components.iter().position(|c| c.set.contains(edge.right));
+        let a = components.iter().position(|c| c.entry.set.contains(edge.left));
+        let b = components.iter().position(|c| c.entry.set.contains(edge.right));
         let (Some(a), Some(b)) = (a, b) else { continue };
         if a == b {
             continue;
@@ -38,13 +34,11 @@ pub fn random_plan(
         let (first, second) = if a > b { (a, b) } else { (b, a) };
         let right = components.swap_remove(first);
         let left = components.swap_remove(second);
-        let joined =
-            planner.best_join(&left, &right).expect("the picked edge connects the two components");
-        components.push(joined);
+        components.push(planner.join_subs(left, right));
     }
     debug_assert_eq!(components.len(), 1, "connected queries always reduce to one component");
     let result = components.pop().ok_or(EnumerationError::EmptyQuery)?;
-    Ok(OptimizedPlan { plan: result.plan, cost: result.cost })
+    Ok(OptimizedPlan { plan: result.plan, cost: result.entry.cost })
 }
 
 /// Runs Quickpick `runs` times and returns every generated plan (used for

@@ -10,14 +10,15 @@
 //! * **zig-zag** — each join has at least one base-relation input (the union
 //!   of the two classes).
 
-use std::collections::HashMap;
-
 use qob_plan::RelSet;
 
-use crate::planner::{EnumerationError, OptimizedPlan, Planner, ShapeRestriction, Sub};
+use crate::dpccp::{optimized_plan, seed_table};
+use crate::planner::{Entry, EnumerationError, OptimizedPlan, Planner, ShapeRestriction};
 
 /// Dynamic programming over connected subsets where every step extends the
-/// current subplan by exactly one base relation, respecting `shape`.
+/// current subplan by exactly one base relation, respecting `shape`.  Among
+/// equally cheap candidates for a set the first one (lowest relation index
+/// split off, composite-on-the-left first for zig-zag) wins.
 pub fn optimize_restricted(
     planner: &Planner<'_>,
     shape: ShapeRestriction,
@@ -25,55 +26,36 @@ pub fn optimize_restricted(
     if shape == ShapeRestriction::Bushy {
         return crate::dpccp::optimize_bushy(planner);
     }
-    planner.check_query()?;
     let query = planner.query;
-    let mut best: HashMap<RelSet, Sub> = HashMap::new();
-    let mut leaves: Vec<Sub> = Vec::with_capacity(query.rel_count());
-    for rel in 0..query.rel_count() {
-        let leaf = planner.leaf(rel);
-        best.insert(leaf.set, leaf.clone());
-        leaves.push(leaf);
-    }
-    if query.rel_count() == 1 {
-        let only = best.remove(&RelSet::single(0)).expect("single relation");
-        return Ok(OptimizedPlan { plan: only.plan, cost: only.cost });
-    }
-
-    let subsets = query.connected_subexpressions();
+    let mut table = seed_table(planner, &[])?;
     let adjacency = query.adjacency();
-    for &set in subsets.iter().filter(|s| s.len() >= 2) {
-        let mut best_for_set: Option<Sub> = None;
+    for set in query.connected_subexpressions().into_iter().filter(|s| s.len() >= 2) {
+        let rows = planner.rows(set);
+        let mut best: Option<Entry> = None;
         for rel in set.iter() {
-            let rest = set.minus(RelSet::single(rel));
+            let leaf = &table[&RelSet::single(rel)];
+            let rest = set.minus(leaf.set);
             if !query.is_connected(rest, &adjacency) {
                 continue;
             }
-            let Some(rest_sub) = best.get(&rest) else { continue };
-            let leaf = &leaves[rel];
-            // Left-deep: composite on the left (build), base on the right (probe).
-            let left_deep_candidate = || planner.best_join_oriented(rest_sub, leaf);
-            // Right-deep: base on the left (build), composite on the right.
-            let right_deep_candidate = || planner.best_join_oriented(leaf, rest_sub);
-            let candidates: Vec<Option<Sub>> = match shape {
-                ShapeRestriction::LeftDeep => vec![left_deep_candidate()],
-                ShapeRestriction::RightDeep => vec![right_deep_candidate()],
-                ShapeRestriction::ZigZag => vec![left_deep_candidate(), right_deep_candidate()],
+            let Some(rest) = table.get(&rest) else { continue };
+            let candidate = match shape {
+                // Composite on the left (build), base on the right (probe).
+                ShapeRestriction::LeftDeep => planner.join(rest, leaf, rows),
+                // Base on the left (build), composite on the right.
+                ShapeRestriction::RightDeep => planner.join(leaf, rest, rows),
+                ShapeRestriction::ZigZag => planner.cheapest_join(rest, leaf, rows),
                 ShapeRestriction::Bushy => unreachable!("handled above"),
             };
-            for candidate in candidates.into_iter().flatten() {
-                if best_for_set.as_ref().map(|b| candidate.cost < b.cost).unwrap_or(true) {
-                    best_for_set = Some(candidate);
-                }
+            if best.is_none_or(|b| candidate.cost < b.cost) {
+                best = Some(candidate);
             }
         }
-        if let Some(sub) = best_for_set {
-            best.insert(set, sub);
+        if let Some(best) = best {
+            table.insert(set, best);
         }
     }
-
-    let all = query.all_rels();
-    let result = best.remove(&all).ok_or(EnumerationError::DisconnectedQuery)?;
-    Ok(OptimizedPlan { plan: result.plan, cost: result.cost })
+    optimized_plan(planner, &table, &[])
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 //!    the cardinalities and base-relation status of its two inputs — never
 //!    from their internal shape — so the cost of joining the subtrees over
 //!    sets `A` and `B` is a pure function of `(A, B)`
-//!    ([`Planner::pair_join_cost`]).  The multiset of tree costs over a set
-//!    `S` therefore satisfies
+//!    ([`Planner::cheapest_join`] of two zero-cost inputs).  The multiset of
+//!    tree costs over a set `S` therefore satisfies
 //!    `costs(S) = ⋃ over csg-cmp splits {A,B} of S: { a + b + jc(A,B) : a ∈ costs(A), b ∈ costs(B) }`,
 //!    which is a dynamic program over the same csg-cmp pairs DPccp uses —
 //!    costing all `T(S)` trees in `O(Σ |costs(A)|·|costs(B)|)` additions
@@ -25,17 +25,18 @@
 //! A "plan" here is an unordered bushy join tree over connected
 //! subgraphs, with each join's orientation (build/probe) and algorithm
 //! chosen cost-minimally for its pair of input sets — the same physical
-//! selection [`Planner::best_join`] applies, so the minimum of the
-//! enumerated space coincides with [`crate::dpccp::optimize_bushy`] (a
-//! differential test pins this on every small JOB query).
+//! selection DPccp applies, over the same sorted pair list and the same
+//! table, so the minimum of the enumerated space coincides with
+//! [`crate::dpccp::optimize_bushy`] (a differential test pins this on every
+//! small JOB query).
 
 use std::collections::HashMap;
 
 use qob_plan::{QuerySpec, RelSet};
 use rand::Rng;
 
-use crate::dpccp::{ccp_pairs, optimize_bushy_table};
-use crate::planner::{EnumerationError, OptimizedPlan, Planner};
+use crate::dpccp::{ccp_pairs, fill_table, optimized_plan, seed_table};
+use crate::planner::{Entry, EnumerationError, OptimizedPlan, PlanTable, Planner};
 
 /// Limits for [`explore`]: when the space is exhausted vs. sampled.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,9 +76,9 @@ pub struct PlanSpace {
     pub costs: Vec<f64>,
     /// The optimum of the space, found by dynamic programming.
     pub optimum: OptimizedPlan,
-    /// The optimal cost of every connected subexpression (the DP table),
-    /// used for subplan-optimality metrics.
-    pub optimal_costs: HashMap<RelSet, f64>,
+    /// The DP table the optimum was rebuilt from: the optimal cost of every
+    /// connected subexpression, used for subplan-optimality metrics.
+    pub table: PlanTable,
 }
 
 impl PlanSpace {
@@ -104,8 +105,7 @@ impl PlanSpace {
 /// single relation).  Saturates at `u128::MAX` for astronomically large
 /// spaces.
 pub fn count_plans(query: &QuerySpec) -> u128 {
-    let pairs = sorted_pairs(query);
-    let counts = tree_counts(query, &pairs);
+    let counts = tree_counts(query, &ccp_pairs(query));
     counts.get(&query.all_rels()).copied().unwrap_or(0)
 }
 
@@ -122,55 +122,39 @@ pub fn explore(
     options: &PlanSpaceOptions,
     rng: &mut impl Rng,
 ) -> Result<PlanSpace, EnumerationError> {
-    planner.check_query()?;
     let query = planner.query;
-    let table = optimize_bushy_table(planner)?;
-    let all = query.all_rels();
-    let optimum = table
-        .get(&all)
-        .map(|sub| OptimizedPlan { plan: sub.plan.clone(), cost: sub.cost })
-        .ok_or(EnumerationError::DisconnectedQuery)?;
-    let optimal_costs: HashMap<RelSet, f64> =
-        table.iter().map(|(set, sub)| (*set, sub.cost)).collect();
+    let pairs = ccp_pairs(query);
+    let mut table = seed_table(planner, &[])?;
+    fill_table(planner, &mut table, &pairs);
+    let optimum = optimized_plan(planner, &table, &[])?;
 
-    let pairs = sorted_pairs(query);
+    let all = query.all_rels();
     let counts = tree_counts(query, &pairs);
     let plan_count = counts.get(&all).copied().unwrap_or(0);
     let total_materialised: u128 = counts.values().fold(0u128, |acc, &c| acc.saturating_add(c));
 
-    let leaf_costs: Vec<f64> = (0..query.rel_count()).map(|r| planner.leaf(r).cost).collect();
+    // The join operator alone: the cheapest join of the two sides as
+    // zero-cost inputs.
+    let free = |set: RelSet| Entry { cost: 0.0, ..table[&set] };
     let pair_costs: HashMap<(RelSet, RelSet), f64> = pairs
         .iter()
         .map(|&(a, b)| {
-            let cost = planner
-                .pair_join_cost(a, b)
-                .expect("csg-cmp pairs are edge-connected by construction");
-            ((a, b), cost)
+            let joined = planner.cheapest_join(&free(a), &free(b), table[&a.union(b)].rows);
+            ((a, b), joined.cost)
         })
         .collect();
 
     let exhaustive = query.rel_count() <= options.max_exhaustive_relations
         && total_materialised <= options.max_exhaustive_plans;
     let costs = if exhaustive {
-        exhaustive_costs(query, &pairs, &pair_costs, &leaf_costs)
+        exhaustive_costs(query, &pairs, &pair_costs, &table)
     } else {
         let splits = splits_by_union(&pairs);
         (0..options.samples)
-            .map(|_| sample_tree_cost(all, &splits, &counts, &pair_costs, &leaf_costs, rng))
+            .map(|_| sample_tree_cost(all, &splits, &counts, &pair_costs, &table, rng))
             .collect()
     };
-    Ok(PlanSpace { exhaustive, plan_count, costs, optimum, optimal_costs })
-}
-
-/// The query's csg-cmp pairs in the deterministic DP order (increasing
-/// union size, then union bits, then left bits).
-fn sorted_pairs(query: &QuerySpec) -> Vec<(RelSet, RelSet)> {
-    let mut pairs = ccp_pairs(query);
-    pairs.sort_by_key(|(a, b)| {
-        let u = a.union(*b);
-        (u.len(), u.bits(), a.bits())
-    });
-    pairs
+    Ok(PlanSpace { exhaustive, plan_count, costs, optimum, table })
 }
 
 /// Tree counts per connected set: `T({r}) = 1`,
@@ -207,11 +191,11 @@ fn exhaustive_costs(
     query: &QuerySpec,
     pairs: &[(RelSet, RelSet)],
     pair_costs: &HashMap<(RelSet, RelSet), f64>,
-    leaf_costs: &[f64],
+    table: &PlanTable,
 ) -> Vec<f64> {
     let mut costs: HashMap<RelSet, Vec<f64>> = HashMap::new();
-    for (rel, &cost) in leaf_costs.iter().enumerate() {
-        costs.insert(RelSet::single(rel), vec![cost]);
+    for leaf in (0..query.rel_count()).map(RelSet::single) {
+        costs.insert(leaf, vec![table[&leaf].cost]);
     }
     for &(a, b) in pairs {
         let jc = pair_costs[&(a, b)];
@@ -230,11 +214,11 @@ fn sample_tree_cost(
     splits: &HashMap<RelSet, Vec<(RelSet, RelSet)>>,
     counts: &HashMap<RelSet, u128>,
     pair_costs: &HashMap<(RelSet, RelSet), f64>,
-    leaf_costs: &[f64],
+    table: &PlanTable,
     rng: &mut impl Rng,
 ) -> f64 {
     if set.len() == 1 {
-        return leaf_costs[set.min_rel().expect("non-empty")];
+        return table[&set].cost;
     }
     let total = counts.get(&set).copied().unwrap_or(0).max(1);
     let mut remaining = uniform_u128(rng, total);
@@ -246,8 +230,8 @@ fn sample_tree_cost(
             .saturating_mul(counts.get(&b).copied().unwrap_or(0));
         if remaining < weight {
             let jc = pair_costs[&(a, b)];
-            return sample_tree_cost(a, splits, counts, pair_costs, leaf_costs, rng)
-                + sample_tree_cost(b, splits, counts, pair_costs, leaf_costs, rng)
+            return sample_tree_cost(a, splits, counts, pair_costs, table, rng)
+                + sample_tree_cost(b, splits, counts, pair_costs, table, rng)
                 + jc;
         }
         remaining -= weight;
@@ -335,7 +319,7 @@ mod tests {
         assert_eq!(space.rank_of(space.optimum.cost), 0.0);
         // The DP table carries every connected subexpression.
         for sub in q.connected_subexpressions() {
-            assert!(space.optimal_costs.contains_key(&sub), "missing optimum for {sub}");
+            assert!(space.table.contains_key(&sub), "missing optimum for {sub}");
         }
     }
 

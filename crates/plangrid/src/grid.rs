@@ -29,13 +29,13 @@ use qob_core::{geometric_mean, BenchmarkContext, EstimatorKind};
 use qob_cost::{CostModel, PostgresCostModel, SimpleCostModel};
 use qob_enumerate::space::{explore, PlanSpaceOptions};
 use qob_enumerate::{
-    dpccp, goo, quickpick, restricted, EnumerationError, Planner, PlannerConfig, ShapeRestriction,
+    dpccp, goo, quickpick, restricted, EnumerationError, PlanTable, Planner, PlannerConfig,
+    ShapeRestriction,
 };
-use qob_plan::{PhysicalPlan, QuerySpec, RelSet};
+use qob_plan::{PhysicalPlan, QuerySpec};
 use qob_storage::encoding::fnv1a64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 
 /// Relative tolerance for "costs the same as the optimum": absorbs the
 /// floating-point noise between DP accumulation order and tree-walk
@@ -294,7 +294,7 @@ pub fn run_grid(
                             &chosen.plan,
                             model.as_ref(),
                             &truth_est,
-                            &space.optimal_costs,
+                            &space.table,
                         ),
                         optimal: true_cost <= opt_cost * (1.0 + COST_EPS),
                     });
@@ -314,7 +314,7 @@ fn subplan_optimality(
     plan: &PhysicalPlan,
     model: &dyn CostModel,
     truth: &dyn CardinalityEstimator,
-    optimal_costs: &HashMap<RelSet, f64>,
+    optimal: &PlanTable,
 ) -> f64 {
     let sets = plan.join_rel_sets();
     if sets.is_empty() {
@@ -325,7 +325,7 @@ fn subplan_optimality(
         .filter(|&&set| {
             let sub = plan.subplan(set).expect("join sets come from the plan itself");
             let cost = ctx.plan_cost(query, sub, model, truth);
-            optimal_costs.get(&set).is_some_and(|&best| cost <= best * (1.0 + COST_EPS))
+            optimal.get(&set).is_some_and(|best| cost <= best.cost * (1.0 + COST_EPS))
         })
         .count();
     optimal as f64 / sets.len() as f64

@@ -127,20 +127,24 @@ impl Intermediate {
         &self.chunks[c][local * w..(local + 1) * w]
     }
 
-    /// Iterates over the tuples with global indices in `range`, walking chunk
-    /// boundaries without per-tuple search.
-    pub fn tuples_in(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = &[RowId]> + '_ {
+    /// The tuples with global indices in `range` as flat slices of whole
+    /// tuples, one per chunk the range touches — chunk boundaries are walked
+    /// without per-tuple search.
+    pub fn slices_in(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = &[RowId]> + '_ {
         let w = self.width().max(1);
         let start_chunk = if range.start < range.end { self.chunk_of(range.start) } else { 0 };
         let mut remaining = range.end.saturating_sub(range.start);
         let mut local = range.start - self.offsets.get(start_chunk).copied().unwrap_or(0);
-        self.chunks[start_chunk..].iter().flat_map(move |chunk| {
+        self.chunks[start_chunk..].iter().map_while(move |chunk| {
+            if remaining == 0 {
+                return None;
+            }
             let tuples = chunk.len() / w;
             let begin = local.min(tuples);
             let take = (tuples - begin).min(remaining);
             local = 0;
             remaining -= take;
-            chunk[begin * w..(begin + take) * w].chunks_exact(w)
+            Some(&chunk[begin * w..(begin + take) * w])
         })
     }
 
@@ -311,10 +315,10 @@ mod tests {
             assert_eq!(i.tuple(t), *want, "tuple {t}");
         }
         // Range iteration across a chunk boundary.
-        let mid: Vec<&[RowId]> = i.tuples_in(1..4).collect();
+        let mid: Vec<&[RowId]> = i.slices_in(1..4).collect();
         assert_eq!(mid, vec![&[3u32, 4u32][..], &[5, 6], &[7, 8]]);
-        assert_eq!(i.tuples_in(0..5).count(), 5);
-        assert_eq!(i.tuples_in(5..5).count(), 0);
+        assert_eq!(i.slices_in(0..5).map(<[RowId]>::len).sum::<usize>(), 10);
+        assert_eq!(i.slices_in(5..5).count(), 0);
         // Appends after assembly still work (go to the last chunk).
         let mut i = i;
         i.push_tuple(&[11, 12]);

@@ -8,7 +8,8 @@
 //! workers need no synchronisation beyond the [`ExecGuard`]'s atomics and the
 //! per-operator cardinality counters.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -26,15 +27,12 @@ pub struct ExecGuard {
     start: Instant,
     timeout: Option<Duration>,
     max_slots: usize,
-    check_counter: AtomicU32,
     aborted: AtomicBool,
     failure: Mutex<Option<ExecutionError>>,
 }
 
-const CHECK_INTERVAL: u32 = 16 * 1024;
-
 /// How often a worker-local [`Ticker`] consults the shared guard.
-const LOCAL_CHECK_INTERVAL: u32 = 4 * 1024;
+const LOCAL_CHECK_INTERVAL: u64 = 4 * 1024;
 
 impl ExecGuard {
     /// Creates a guard from the execution options.
@@ -48,7 +46,6 @@ impl ExecGuard {
             start: Instant::now(),
             timeout,
             max_slots,
-            check_counter: AtomicU32::new(0),
             aborted: AtomicBool::new(false),
             failure: Mutex::new(None),
         }
@@ -57,17 +54,6 @@ impl ExecGuard {
     /// Time elapsed since execution started.
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
-    }
-
-    /// Cheap periodic check: returns an error once the timeout has passed or
-    /// another worker aborted.
-    #[inline]
-    pub fn tick(&self) -> Result<(), ExecutionError> {
-        let c = self.check_counter.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
-        if c.is_multiple_of(CHECK_INTERVAL) {
-            self.poll()?;
-        }
-        Ok(())
     }
 
     /// Unconditional deadline check.
@@ -134,7 +120,7 @@ impl ExecGuard {
 /// between.
 pub struct Ticker<'a> {
     guard: &'a ExecGuard,
-    count: u32,
+    count: u64,
 }
 
 impl<'a> Ticker<'a> {
@@ -146,11 +132,24 @@ impl<'a> Ticker<'a> {
     /// Cheap periodic guard consultation.
     #[inline]
     pub fn tick(&mut self) -> Result<(), ExecutionError> {
-        self.count = self.count.wrapping_add(1);
-        if self.count.is_multiple_of(LOCAL_CHECK_INTERVAL) {
+        self.tick_n(1)
+    }
+
+    /// Counts `n` events at once, consulting the guard if an interval
+    /// boundary was crossed — the same cadence as `n` calls to `tick`.
+    #[inline]
+    pub fn tick_n(&mut self, n: usize) -> Result<(), ExecutionError> {
+        let before = self.count / LOCAL_CHECK_INTERVAL;
+        self.count += n as u64;
+        if self.count / LOCAL_CHECK_INTERVAL != before {
             self.guard.poll()?;
         }
         Ok(())
+    }
+
+    /// The guard this ticker consults.
+    pub(crate) fn guard(&self) -> &'a ExecGuard {
+        self.guard
     }
 }
 
@@ -244,6 +243,11 @@ impl<'a> CompiledFilter<'a> {
         CompiledFilter { table, preds: compiled }
     }
 
+    /// True if the relation has no predicates: every row matches.
+    pub fn is_empty(&self) -> bool {
+        self.preds.is_empty()
+    }
+
     /// Evaluates the conjunction for one row.
     #[inline]
     pub fn matches(&self, row: RowId) -> bool {
@@ -281,6 +285,26 @@ impl<'a> ColReader<'a> {
     pub fn get(&self, tuple: &[RowId]) -> Option<i64> {
         self.col.int_at(tuple[self.slot] as usize)
     }
+
+    /// Appends [`ColReader::get`] of every tuple in `tuples` (flattened,
+    /// `width` slots each) to `out` with one column gather.
+    fn gather(&self, tuples: &[RowId], width: usize, out: &mut Vec<Option<i64>>) {
+        if let Some(rows) = tuples.get(self.slot..) {
+            self.col.gather_ints(rows, width, out);
+        }
+    }
+
+    /// [`ColReader::gather`] over the tuples of `input` in `range`.
+    fn gather_range(
+        &self,
+        input: &Intermediate,
+        range: std::ops::Range<usize>,
+        out: &mut Vec<Option<i64>>,
+    ) {
+        for tuples in input.slices_in(range) {
+            self.gather(tuples, input.width(), out);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -315,10 +339,16 @@ pub fn build_hash_table(
     let morsel = options.morsel_size.max(1);
     if threads == 1 || n <= morsel {
         let mut table = ChainedHashTable::with_estimate(estimate, options.enable_rehash);
-        for (t, tuple) in build.tuples_in(0..n).enumerate() {
-            guard.tick()?;
-            if let Some(v) = key.get(tuple) {
-                table.insert(v, t as u32);
+        let mut ticker = Ticker::new(guard);
+        let mut keys = Vec::new();
+        for range in build.morsels(KEY_BATCH) {
+            ticker.tick_n(range.len())?;
+            keys.clear();
+            key.gather_range(build, range.clone(), &mut keys);
+            for (t, k) in range.zip(&keys) {
+                if let Some(v) = *k {
+                    table.insert(v, t as u32);
+                }
             }
         }
         return Ok(table);
@@ -328,44 +358,68 @@ pub fn build_hash_table(
         if options.enable_rehash { bucket_count_for(n as f64) } else { bucket_count_for(estimate) };
     let parts = partition_count(threads, bucket_count);
     let stride = bucket_count / parts;
-
-    // Phase 1: extract (key, tuple) pairs morsel-parallel, partitioned by
-    // bucket range.  Participants run on the shared server pool when one is
-    // attached (so concurrent queries share the same N build threads), and
-    // on a query-private scoped pool otherwise.
-    let morsel_count = n.div_ceil(morsel);
-    let workers = threads.min(morsel_count).max(1);
-    let cursor = AtomicUsize::new(0);
-    let sink: Mutex<Vec<Vec<(i64, u32)>>> = Mutex::new(vec![Vec::new(); parts]);
-    let panicked = crate::scheduler::run_participants(options.pool.as_deref(), workers, &|_slot| {
-        let mut locals: Vec<Vec<(i64, u32)>> = vec![Vec::new(); parts];
-        let mut ticker = Ticker::new(guard);
-        loop {
-            if guard.is_aborted() {
-                break;
-            }
-            let m = cursor.fetch_add(1, Ordering::Relaxed);
-            if m >= morsel_count {
-                break;
-            }
-            let range = m * morsel..((m + 1) * morsel).min(n);
-            let base = range.start;
-            for (i, tuple) in build.tuples_in(range).enumerate() {
-                if let Err(e) = ticker.tick() {
-                    guard.abort(e);
-                    return;
-                }
-                if let Some(v) = key.get(tuple) {
-                    locals[bucket_for(v, bucket_count) / stride].push((v, (base + i) as u32));
-                }
-            }
+    // Every morsel's pairs, split by bucket range: runs[m][p].
+    let runs = morsel_pairs(build, key, options, guard, &|pairs| {
+        let mut split = vec![Vec::new(); parts];
+        for (v, t) in pairs {
+            split[bucket_for(v, bucket_count) / stride].push((v, t));
         }
-        // Merge this participant's runs.  Merge order varies with
-        // scheduling, but phase 2 sorts each partition by (unique) tuple
-        // index, so the final chains are deterministic regardless.
-        let mut merged = sink.lock();
-        for (p, run) in locals.into_iter().enumerate() {
-            merged[p].extend(run);
+        split
+    })?;
+    Ok(ChainedHashTable::from_partitions(
+        bucket_count,
+        options.enable_rehash,
+        &runs,
+        threads,
+        options.pool.as_deref(),
+    ))
+}
+
+/// Extracts the non-NULL `(key, tuple index)` pairs of `input`
+/// morsel-parallel and returns `split(pairs)` of every morsel, in morsel
+/// order: concatenating the results is ascending tuple order.
+fn morsel_pairs<T: Send + Sync>(
+    input: &Intermediate,
+    key: ColReader<'_>,
+    options: &ExecutionOptions,
+    guard: &ExecGuard,
+    split: &(dyn Fn(Vec<(i64, u32)>) -> T + Sync),
+) -> Result<Vec<T>, ExecutionError> {
+    let morsel = options.morsel_size.max(1);
+    run_indexed(input.len().div_ceil(morsel), options, guard, &|m, ticker| {
+        let range = m * morsel..((m + 1) * morsel).min(input.len());
+        ticker.tick_n(range.len())?;
+        let mut keys = Vec::with_capacity(range.len());
+        key.gather_range(input, range.clone(), &mut keys);
+        Ok(split(range.zip(keys).filter_map(|(t, k)| Some((k?, t as u32))).collect()))
+    })
+}
+
+/// Runs `task(i, ticker)` for every `i < count` on up to `options.threads`
+/// participants and returns the results in index order.  Each result lands
+/// in a slot of its own, so the order is fixed by `i`, never by scheduling;
+/// the first error or panic aborts the remaining tasks.
+fn run_indexed<T: Send + Sync>(
+    count: usize,
+    options: &ExecutionOptions,
+    guard: &ExecGuard,
+    task: &(dyn Fn(usize, &mut Ticker<'_>) -> Result<T, ExecutionError> + Sync),
+) -> Result<Vec<T>, ExecutionError> {
+    let slots: Vec<OnceLock<T>> = (0..count).map(|_| OnceLock::new()).collect();
+    let workers = options.threads.min(count).max(1);
+    let cursor = AtomicUsize::new(0);
+    // Participants run on the shared server pool when one is attached (so
+    // concurrent queries share the same N threads), on a query-private
+    // scoped pool otherwise.
+    let panicked = crate::scheduler::run_participants(options.pool.as_deref(), workers, &|_slot| {
+        let mut ticker = Ticker::new(guard);
+        while !guard.is_aborted() {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(i) else { break };
+            match task(i, &mut ticker) {
+                Ok(result) => _ = slot.set(result),
+                Err(e) => guard.abort(e),
+            }
         }
     });
     if panicked {
@@ -376,37 +430,7 @@ pub fn build_hash_table(
     if let Some(e) = guard.failure() {
         return Err(e);
     }
-
-    // Phase 2: restore ascending tuple order so bucket chains come out
-    // identical to a sequential build's.
-    let mut partitions = sink.into_inner();
-    let sort_cursor = AtomicUsize::new(0);
-    let part_slots: Vec<Mutex<&mut Vec<(i64, u32)>>> =
-        partitions.iter_mut().map(Mutex::new).collect();
-    let panicked = crate::scheduler::run_participants(
-        options.pool.as_deref(),
-        workers.min(parts),
-        &|_slot| loop {
-            let p = sort_cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(slot) = part_slots.get(p) else { break };
-            slot.lock().sort_unstable_by_key(|&(_, t)| t);
-        },
-    );
-    drop(part_slots);
-    if panicked {
-        guard.abort(ExecutionError::WorkerPanicked);
-    }
-    if let Some(e) = guard.failure() {
-        return Err(e);
-    }
-
-    Ok(ChainedHashTable::from_partitions(
-        bucket_count,
-        options.enable_rehash,
-        partitions,
-        threads,
-        options.pool.as_deref(),
-    ))
+    Ok(slots.into_iter().map(|slot| slot.into_inner().expect("every task ran")).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -484,6 +508,19 @@ pub struct NlProbeOp<'a> {
     pub card: usize,
 }
 
+/// How many keys a hash probe or sequential build gathers at a time: enough
+/// to amortise the gather's per-call work, small enough that the buffers
+/// stay in cache and below the allocator's per-thread retention.
+const KEY_BATCH: usize = 1024;
+
+/// A worker's reusable buffers for batched hash probes: one batch's keys
+/// and the `(position, chain head)` of each key whose bucket may hold it.
+#[derive(Default)]
+pub struct ProbeBatch {
+    keys: Vec<Option<i64>>,
+    hits: Vec<(u32, u32)>,
+}
+
 /// A probe-phase operator of a pipeline.
 pub enum PipelineOp<'a> {
     /// Hash-join probe.
@@ -520,26 +557,37 @@ impl PipelineOp<'_> {
     /// output-row counter, which doubles as its cardinality counter —
     /// incrementally (at least every [`PUBLISH_BATCH`] rows), so concurrent
     /// workers see each other's in-flight output and the memory guard bounds
-    /// the *total* live output, not just each worker's share.  The guard is
-    /// evaluated after every flowing tuple, matching the historical per-tuple
-    /// cadence.
+    /// the *total* live output, not just each worker's share.  The memory
+    /// guard is evaluated after every flowing tuple that can have produced
+    /// output.
     pub fn process(
         &self,
         input: &[RowId],
         in_width: usize,
         out: &mut Vec<RowId>,
         ticker: &mut Ticker<'_>,
-        guard: &ExecGuard,
+        batch: &mut ProbeBatch,
         produced: &AtomicU64,
     ) -> Result<(), ExecutionError> {
+        let guard = ticker.guard();
         let mut tally = Tally::new(produced, self.out_width());
         match self {
             PipelineOp::Hash(op) => {
+                // Per batch of flowing tuples: gather every key, find every
+                // chain head in one pass over the buckets, then walk only the
+                // chains whose tag admits the key — in input order, so output
+                // order is the tuple-at-a-time loop's.
                 let build = op.build.get();
-                for tuple in input.chunks_exact(in_width.max(1)) {
-                    ticker.tick()?;
-                    if let Some(key) = op.probe.get(tuple) {
-                        for lt in op.table.probe(key) {
+                let width = in_width.max(1);
+                ticker.tick_n(input.len() / width)?;
+                for part in input.chunks(KEY_BATCH * width) {
+                    batch.keys.clear();
+                    op.probe.gather(part, width, &mut batch.keys);
+                    op.table.probe_batch(&batch.keys, &mut batch.hits);
+                    for &(i, head) in &batch.hits {
+                        let Some(key) = batch.keys[i as usize] else { continue };
+                        let tuple = &part[i as usize * width..(i as usize + 1) * width];
+                        for lt in op.table.chain(head, key) {
                             ticker.tick()?;
                             let build_tuple = build.tuple(lt as usize);
                             let rest_ok = op.rest.iter().all(|(b, f)| {
@@ -551,8 +599,8 @@ impl PipelineOp<'_> {
                                 tally.add_row();
                             }
                         }
+                        tally.check(guard)?;
                     }
-                    tally.check(guard)?;
                 }
             }
             PipelineOp::Index(op) => {
@@ -673,10 +721,8 @@ pub fn merge_join(
     options: &ExecutionOptions,
     guard: &ExecGuard,
 ) -> Result<Intermediate, ExecutionError> {
-    let lkeys = extract_keys(left, lkey, options, guard)?;
-    let rkeys = extract_keys(right, rkey, options, guard)?;
-    let mut lkeys = lkeys;
-    let mut rkeys = rkeys;
+    let mut lkeys = morsel_pairs(left, lkey, options, guard, &|pairs| pairs)?.concat();
+    let mut rkeys = morsel_pairs(right, rkey, options, guard, &|pairs| pairs)?.concat();
     lkeys.sort_unstable();
     rkeys.sort_unstable();
 
@@ -697,53 +743,14 @@ pub fn merge_join(
     bounds.push(lkeys.len());
 
     let produced = AtomicU64::new(0);
-    let ranges: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
-    let mut chunks: Vec<Vec<RowId>> = Vec::with_capacity(ranges.len());
-    if threads == 1 || ranges.len() == 1 {
+    let chunks = run_indexed(bounds.len() - 1, options, guard, &|i, _| {
+        let lslice = &lkeys[bounds[i]..bounds[i + 1]];
+        // The matching right range for this key interval.
+        let rslice = right_window(&rkeys, lslice);
         let mut out = Vec::new();
-        merge_range(&lkeys, &rkeys, left, right, rest, &mut out, out_width, guard, &produced)?;
-        chunks.push(out);
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let sink: Mutex<Vec<(usize, Vec<RowId>)>> = Mutex::new(Vec::new());
-        let panicked = crate::scheduler::run_participants(
-            options.pool.as_deref(),
-            threads.min(ranges.len()),
-            &|_slot| {
-                let mut outs = Vec::new();
-                loop {
-                    if guard.is_aborted() {
-                        break;
-                    }
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(a, b)) = ranges.get(i) else { break };
-                    let lslice = &lkeys[a..b];
-                    // The matching right range for this key interval.
-                    let rslice = right_window(&rkeys, lslice);
-                    let mut out = Vec::new();
-                    if let Err(e) = merge_range(
-                        lslice, rslice, left, right, rest, &mut out, out_width, guard, &produced,
-                    ) {
-                        guard.abort(e);
-                        break;
-                    }
-                    outs.push((i, out));
-                }
-                if !outs.is_empty() {
-                    sink.lock().extend(outs);
-                }
-            },
-        );
-        if panicked {
-            guard.abort(ExecutionError::WorkerPanicked);
-        }
-        if let Some(e) = guard.failure() {
-            return Err(e);
-        }
-        let mut results = sink.into_inner();
-        results.sort_unstable_by_key(|(i, _)| *i);
-        chunks = results.into_iter().map(|(_, c)| c).collect();
-    }
+        merge_range(lslice, rslice, left, right, rest, &mut out, out_width, guard, &produced)?;
+        Ok(out)
+    })?;
     Ok(Intermediate::from_chunks(out_rels, chunks))
 }
 
@@ -755,77 +762,6 @@ fn right_window<'k>(rkeys: &'k [(i64, u32)], lslice: &[(i64, u32)]) -> &'k [(i64
     let start = rkeys.partition_point(|&(k, _)| k < lo);
     let end = rkeys.partition_point(|&(k, _)| k <= hi);
     &rkeys[start..end]
-}
-
-/// Extracts the `(key, tuple index)` array of one merge-join input,
-/// morsel-parallel, skipping NULL keys.
-fn extract_keys(
-    input: &Intermediate,
-    key: ColReader<'_>,
-    options: &ExecutionOptions,
-    guard: &ExecGuard,
-) -> Result<Vec<(i64, u32)>, ExecutionError> {
-    let n = input.len();
-    let threads = options.threads.max(1);
-    let morsel = options.morsel_size.max(1);
-    if threads == 1 || n <= morsel {
-        let mut keys = Vec::new();
-        for (t, tuple) in input.tuples_in(0..n).enumerate() {
-            guard.tick()?;
-            if let Some(v) = key.get(tuple) {
-                keys.push((v, t as u32));
-            }
-        }
-        return Ok(keys);
-    }
-    // Per-morsel output: (morsel index, its (key, tuple) pairs) — collected
-    // unordered, sorted by morsel index below for determinism.
-    type MorselKeys = Vec<(usize, Vec<(i64, u32)>)>;
-    let morsel_count = n.div_ceil(morsel);
-    let workers = threads.min(morsel_count).max(1);
-    let cursor = AtomicUsize::new(0);
-    let sink: Mutex<MorselKeys> = Mutex::new(Vec::new());
-    let panicked = crate::scheduler::run_participants(options.pool.as_deref(), workers, &|_slot| {
-        let mut outs = Vec::new();
-        let mut ticker = Ticker::new(guard);
-        loop {
-            if guard.is_aborted() {
-                break;
-            }
-            let m = cursor.fetch_add(1, Ordering::Relaxed);
-            if m >= morsel_count {
-                break;
-            }
-            let range = m * morsel..((m + 1) * morsel).min(n);
-            let base = range.start;
-            let mut keys = Vec::new();
-            for (i, tuple) in input.tuples_in(range).enumerate() {
-                if let Err(e) = ticker.tick() {
-                    guard.abort(e);
-                    break;
-                }
-                if let Some(v) = key.get(tuple) {
-                    keys.push((v, (base + i) as u32));
-                }
-            }
-            if guard.is_aborted() {
-                break;
-            }
-            outs.push((m, keys));
-        }
-        if !outs.is_empty() {
-            sink.lock().extend(outs);
-        }
-    });
-    if panicked {
-        guard.abort(ExecutionError::WorkerPanicked);
-    }
-    if let Some(e) = guard.failure() {
-        return Err(e);
-    }
-    let mut results = sink.into_inner();
-    results.sort_unstable_by_key(|(m, _)| *m);
-    Ok(results.into_iter().flat_map(|(_, k)| k).collect())
 }
 
 /// Merges one run-aligned range of sorted key arrays, appending joined

@@ -30,7 +30,7 @@ use crate::executor::{ExecutionError, ExecutionOptions, OperatorTiming};
 use crate::intermediate::{Intermediate, Materialized};
 use crate::operators::{
     build_hash_table, merge_join, BuildSide, ColReader, CompiledFilter, ExecGuard, HashProbeOp,
-    IndexProbeOp, NlProbeOp, PipelineOp, Ticker,
+    IndexProbeOp, NlProbeOp, PipelineOp, ProbeBatch, Ticker,
 };
 
 /// Where a pipeline's tuples come from.
@@ -478,6 +478,7 @@ fn worker(
     let n = pipeline.source.tuple_count();
     let morsel = options.morsel_size.max(1);
     let mut ticker = Ticker::new(guard);
+    let mut batch = ProbeBatch::default();
     let mut scratch: Vec<RowId> = Vec::new();
     let mut next: Vec<RowId> = Vec::new();
     loop {
@@ -508,7 +509,7 @@ fn worker(
                 width,
                 &mut next,
                 &mut ticker,
-                guard,
+                &mut batch,
                 &counters.rows[op.card()],
             );
             counters.charge(op.card(), started.elapsed());
@@ -537,6 +538,10 @@ fn fill_source(
     ticker: &mut Ticker<'_>,
 ) -> Result<(), ExecutionError> {
     match source {
+        Source::Scan { filter, .. } if filter.is_empty() => {
+            ticker.tick_n(range.len())?;
+            out.extend(range.map(|row| row as RowId));
+        }
         Source::Scan { filter, .. } => {
             for row in range {
                 ticker.tick()?;
@@ -546,19 +551,21 @@ fn fill_source(
                 }
             }
         }
-        Source::Mat(i) => {
-            for tuple in i.tuples_in(range) {
-                ticker.tick()?;
-                out.extend_from_slice(tuple);
-            }
-        }
-        Source::MatRef(i) => {
-            for tuple in i.tuples_in(range) {
-                ticker.tick()?;
-                out.extend_from_slice(tuple);
-            }
-        }
+        Source::Mat(i) => copy_tuples(i, range, out, ticker)?,
+        Source::MatRef(i) => copy_tuples(i, range, out, ticker)?,
     }
+    Ok(())
+}
+
+/// Copies the tuples of `input` in `range` into `out`.
+fn copy_tuples(
+    input: &Intermediate,
+    range: std::ops::Range<usize>,
+    out: &mut Vec<RowId>,
+    ticker: &mut Ticker<'_>,
+) -> Result<(), ExecutionError> {
+    ticker.tick_n(range.len())?;
+    input.slices_in(range).for_each(|tuples| out.extend_from_slice(tuples));
     Ok(())
 }
 
@@ -672,7 +679,7 @@ mod tests {
     }
 
     fn all_tuples(i: &Intermediate) -> Vec<Vec<RowId>> {
-        i.tuples_in(0..i.len()).map(|t| t.to_vec()).collect()
+        (0..i.len()).map(|t| i.tuple(t).to_vec()).collect()
     }
 
     fn key01() -> JoinKey {

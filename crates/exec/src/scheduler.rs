@@ -407,8 +407,9 @@ fn worker_main(shared: &PoolShared, index: usize) {
 /// Runs `count` parallel participants over `job`: on the shared pool when
 /// one is attached, otherwise on a query-private `std::thread::scope` pool
 /// (a context without a scheduler: one-shot runs, and the reference side of
-/// the pipeline and concurrent-execution differentials).  Returns `true` if
-/// any participant panicked; panics never unwind past this call.
+/// the pipeline and concurrent-execution differentials) whose participant 0
+/// is the calling thread itself.  Returns `true` if any participant
+/// panicked; panics never unwind past this call.
 pub(crate) fn run_participants(
     pool: Option<&WorkerPool>,
     count: usize,
@@ -416,18 +417,15 @@ pub(crate) fn run_participants(
 ) -> bool {
     match pool {
         Some(pool) => pool.run_tasks(count, job),
-        None => {
-            let panicked = AtomicBool::new(false);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..count).map(|i| s.spawn(move || job(i))).collect();
-                for h in handles {
-                    if h.join().is_err() {
-                        panicked.store(true, Ordering::Relaxed);
-                    }
-                }
-            });
-            panicked.load(Ordering::Relaxed)
-        }
+        None if count == 0 => false,
+        None => std::thread::scope(|s| {
+            let handles: Vec<_> = (1..count).map(|i| s.spawn(move || job(i))).collect();
+            let mut panicked = catch_unwind(AssertUnwindSafe(|| job(0))).is_err();
+            for h in handles {
+                panicked |= h.join().is_err();
+            }
+            panicked
+        }),
     }
 }
 

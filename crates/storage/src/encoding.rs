@@ -260,6 +260,51 @@ impl IntPage {
         }
     }
 
+    /// [`IntPage::get`] for callers reading rows in (mostly) ascending order:
+    /// `run` carries the RLE run of the previous read, so the next row is
+    /// found by stepping forward instead of searching every run.  Start
+    /// `run` at 0 for each page; other encodings ignore it.
+    #[inline]
+    pub(crate) fn get_near(&self, i: usize, run: &mut usize) -> i64 {
+        let IntEncoding::Rle { values, run_ends } = &self.encoding else {
+            return self.get(i);
+        };
+        let row = i as u32;
+        let mut r = *run;
+        if r >= run_ends.len() || (r > 0 && run_ends[r - 1] > row) {
+            r = run_ends.partition_point(|&end| end <= row);
+        } else if run_ends[r] <= row {
+            r += 1 + run_ends[r + 1..].partition_point(|&end| end <= row);
+        }
+        *run = r;
+        values[r]
+    }
+
+    /// Calls `f` with the stored slot value of every row in `rows`, in
+    /// order, decoding the range in one pass (runs are expanded, not
+    /// searched per row).
+    #[inline]
+    pub(crate) fn for_each_in(&self, rows: std::ops::Range<usize>, mut f: impl FnMut(i64)) {
+        match &self.encoding {
+            IntEncoding::Plain(values) => values[rows].iter().for_each(|&v| f(v)),
+            IntEncoding::For { base, width, packed } => {
+                for i in rows {
+                    f(base.wrapping_add(unpack_bit(packed, *width, i) as i64));
+                }
+            }
+            IntEncoding::Rle { values, run_ends } => {
+                let mut r = run_ends.partition_point(|&end| end as usize <= rows.start);
+                let mut i = rows.start;
+                while i < rows.end {
+                    let end = (run_ends[r] as usize).min(rows.end);
+                    (i..end).for_each(|_| f(values[r]));
+                    i = end;
+                    r += 1;
+                }
+            }
+        }
+    }
+
     /// Appends every stored slot value (one per row) to `out`.
     pub fn decode_into(&self, out: &mut Vec<i64>) {
         match &self.encoding {

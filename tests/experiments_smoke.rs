@@ -2,12 +2,15 @@
 //! Section 4.1 risk experiment, the Figure 6 ablations, the Figure 8 cost /
 //! runtime correlation and the Figure 9 plan-space exploration.
 
+use qob_cardest::{InjectedCardinalities, TrueCardinalities};
 use qob_core::experiments::{
     cost_model_correlation, optimal_costs, plan_space_distributions, risk_of_estimates,
     CostModelKind, RiskOptions,
 };
-use qob_core::{BenchmarkContext, EstimatorKind, SlowdownBucket};
+use qob_core::{geometric_mean, BenchmarkContext, EstimatorKind, SlowdownBucket};
 use qob_datagen::Scale;
+use qob_enumerate::PlannerConfig;
+use qob_plan::PhysicalPlan;
 use qob_storage::IndexConfig;
 use std::time::Duration;
 
@@ -32,31 +35,64 @@ fn risk_experiment_produces_distributions_for_each_system() {
     }
 }
 
+/// `C_out` of `plan` under the true cardinalities: the sum of the true sizes
+/// of its join results — the deterministic stand-in for its runtime.
+fn true_c_out(plan: &PhysicalPlan, truth: &TrueCardinalities) -> f64 {
+    match plan {
+        PhysicalPlan::Scan { .. } => 0.0,
+        PhysicalPlan::Join { left, right, .. } => {
+            truth.get(plan.rels()).expect("truth covers every connected subexpression")
+                + true_c_out(left, truth)
+                + true_c_out(right, truth)
+        }
+    }
+}
+
 #[test]
 fn disabling_nested_loop_joins_does_not_hurt() {
-    // Figure 6a → 6b: removing the risky algorithm must not make the
-    // geometric-mean slowdown worse.
+    // Figure 6a → 6b: removing the risky algorithm must not make the plans
+    // chosen from estimates dramatically worse.  Judged by their true C_out
+    // relative to the true-cardinality plan's, which is exact; the measured
+    // slowdowns are reported beside it but are timer noise at this scale.
     let ctx = BenchmarkContext::new(Scale::tiny(), IndexConfig::PrimaryKeyOnly).unwrap();
     let base = RiskOptions {
         query_limit: Some(10),
         timeout: Duration::from_secs(5),
         ..Default::default()
     };
-    let with_nl = risk_of_estimates(
-        &ctx,
-        &[EstimatorKind::Postgres],
-        &RiskOptions { allow_nested_loop: true, ..base.clone() },
+    let pg = ctx.estimator(EstimatorKind::Postgres);
+    let c_out_ratio_geomean = |allow_nested_loop: bool| {
+        let config = PlannerConfig { allow_nested_loop, ..PlannerConfig::default() };
+        let ratios: Vec<f64> = ctx
+            .query_subset(base.query_limit)
+            .iter()
+            .map(|query| {
+                let truth = ctx.true_cardinalities(query);
+                let injected = InjectedCardinalities::new(&truth, pg.as_ref());
+                let best = ctx.optimize(query, &injected, config).unwrap().plan;
+                let chosen = ctx.optimize(query, pg.as_ref(), config).unwrap().plan;
+                true_c_out(&chosen, &truth).max(1.0) / true_c_out(&best, &truth).max(1.0)
+            })
+            .collect();
+        assert_eq!(ratios.len(), 10);
+        geometric_mean(&ratios)
+    };
+    let (c_with, c_without) = (c_out_ratio_geomean(true), c_out_ratio_geomean(false));
+    let slowdown = |allow_nested_loop: bool| {
+        let options = RiskOptions { allow_nested_loop, ..base.clone() };
+        risk_of_estimates(&ctx, &[EstimatorKind::Postgres], &options)[0]
+            .distribution
+            .geometric_mean()
+    };
+    println!(
+        "C_out vs optimal: {c_with:.3} with NL, {c_without:.3} without; \
+         runtime slowdown: {:.2} with NL, {:.2} without",
+        slowdown(true),
+        slowdown(false)
     );
-    let without_nl = risk_of_estimates(
-        &ctx,
-        &[EstimatorKind::Postgres],
-        &RiskOptions { allow_nested_loop: false, ..base },
-    );
-    let g_with = with_nl[0].distribution.geometric_mean();
-    let g_without = without_nl[0].distribution.geometric_mean();
     assert!(
-        g_without <= g_with * 2.0,
-        "disabling NL joins should not make things dramatically worse ({g_without:.2} vs {g_with:.2})"
+        c_without <= c_with * 2.0,
+        "disabling NL joins should not make plans dramatically worse ({c_without:.3} vs {c_with:.3})"
     );
 }
 

@@ -1,8 +1,8 @@
 //! # qob-bench
 //!
-//! The benchmark harness: one binary per table/figure of the paper (run with
-//! `cargo run --release -p qob-bench --bin <name>`) plus Criterion
-//! micro-benchmarks for the optimizer components (`cargo bench`).
+//! The experiment binaries: one per table/figure of the paper (run with
+//! `cargo run --release -p qob-bench --bin <name>`).  Performance numbers
+//! come from the `benchmark/` harness instead.
 //!
 //! | Binary | Reproduces |
 //! |---|---|

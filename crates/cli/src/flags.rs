@@ -1,9 +1,10 @@
 //! Command-line plumbing shared by the subcommands: flag values, the
-//! context flags and building or loading the database.
+//! session-flag table, the context flags and building or loading the
+//! database.
 
 use std::time::Instant;
 
-use qob_core::BenchmarkContext;
+use qob_core::{BenchmarkContext, SessionOptions};
 use qob_datagen::Scale;
 use qob_storage::IndexConfig;
 
@@ -11,6 +12,71 @@ pub(crate) enum Source {
     Stdin,
     File(String),
     Inline(String),
+}
+
+/// The session options one-shot runs and `qob serve` take on the command
+/// line, as `(flag, SessionOptions::set name, implied value)`.  A row with
+/// an implied value is a switch; every other row takes the next argument.
+/// [`SessionOptions::set`] parses and validates the value, so a flag
+/// accepts exactly what `set` accepts on the wire.
+pub(crate) const SESSION_FLAGS: [(&str, &str, Option<&str>); 12] = [
+    ("--estimator", "estimator", None),
+    ("--threads", "threads", None),
+    ("--morsel-size", "morsel_size", None),
+    ("--adaptive", "adaptive", Some("true")),
+    ("--adaptive-threshold", "adaptive_threshold", None),
+    ("--plan-cache", "plan_cache", Some("true")),
+    ("--cache-fence", "cache_fence", None),
+    ("--tracing", "tracing", Some("true")),
+    ("--no-exec", "execute", Some("false")),
+    ("--slow-query-ms", "slow_query_ms", None),
+    ("--mem-budget", "mem_budget", None),
+    ("--regression-ratio", "regression_ratio", None),
+];
+
+/// Applies `args[*i]` to `options` when it is a [`SESSION_FLAGS`] row,
+/// consuming its value; `Ok(false)` leaves the argument to the caller.
+pub(crate) fn take_session_flag(
+    options: &mut SessionOptions,
+    args: &[String],
+    i: &mut usize,
+) -> Result<bool, String> {
+    let Some(&(flag, name, implied)) = SESSION_FLAGS.iter().find(|row| row.0 == args[*i]) else {
+        return Ok(false);
+    };
+    let value = match implied {
+        Some(value) => value.to_owned(),
+        None => value_of(args, i, flag)?,
+    };
+    options.set(name, &value)?;
+    Ok(true)
+}
+
+/// The flags that choose the database.  `scale`/`indexes` are `None`
+/// unless set explicitly (defaulting to tiny/PK, or to whatever a loaded
+/// snapshot was built with).
+#[derive(Default)]
+pub(crate) struct ContextFlags {
+    pub(crate) scale: Option<Scale>,
+    pub(crate) indexes: Option<IndexConfig>,
+    pub(crate) snapshot: Option<String>,
+    pub(crate) data_dir: Option<String>,
+}
+
+impl ContextFlags {
+    /// Applies `args[*i]` when it is `--scale`, `--indexes`, `--snapshot`
+    /// or `--data-dir`, consuming its value; `Ok(false)` leaves the
+    /// argument to the caller.
+    pub(crate) fn take(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
+        match args[*i].as_str() {
+            "--scale" => self.scale = Some(parse_scale(&value_of(args, i, "--scale")?)?),
+            "--indexes" => self.indexes = Some(parse_indexes(&value_of(args, i, "--indexes")?)?),
+            "--snapshot" => self.snapshot = Some(value_of(args, i, "--snapshot")?),
+            "--data-dir" => self.data_dir = Some(value_of(args, i, "--data-dir")?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
 }
 
 pub(crate) fn value_of(args: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
@@ -41,7 +107,9 @@ pub(crate) fn parse_threads(raw: &str) -> Result<usize, String> {
     Ok(if n == 0 { qob_exec::default_threads() } else { n })
 }
 
-pub(crate) fn parse_count(raw: &str, flag: &str) -> Result<usize, String> {
+/// The non-negative integer value of `flag` (see [`value_of`]).
+pub(crate) fn count_of(args: &[String], i: &mut usize, flag: &str) -> Result<usize, String> {
+    let raw = value_of(args, i, flag)?;
     raw.parse().map_err(|_| format!("{flag} needs a number, got `{raw}`"))
 }
 
@@ -61,19 +129,17 @@ pub(crate) fn read_source(source: &Source) -> Result<String, String> {
 }
 
 /// Builds, ingests or snapshot-loads the context.  Returns the context and
-/// whether it came from a snapshot.  `scale`/`indexes` are `Some` only when
-/// set explicitly on the command line; a loaded snapshot supplies its own
-/// defaults, and an explicit mismatch is surfaced rather than silently
-/// ignored (indexes rebuild cheaply; a scale mismatch is an error because
-/// honouring it would mean regenerating — delete the snapshot to rescale).
-/// `data_dir` replaces generation with CSV ingestion; an existing snapshot
-/// still wins (ingest once, save, reload fast on later runs).
-pub(crate) fn obtain_context(
-    scale: Option<Scale>,
-    indexes: Option<IndexConfig>,
-    snapshot: Option<&str>,
-    data_dir: Option<&str>,
-) -> Result<(BenchmarkContext, bool), String> {
+/// whether it came from a snapshot.  A loaded snapshot supplies its own
+/// scale and indexes, and an explicit mismatch is surfaced rather than
+/// silently ignored (indexes rebuild cheaply; a scale mismatch is an error
+/// because honouring it would mean regenerating — delete the snapshot to
+/// rescale).  `data_dir` replaces generation with CSV ingestion; an
+/// existing snapshot still wins (ingest once, save, reload fast on later
+/// runs).
+pub(crate) fn obtain_context(flags: &ContextFlags) -> Result<(BenchmarkContext, bool), String> {
+    let ContextFlags { scale, indexes, snapshot, data_dir } = flags;
+    let (scale, indexes) = (*scale, *indexes);
+    let (snapshot, data_dir) = (snapshot.as_deref(), data_dir.as_deref());
     if let Some(path) = snapshot {
         if std::path::Path::new(path).exists() {
             let started = Instant::now();
@@ -149,10 +215,111 @@ pub(crate) fn args(list: &[&str]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{oneshot, serve};
+
+    /// The session options a command line yields in one-shot mode and in
+    /// `qob serve`, which must agree.
+    fn session_of(list: &[&str]) -> Result<SessionOptions, String> {
+        let oneshot = oneshot::parse_args(&args(list)).map(|options| options.session);
+        let serve = serve::parse_args(&args(list)).map(|options| options.session);
+        assert_eq!(oneshot, serve, "one-shot and serve disagree on {list:?}");
+        oneshot
+    }
+
+    #[test]
+    fn session_flags_parse_exactly_like_set() {
+        assert_eq!(session_of(&[]).unwrap(), SessionOptions::default());
+        // The first case of each row is not the default value.
+        let cases = [
+            ("--estimator", "hyper"),
+            ("--estimator", "postgres"),
+            ("--estimator", "true-distinct"),
+            ("--estimator", "dbms-a"),
+            ("--estimator", "dbms-b"),
+            ("--estimator", "dbms-c"),
+            ("--threads", "4"),
+            ("--threads", "1"),
+            ("--threads", "0"),
+            ("--morsel-size", "64"),
+            ("--morsel-size", "1024"),
+            ("--morsel-size", "0"),
+            ("--adaptive", ""),
+            ("--adaptive-threshold", "2.5"),
+            ("--adaptive-threshold", "3"),
+            ("--plan-cache", ""),
+            ("--cache-fence", "2.5"),
+            ("--cache-fence", "3"),
+            ("--tracing", ""),
+            ("--no-exec", ""),
+            ("--slow-query-ms", "250"),
+            ("--slow-query-ms", "0"),
+            ("--mem-budget", "1000000"),
+            ("--regression-ratio", "1.5"),
+            ("--regression-ratio", "0"),
+        ];
+        for (flag, raw) in cases {
+            let &(_, name, implied) = SESSION_FLAGS.iter().find(|row| row.0 == flag).unwrap();
+            let mut expected = SessionOptions::default();
+            expected.set(name, implied.unwrap_or(raw)).unwrap();
+            let list = if implied.is_some() { vec![flag] } else { vec![flag, raw] };
+            assert_eq!(session_of(&list).unwrap(), expected, "{list:?}");
+        }
+
+        // Every row on one command line, between context flags.
+        let mut list = vec!["--scale", "tiny"];
+        let mut expected = SessionOptions::default();
+        for (flag, name, implied) in SESSION_FLAGS {
+            let (_, raw) = cases.iter().find(|case| case.0 == flag).expect("a case per row");
+            list.extend(if implied.is_some() { vec![flag] } else { vec![flag, raw] });
+            expected.set(name, implied.unwrap_or(raw)).unwrap();
+        }
+        list.extend(["--indexes", "pkfk"]);
+        assert_ne!(expected, SessionOptions::default());
+        assert_eq!(session_of(&list).unwrap(), expected);
+    }
+
+    #[test]
+    fn values_set_rejects_are_rejected_by_both_subcommands() {
+        for (flag, raw) in [
+            ("--estimator", "oracle"),
+            ("--threads", "four"),
+            ("--morsel-size", "x"),
+            ("--morsel-size", "many"),
+            ("--adaptive-threshold", "NaN"),
+            ("--adaptive-threshold", "0.5"),
+            ("--adaptive-threshold", "nope"),
+            ("--cache-fence", "0.5"),
+            ("--cache-fence", "nope"),
+            ("--slow-query-ms", "soon"),
+            ("--mem-budget", "big"),
+            ("--regression-ratio", "-1"),
+            ("--regression-ratio", "fast"),
+        ] {
+            let &(_, name, _) = SESSION_FLAGS.iter().find(|row| row.0 == flag).unwrap();
+            assert!(SessionOptions::default().set(name, raw).is_err(), "set {name} {raw}");
+            assert!(oneshot::parse_args(&args(&[flag, raw])).is_err(), "one-shot {flag} {raw}");
+            assert!(serve::parse_args(&args(&[flag, raw])).is_err(), "serve {flag} {raw}");
+        }
+        // A valued flag with nothing after it.
+        assert!(oneshot::parse_args(&args(&["--estimator"])).is_err());
+        assert!(serve::parse_args(&args(&["--mem-budget"])).is_err());
+    }
+
+    #[test]
+    fn data_dir_flag_parses_in_oneshot_and_serve() {
+        let list = args(&["--data-dir", "csv"]);
+        assert_eq!(oneshot::parse_args(&list).unwrap().context.data_dir.as_deref(), Some("csv"));
+        assert_eq!(serve::parse_args(&list).unwrap().context.data_dir.as_deref(), Some("csv"));
+    }
 
     #[test]
     fn data_dir_rejects_an_explicit_scale() {
-        let err = match obtain_context(Some(Scale::tiny()), None, None, Some("csv")) {
+        let flags = ContextFlags {
+            scale: Some(Scale::tiny()),
+            data_dir: Some("csv".to_owned()),
+            ..ContextFlags::default()
+        };
+        let err = match obtain_context(&flags) {
             Err(err) => err,
             Ok(_) => panic!("--scale with --data-dir must be rejected"),
         };

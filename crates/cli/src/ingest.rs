@@ -10,9 +10,9 @@ use qob_server::Json;
 use qob_storage::IndexConfig;
 
 use crate::flags::{parse_indexes, parse_scale, parse_threads, value_of};
-use crate::{round6, USAGE};
+use crate::round6;
 
-struct IngestOptions {
+pub(crate) struct Options {
     dir: Option<String>,
     indexes: Option<IndexConfig>,
     threads: usize,
@@ -21,8 +21,8 @@ struct IngestOptions {
     output: String,
 }
 
-fn parse_ingest_args(args: &[String]) -> Result<IngestOptions, String> {
-    let mut options = IngestOptions {
+pub(crate) fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut options = Options {
         dir: None,
         indexes: None,
         threads: qob_exec::default_threads(),
@@ -70,19 +70,8 @@ fn csv_dir_bytes(dir: &str) -> Result<u64, String> {
     Ok(total)
 }
 
-pub(crate) fn ingest_main(args: &[String]) -> ExitCode {
-    let options = match parse_ingest_args(args) {
-        Ok(options) => options,
-        Err(message) if message.is_empty() => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(message) => {
-            eprintln!("error: {message}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let dir = options.dir.as_deref().expect("parse_ingest_args requires a directory");
+pub(crate) fn run(options: Options) -> Result<ExitCode, String> {
+    let dir = options.dir.as_deref().expect("parse_args requires a directory");
     let indexes = options.indexes.unwrap_or_default();
 
     if let Some(scale) = options.generate {
@@ -91,17 +80,11 @@ pub(crate) fn ingest_main(args: &[String]) -> ExitCode {
             scale.movies
         );
         let started = Instant::now();
-        let source = match BenchmarkContext::new(scale, IndexConfig::NoIndexes) {
-            Ok(ctx) => ctx,
-            Err(e) => {
-                eprintln!("error: generation failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = source.export_csv_dir(dir) {
-            eprintln!("error: cannot export CSV files to `{dir}`: {e}");
-            return ExitCode::FAILURE;
-        }
+        let source = BenchmarkContext::new(scale, IndexConfig::NoIndexes)
+            .map_err(|e| format!("generation failed: {e}"))?;
+        source
+            .export_csv_dir(dir)
+            .map_err(|e| format!("cannot export CSV files to `{dir}`: {e}"))?;
         eprintln!(
             "exported {} rows across {} tables in {:.3?}",
             source.db().total_rows(),
@@ -110,23 +93,12 @@ pub(crate) fn ingest_main(args: &[String]) -> ExitCode {
         );
     }
 
-    let csv_bytes = match csv_dir_bytes(dir) {
-        Ok(bytes) => bytes,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let csv_bytes = csv_dir_bytes(dir)?;
 
     eprintln!("ingesting CSV files from `{dir}` ({})...", indexes.label());
     let started = Instant::now();
-    let (ctx, report) = match BenchmarkContext::ingest_csv_dir(dir, indexes, options.threads) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("error: ingestion from `{dir}` failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (ctx, report) = BenchmarkContext::ingest_csv_dir(dir, indexes, options.threads)
+        .map_err(|e| format!("ingestion from `{dir}` failed: {e}"))?;
     let ingest_elapsed = started.elapsed();
     let rows = report.total_rows();
     let rows_per_sec = rows as f64 / ingest_elapsed.as_secs_f64().max(1e-9);
@@ -170,22 +142,14 @@ pub(crate) fn ingest_main(args: &[String]) -> ExitCode {
     ];
 
     if let Some(path) = options.snapshot.as_deref() {
-        match snapshot_bench(&ctx, path) {
-            Ok(summary) => pairs.push(("snapshot", summary)),
-            Err(message) => {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        }
+        pairs.push(("snapshot", snapshot_bench(&ctx, path)?));
     }
 
     let out = Json::obj(pairs);
-    if let Err(e) = std::fs::write(&options.output, format!("{out}\n")) {
-        eprintln!("error: cannot write `{}`: {e}", options.output);
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&options.output, format!("{out}\n"))
+        .map_err(|e| format!("cannot write `{}`: {e}", options.output))?;
     eprintln!("wrote {}", options.output);
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `--snapshot` leg of `qob ingest`: save the ingested database, time
@@ -253,7 +217,7 @@ mod tests {
 
     #[test]
     fn ingest_flags_parse() {
-        let options = parse_ingest_args(&args(&[
+        let options = parse_args(&args(&[
             "imdb-data",
             "--indexes",
             "pkfk",
@@ -271,18 +235,18 @@ mod tests {
         assert_eq!(options.snapshot.as_deref(), Some("db.qob"));
         assert_eq!(options.output, "out.json");
 
-        let defaults = parse_ingest_args(&args(&["imdb-data"])).unwrap();
+        let defaults = parse_args(&args(&["imdb-data"])).unwrap();
         assert_eq!(defaults.indexes, None);
         assert_eq!(defaults.output, "BENCH_ingest.json");
         assert!(defaults.snapshot.is_none());
         assert!(defaults.generate.is_none());
 
-        let generated = parse_ingest_args(&args(&["imdb-data", "--generate", "tiny"])).unwrap();
+        let generated = parse_args(&args(&["imdb-data", "--generate", "tiny"])).unwrap();
         assert_eq!(generated.generate, Some(Scale::tiny()));
-        assert!(parse_ingest_args(&args(&["d", "--generate", "galactic"])).is_err());
+        assert!(parse_args(&args(&["d", "--generate", "galactic"])).is_err());
 
-        assert!(parse_ingest_args(&[]).is_err(), "the data directory is required");
-        assert!(parse_ingest_args(&args(&["imdb-data", "--bogus"])).is_err());
-        assert_eq!(parse_ingest_args(&args(&["--help"])).err().unwrap(), "");
+        assert!(parse_args(&[]).is_err(), "the data directory is required");
+        assert!(parse_args(&args(&["imdb-data", "--bogus"])).is_err());
+        assert_eq!(parse_args(&args(&["--help"])).err().unwrap(), "");
     }
 }

@@ -10,6 +10,11 @@
 //! * **`qob connect`**: the matching client — send SQL to a running server
 //!   and render the answers exactly like a one-shot run.
 //!
+//! Each subcommand is a module with a `parse_args` and a `run`; `flags`
+//! holds what they share.  Session options go through
+//! `SessionOptions::set` and reports render from the wire JSON, so the
+//! command line adds no parser or renderer of its own.
+//!
 //! ```text
 //! echo "SELECT COUNT(*) FROM title t, movie_companies mc, company_name cn
 //!       WHERE mc.movie_id = t.id AND mc.company_id = cn.id
@@ -26,7 +31,7 @@ mod top;
 
 use std::process::ExitCode;
 
-pub(crate) const USAGE: &str = "\
+const USAGE: &str = "\
 qob — run ad-hoc SQL through the optimizer pipeline of the JOB reproduction
 
 USAGE:
@@ -49,16 +54,23 @@ OPTIONS:
     -e, --execute <SQL>      inline SQL statement
         --scale <s>          data scale: tiny | small | benchmark  [default: tiny]
         --indexes <i>        physical design: none | pk | pkfk     [default: pk]
-        --estimator <n>      postgres | hyper | dbms-a | dbms-b | dbms-c |
-                             true-distinct                          [default: postgres]
-        --threads <n>        execution worker threads; 1 = sequential engine,
-                             0 = all cores                          [default: 0]
-        --morsel-size <n>    tuples per execution morsel; 0 = engine default
         --snapshot <PATH>    load the database from PATH if it exists, else
                              generate it once and save it there
         --data-dir <DIR>     ingest the database from IMDB-schema CSV/TSV
                              files in DIR instead of generating it (combines
                              with --snapshot: ingest once, save, reload fast)
+    -h, --help               print this help
+
+SESSION OPTIONS (one-shot and serve):
+    Each flag sets the session option of the same name, exactly as `set`
+    does on the wire (docs/PROTOCOL.md): --morsel-size is morsel_size, a
+    switch sets true, and --no-exec sets execute=false.  Under serve they
+    are every session's defaults.
+        --estimator <n>      postgres | hyper | dbms-a | dbms-b | dbms-c |
+                             true-distinct                          [default: postgres]
+        --threads <n>        execution worker threads; 1 = sequential engine,
+                             0 = all cores                          [default: 0]
+        --morsel-size <n>    tuples per execution morsel; 0 = engine default
         --adaptive           re-optimize mid-execution when an operator's true
                              cardinality diverges from the estimate (re-plan
                              events are printed in the report)
@@ -75,14 +87,17 @@ OPTIONS:
                              render it in reports (EXPLAIN ANALYZE implies
                              this for its statement)
         --no-exec            stop after planning (skip execution and q-errors)
-    -h, --help               print this help
+        --slow-query-ms <n>  log queries slower than n ms to the structured
+                             event log on stderr (0 disables)    [default: 0]
+        --mem-budget <n>     per-statement intermediate-tuple budget
+                             (0 = engine default)
+        --regression-ratio <x>
+                             fire a `regression` event when a fingerprint's
+                             recent median latency exceeds its baseline median
+                             by this factor (0 disables)        [default: 2]
 
 SERVE OPTIONS:
         --addr <HOST:PORT>   listen address             [default: 127.0.0.1:4547]
-        --plan-cache         enable the plan cache for every session by default
-        --cache-fence <x>    default reuse fence for sessions
-        --slow-query-ms <n>  log queries slower than n ms to the structured
-                             event log on stderr (0 disables)    [default: 0]
         --workers <n>        shared execution pool size — morsels from every
                              concurrent query interleave on these threads;
                              0 = all cores                  [default: 0]
@@ -91,16 +106,8 @@ SERVE OPTIONS:
                                                        [default: 2x workers]
         --max-queued <n>     waiting statements beyond which new arrivals
                              are rejected with code `rejected` [default: 256]
-        --mem-budget <n>     default per-statement intermediate-tuple budget
-                             (0 = engine default)
-        --morsel-size <n>    default execution morsel size for every session
-                             (0 = engine default)
-        --regression-ratio <x>
-                             fire a `regression` event when a fingerprint's
-                             recent median latency exceeds its baseline median
-                             by this factor (0 disables)        [default: 2]
-        plus --snapshot / --data-dir / --scale / --indexes / --threads as
-        above
+        plus --snapshot / --data-dir / --scale / --indexes and the SESSION
+        OPTIONS above
 
 INGEST OPTIONS:
         --indexes <i>        physical design: none | pk | pkfk     [default: pk]
@@ -168,13 +175,30 @@ documented in docs/PROTOCOL.md.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("serve") => serve::serve_main(&args[1..]),
-        Some("connect") => connect::connect_main(&args[1..]),
-        Some("top") => top::top_main(&args[1..]),
-        Some("plangrid") => plangrid::plangrid_main(&args[1..]),
-        Some("ingest") => ingest::ingest_main(&args[1..]),
-        _ => oneshot::oneshot_main(&args),
+    let outcome = match args.first().map(String::as_str) {
+        Some("serve") => serve::parse_args(&args[1..]).map(serve::run),
+        Some("connect") => connect::parse_args(&args[1..]).map(connect::run),
+        Some("top") => top::parse_args(&args[1..]).map(top::run),
+        Some("plangrid") => plangrid::parse_args(&args[1..]).map(plangrid::run),
+        Some("ingest") => ingest::parse_args(&args[1..]).map(ingest::run),
+        _ => oneshot::parse_args(&args).map(oneshot::run),
+    };
+    // Every parser reports `-h`/`--help` as an empty error; a command that
+    // fails after parsing says why, without the usage text.
+    match outcome {
+        Ok(Ok(code)) => code,
+        Ok(Err(message)) => {
+            eprintln!("error: {message}");
+            ExitCode::FAILURE
+        }
+        Err(message) if message.is_empty() => {
+            println!("{USAGE}");
+            ExitCode::SUCCESS
+        }
+        Err(message) => {
+            eprintln!("error: {message}\n\n{USAGE}");
+            ExitCode::FAILURE
+        }
     }
 }
 

@@ -2,107 +2,38 @@
 //! exit.
 
 use std::process::ExitCode;
+use std::time::Instant;
 
-use qob_core::{EstimatorKind, QueryReport, ScriptOutcome, ServerContext, SessionOptions};
-use qob_datagen::Scale;
-use qob_storage::IndexConfig;
+use qob_core::{ServerContext, SessionOptions};
+use qob_server::protocol::outcome_to_json;
 use qob_workload::parse_script;
 
+use crate::connect::render_result;
 use crate::flags::{
-    obtain_context, parse_indexes, parse_scale, parse_threads, read_source, value_of, Source,
+    obtain_context, read_source, take_session_flag, value_of, ContextFlags, Source,
 };
-use crate::USAGE;
 
-/// Everything the one-shot command line selects.  `scale`/`indexes` are
-/// `None` unless set explicitly (defaulting to tiny/PK, or to whatever a
-/// loaded snapshot was built with).
-struct Options {
+/// Everything the one-shot command line selects.
+pub(crate) struct Options {
     source: Source,
-    scale: Option<Scale>,
-    indexes: Option<IndexConfig>,
-    estimator: EstimatorKind,
-    execute: bool,
-    threads: usize,
-    morsel_size: usize,
-    adaptive: qob_exec::AdaptiveOptions,
-    plan_cache: bool,
-    cache_fence: f64,
-    snapshot: Option<String>,
-    data_dir: Option<String>,
-    tracing: bool,
+    pub(crate) context: ContextFlags,
+    pub(crate) session: SessionOptions,
 }
 
-/// Validates and normalises `--morsel-size` through the same
-/// [`SessionOptions::set`] rule the wire protocol enforces, so the CLI can
-/// never drift from `set morsel_size`.
-pub(crate) fn parse_morsel_size(raw: &str) -> Result<usize, String> {
-    let mut scratch = SessionOptions::default();
-    scratch.set("morsel_size", raw)?;
-    Ok(scratch.morsel_size)
-}
-
-/// Validates `--adaptive-threshold` through [`SessionOptions::set`] (same
-/// rule as `set adaptive_threshold` on the wire).
-fn parse_adaptive_threshold(raw: &str) -> Result<f64, String> {
-    let mut scratch = SessionOptions::default();
-    scratch.set("adaptive_threshold", raw)?;
-    Ok(scratch.adaptive.divergence_threshold)
-}
-
-/// Validates `--cache-fence` through [`SessionOptions::set`] (same rule as
-/// `set cache_fence` on the wire).
-pub(crate) fn parse_cache_fence(raw: &str) -> Result<f64, String> {
-    let mut scratch = SessionOptions::default();
-    scratch.set("cache_fence", raw)?;
-    Ok(scratch.cache_fence)
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
+pub(crate) fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut options = Options {
         source: Source::Stdin,
-        scale: None,
-        indexes: None,
-        estimator: EstimatorKind::Postgres,
-        execute: true,
-        threads: qob_exec::default_threads(),
-        morsel_size: qob_exec::DEFAULT_MORSEL_SIZE,
-        adaptive: qob_exec::AdaptiveOptions::default(),
-        plan_cache: false,
-        cache_fence: qob_core::DEFAULT_CACHE_FENCE,
-        snapshot: None,
-        data_dir: None,
-        tracing: false,
+        context: ContextFlags::default(),
+        session: SessionOptions::default(),
     };
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "-h" | "--help" => return Err(String::new()),
             "-e" | "--execute" => options.source = Source::Inline(value_of(args, &mut i, "-e")?),
-            "--scale" => options.scale = Some(parse_scale(&value_of(args, &mut i, "--scale")?)?),
-            "--indexes" => {
-                options.indexes = Some(parse_indexes(&value_of(args, &mut i, "--indexes")?)?)
-            }
-            "--estimator" => {
-                options.estimator = parse_estimator(&value_of(args, &mut i, "--estimator")?)?
-            }
-            "--threads" => options.threads = parse_threads(&value_of(args, &mut i, "--threads")?)?,
-            "--morsel-size" => {
-                options.morsel_size = parse_morsel_size(&value_of(args, &mut i, "--morsel-size")?)?
-            }
-            "--adaptive" => options.adaptive.enabled = true,
-            "--adaptive-threshold" => {
-                options.adaptive.divergence_threshold =
-                    parse_adaptive_threshold(&value_of(args, &mut i, "--adaptive-threshold")?)?
-            }
-            "--plan-cache" => options.plan_cache = true,
-            "--cache-fence" => {
-                options.cache_fence = parse_cache_fence(&value_of(args, &mut i, "--cache-fence")?)?
-            }
-            "--snapshot" => options.snapshot = Some(value_of(args, &mut i, "--snapshot")?),
-            "--data-dir" => options.data_dir = Some(value_of(args, &mut i, "--data-dir")?),
-            "--tracing" => options.tracing = true,
-            "--no-exec" => options.execute = false,
             "-" => options.source = Source::Stdin,
+            _ if options.context.take(args, &mut i)? => {}
+            _ if take_session_flag(&mut options.session, args, &mut i)? => {}
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
             file => options.source = Source::File(file.to_owned()),
         }
@@ -111,190 +42,47 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(options)
 }
 
-fn parse_estimator(name: &str) -> Result<EstimatorKind, String> {
-    EstimatorKind::parse(name).ok_or_else(|| format!("unknown estimator `{name}`"))
-}
-
-pub(crate) fn oneshot_main(args: &[String]) -> ExitCode {
-    let options = match parse_args(args) {
-        Ok(options) => options,
-        Err(message) if message.is_empty() => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(message) => {
-            eprintln!("error: {message}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let script = match read_source(&options.source) {
-        Ok(script) => script,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
+pub(crate) fn run(options: Options) -> Result<ExitCode, String> {
+    let script = read_source(&options.source)?;
 
     // Parse (syntax only) *before* paying for the database, so `--help`,
     // empty input and parse errors never trigger datagen.
-    let parsed = match parse_script(&script) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let parse_started = Instant::now();
+    let parsed = parse_script(&script).map_err(|e| e.to_string())?;
+    let parse_elapsed = parse_started.elapsed();
     if parsed.is_empty() {
-        eprintln!("error: the input contains no statements");
-        return ExitCode::FAILURE;
+        return Err("the input contains no statements".to_owned());
     }
 
-    let (ctx, _) = match obtain_context(
-        options.scale,
-        options.indexes,
-        options.snapshot.as_deref(),
-        options.data_dir.as_deref(),
-    ) {
-        Ok(pair) => pair,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let server = ServerContext::new(ctx);
-    let mut session = server.session();
-    session.options.estimator = options.estimator;
-    session.options.threads = options.threads;
-    session.options.execute = options.execute;
-    session.options.morsel_size = options.morsel_size;
-    session.options.adaptive = options.adaptive;
-    session.options.plan_cache = options.plan_cache;
-    session.options.cache_fence = options.cache_fence;
-    session.options.tracing = options.tracing;
-
+    let (ctx, _) = obtain_context(&options.context)?;
+    let mut session = ServerContext::with_defaults(ctx, options.session).session();
     let mut failures = 0usize;
     for statement in &parsed {
-        match session.run_statement(statement) {
-            Ok(ScriptOutcome::Query(report)) => {
-                println!(
-                    "\n=== {} — {} relations, {} join predicates, {} selections ===",
-                    report.name, report.relations, report.join_predicates, report.selections
-                );
-                print_report(&report);
-            }
-            Ok(ScriptOutcome::Prepared { name, params }) => {
-                println!(
-                    "\nprepared `{name}` ({params} parameter{})",
-                    if params == 1 { "" } else { "s" }
-                );
-            }
-            Ok(ScriptOutcome::Deallocated { name }) => {
-                println!("\ndeallocated `{name}`");
-            }
+        match session.run_statement(statement, parse_elapsed) {
+            Ok(outcome) => print!("{}", render_result(&outcome_to_json(&outcome))),
             Err(e) => {
                 eprintln!("statement `{}` failed: {e}", statement.name);
                 failures += 1;
             }
         }
     }
-    if failures > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// Renders one report in the one-shot output format (also used, via the
-/// JSON fields, by `qob connect` — the two must stay in sync so server
-/// answers diff clean against one-shot answers).
-fn print_report(report: &QueryReport) {
-    println!(
-        "plan chosen with {} estimates (cost {:.1}, {} thread{}):",
-        report.estimator,
-        report.cost,
-        report.threads,
-        if report.threads == 1 { "" } else { "s" }
-    );
-    if let Some(status) = report.plan_cache {
-        println!("plan cache: {}", status.label());
-    }
-    print!("{}", report.plan);
-
-    let Some(exec) = &report.execution else { return };
-    for (i, replan) in exec.replans.iter().enumerate() {
-        println!(
-            "re-plan {}: after {} estimated {:.0} observed {} (diverged {:.1}x) — {}",
-            i + 1,
-            replan.after,
-            replan.estimated,
-            replan.observed,
-            replan.factor,
-            if replan.changed { "resumed on spliced plan:" } else { "plan confirmed" }
-        );
-        if replan.changed {
-            print!("{}", replan.resumed_plan);
-        }
-    }
-    // Tracing appends time/morsel columns; the untraced table is unchanged
-    // so CI smokes can keep diffing cardinality lines across engine modes.
-    let traced = exec.operators.iter().any(|op| op.time_us.is_some());
-    if traced {
-        println!(
-            "\n{:<28} {:>14} {:>14} {:>10} {:>12} {:>8}",
-            "operator output", "estimated", "true", "q-error", "time", "morsels"
-        );
-    } else {
-        println!(
-            "\n{:<28} {:>14} {:>14} {:>10}",
-            "operator output", "estimated", "true", "q-error"
-        );
-    }
-    for op in &exec.operators {
-        if traced {
-            println!(
-                "{:<28} {:>14.0} {:>14} {:>9.1}x {:>10}us {:>8}",
-                op.relations,
-                op.estimated,
-                op.true_rows,
-                op.q_error,
-                op.time_us.unwrap_or(0),
-                op.morsels.unwrap_or(0)
-            );
-        } else {
-            println!(
-                "{:<28} {:>14.0} {:>14} {:>9.1}x",
-                op.relations, op.estimated, op.true_rows, op.q_error
-            );
-        }
-    }
-    println!(
-        "\n{} rows in {:.3?} — worst operator q-error {:.1}x",
-        exec.rows, exec.elapsed, exec.worst_q_error
-    );
-    if let Some(trace) = &report.trace {
-        println!(
-            "phases: parse {}us, bind {}us, optimize {}us, queue {}us, execute {}us",
-            trace.parse_us, trace.bind_us, trace.optimize_us, trace.queue_us, trace.execute_us
-        );
-    }
+    Ok(if failures > 0 { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::connect::{parse_connect_args, ConnectAction};
     use crate::flags::args;
-    use crate::serve::parse_serve_args;
+    use qob_datagen::Scale;
+    use qob_storage::IndexConfig;
+
     #[test]
-    fn defaults_read_stdin_with_postgres_estimator() {
+    fn defaults_read_stdin_with_default_session_options() {
         let options = parse_args(&[]).unwrap();
         assert!(matches!(options.source, Source::Stdin));
-        assert_eq!(options.estimator, EstimatorKind::Postgres);
-        assert_eq!(options.indexes, None, "indexes default resolves at build time");
-        assert!(options.execute);
-        assert!(options.snapshot.is_none());
+        assert_eq!(options.session, SessionOptions::default());
+        assert_eq!(options.context.indexes, None, "indexes default resolves at build time");
+        assert!(options.context.snapshot.is_none());
     }
 
     #[test]
@@ -304,9 +92,6 @@ mod tests {
             "small",
             "--indexes",
             "pkfk",
-            "--estimator",
-            "hyper",
-            "--no-exec",
             "--snapshot",
             "db.qob",
             "-e",
@@ -314,10 +99,9 @@ mod tests {
         ]))
         .unwrap();
         assert!(matches!(options.source, Source::Inline(ref s) if s == "SELECT * FROM t"));
-        assert_eq!(options.estimator, EstimatorKind::HyPer);
-        assert_eq!(options.indexes, Some(IndexConfig::PrimaryAndForeignKey));
-        assert_eq!(options.snapshot.as_deref(), Some("db.qob"));
-        assert!(!options.execute);
+        assert_eq!(options.context.scale, Some(Scale::small()));
+        assert_eq!(options.context.indexes, Some(IndexConfig::PrimaryAndForeignKey));
+        assert_eq!(options.context.snapshot.as_deref(), Some("db.qob"));
 
         let options = parse_args(&args(&["queries.sql"])).unwrap();
         assert!(matches!(options.source, Source::File(ref f) if f == "queries.sql"));
@@ -331,104 +115,5 @@ mod tests {
         assert!(parse_args(&args(&["--threads", "four"])).is_err());
         assert!(parse_args(&args(&["--snapshot"])).is_err());
         assert_eq!(parse_args(&args(&["--help"])).err().unwrap(), "");
-    }
-
-    #[test]
-    fn data_dir_flag_parses_in_oneshot_and_serve() {
-        let options = parse_args(&args(&["--data-dir", "csv"])).unwrap();
-        assert_eq!(options.data_dir.as_deref(), Some("csv"));
-        let serve = parse_serve_args(&args(&["--data-dir", "csv"])).unwrap();
-        assert_eq!(serve.data_dir.as_deref(), Some("csv"));
-    }
-
-    #[test]
-    fn threads_flag_parses_with_zero_meaning_all_cores() {
-        assert_eq!(parse_args(&args(&["--threads", "4"])).unwrap().threads, 4);
-        assert_eq!(parse_args(&args(&["--threads", "1"])).unwrap().threads, 1);
-        assert_eq!(
-            parse_args(&args(&["--threads", "0"])).unwrap().threads,
-            qob_exec::default_threads()
-        );
-        assert_eq!(parse_args(&[]).unwrap().threads, qob_exec::default_threads());
-    }
-
-    #[test]
-    fn adaptive_and_morsel_flags_parse() {
-        let options = parse_args(&[]).unwrap();
-        assert!(!options.adaptive.enabled, "adaptivity defaults off");
-        assert_eq!(options.morsel_size, qob_exec::DEFAULT_MORSEL_SIZE);
-
-        let options = parse_args(&args(&[
-            "--adaptive",
-            "--adaptive-threshold",
-            "2.5",
-            "--morsel-size",
-            "64",
-        ]))
-        .unwrap();
-        assert!(options.adaptive.enabled);
-        assert_eq!(options.adaptive.divergence_threshold, 2.5);
-        assert_eq!(options.morsel_size, 64);
-
-        // `--adaptive-threshold` alone tunes without enabling.
-        let options = parse_args(&args(&["--adaptive-threshold", "3"])).unwrap();
-        assert!(!options.adaptive.enabled);
-        assert_eq!(options.adaptive.divergence_threshold, 3.0);
-
-        assert_eq!(
-            parse_args(&args(&["--morsel-size", "0"])).unwrap().morsel_size,
-            qob_exec::DEFAULT_MORSEL_SIZE
-        );
-        assert!(parse_args(&args(&["--adaptive-threshold", "0.5"])).is_err());
-        assert!(parse_args(&args(&["--adaptive-threshold", "nope"])).is_err());
-        assert!(parse_args(&args(&["--morsel-size", "many"])).is_err());
-    }
-
-    #[test]
-    fn plan_cache_flags_parse() {
-        let options = parse_args(&[]).unwrap();
-        assert!(!options.plan_cache, "caching defaults off");
-        assert_eq!(options.cache_fence, qob_core::DEFAULT_CACHE_FENCE);
-
-        let options = parse_args(&args(&["--plan-cache", "--cache-fence", "2.5"])).unwrap();
-        assert!(options.plan_cache);
-        assert_eq!(options.cache_fence, 2.5);
-        assert!(parse_args(&args(&["--cache-fence", "0.5"])).is_err());
-        assert!(parse_args(&args(&["--cache-fence", "nope"])).is_err());
-
-        let serve = parse_serve_args(&args(&["--plan-cache", "--cache-fence", "3"])).unwrap();
-        assert!(serve.plan_cache);
-        assert_eq!(serve.cache_fence, 3.0);
-    }
-
-    #[test]
-    fn observability_flags_parse() {
-        assert!(!parse_args(&[]).unwrap().tracing, "tracing defaults off");
-        assert!(parse_args(&args(&["--tracing"])).unwrap().tracing);
-
-        assert_eq!(parse_serve_args(&[]).unwrap().slow_query_ms, 0);
-        assert_eq!(
-            parse_serve_args(&args(&["--slow-query-ms", "250"])).unwrap().slow_query_ms,
-            250
-        );
-        assert!(parse_serve_args(&args(&["--slow-query-ms", "soon"])).is_err());
-
-        let options = parse_connect_args(&args(&["--metrics"])).unwrap();
-        assert!(matches!(options.action, ConnectAction::Metrics));
-    }
-
-    #[test]
-    fn estimator_names_cover_the_paper_systems() {
-        for (name, kind) in [
-            ("postgres", EstimatorKind::Postgres),
-            ("true-distinct", EstimatorKind::PostgresTrueDistinct),
-            ("hyper", EstimatorKind::HyPer),
-            ("dbms-a", EstimatorKind::DbmsA),
-            ("dbms-b", EstimatorKind::DbmsB),
-            ("dbms-c", EstimatorKind::DbmsC),
-        ] {
-            assert_eq!(parse_estimator(name).unwrap(), kind);
-        }
-        assert!(parse_estimator("oracle").is_err());
     }
 }

@@ -4,17 +4,15 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use qob_datagen::Scale;
 use qob_server::Json;
-use qob_storage::IndexConfig;
 
-use crate::flags::{obtain_context, parse_count, parse_indexes, parse_scale, value_of};
-use crate::{round6, USAGE};
+use crate::flags::{count_of, obtain_context, value_of, ContextFlags};
+use crate::round6;
 
-struct PlangridOptions {
-    scale: Option<Scale>,
-    indexes: Option<IndexConfig>,
-    snapshot: Option<String>,
+pub(crate) struct Options {
+    /// `--scale`, `--indexes` and `--snapshot`; plan-space runs never
+    /// ingest, so `--data-dir` stays unset.
+    context: ContextFlags,
     seed: u64,
     job_limit: usize,
     random_count: usize,
@@ -25,11 +23,9 @@ struct PlangridOptions {
     require_true_optimal: bool,
 }
 
-fn parse_plangrid_args(args: &[String]) -> Result<PlangridOptions, String> {
-    let mut options = PlangridOptions {
-        scale: None,
-        indexes: None,
-        snapshot: None,
+pub(crate) fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut options = Options {
+        context: ContextFlags::default(),
         seed: 0,
         job_limit: 4,
         random_count: 4,
@@ -43,38 +39,20 @@ fn parse_plangrid_args(args: &[String]) -> Result<PlangridOptions, String> {
     while i < args.len() {
         match args[i].as_str() {
             "-h" | "--help" => return Err(String::new()),
-            "--scale" => options.scale = Some(parse_scale(&value_of(args, &mut i, "--scale")?)?),
-            "--indexes" => {
-                options.indexes = Some(parse_indexes(&value_of(args, &mut i, "--indexes")?)?)
-            }
-            "--snapshot" => options.snapshot = Some(value_of(args, &mut i, "--snapshot")?),
             "--seed" => {
                 let raw = value_of(args, &mut i, "--seed")?;
                 options.seed =
                     raw.parse().map_err(|_| format!("--seed needs a number, got `{raw}`"))?
             }
-            "--job-limit" => {
-                options.job_limit =
-                    parse_count(&value_of(args, &mut i, "--job-limit")?, "--job-limit")?
-            }
-            "--random-count" => {
-                options.random_count =
-                    parse_count(&value_of(args, &mut i, "--random-count")?, "--random-count")?
-            }
-            "--max-rels" => {
-                options.max_rels =
-                    parse_count(&value_of(args, &mut i, "--max-rels")?, "--max-rels")?.max(2)
-            }
-            "--samples" => {
-                options.samples =
-                    parse_count(&value_of(args, &mut i, "--samples")?, "--samples")?.max(1)
-            }
-            "--quickpick" => {
-                options.quickpick =
-                    parse_count(&value_of(args, &mut i, "--quickpick")?, "--quickpick")?.max(1)
-            }
+            "--job-limit" => options.job_limit = count_of(args, &mut i, "--job-limit")?,
+            "--random-count" => options.random_count = count_of(args, &mut i, "--random-count")?,
+            "--max-rels" => options.max_rels = count_of(args, &mut i, "--max-rels")?.max(2),
+            "--samples" => options.samples = count_of(args, &mut i, "--samples")?.max(1),
+            "--quickpick" => options.quickpick = count_of(args, &mut i, "--quickpick")?.max(1),
             "--output" => options.output = value_of(args, &mut i, "--output")?,
             "--require-true-optimal" => options.require_true_optimal = true,
+            "--data-dir" => return Err("unknown plangrid flag `--data-dir`".to_owned()),
+            _ if options.context.take(args, &mut i)? => {}
             flag => return Err(format!("unknown plangrid flag `{flag}`")),
         }
         i += 1;
@@ -82,26 +60,8 @@ fn parse_plangrid_args(args: &[String]) -> Result<PlangridOptions, String> {
     Ok(options)
 }
 
-pub(crate) fn plangrid_main(args: &[String]) -> ExitCode {
-    let options = match parse_plangrid_args(args) {
-        Ok(options) => options,
-        Err(message) if message.is_empty() => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(message) => {
-            eprintln!("error: {message}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (ctx, _) =
-        match obtain_context(options.scale, options.indexes, options.snapshot.as_deref(), None) {
-            Ok(pair) => pair,
-            Err(message) => {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        };
+pub(crate) fn run(options: Options) -> Result<ExitCode, String> {
+    let (ctx, _) = obtain_context(&options.context)?;
 
     // The workload: small JOB queries plus seeded random queries over the
     // same FK graph — all bounded by --max-rels so the plan space stays
@@ -119,28 +79,21 @@ pub(crate) fn plangrid_main(args: &[String]) -> ExitCode {
             max_relations: options.max_rels.min(6),
             ..Default::default()
         };
-        match qob_plangrid::generate_many(
+        let generated = qob_plangrid::generate_many(
             ctx.db(),
             &generator_options,
             options.random_count,
             options.seed,
             "rand",
-        ) {
-            Ok(generated) => {
-                for g in &generated {
-                    eprintln!("generated {}: {}", g.spec.name, g.sql.replace('\n', " "));
-                }
-                queries.extend(generated.into_iter().map(|g| g.spec));
-            }
-            Err(e) => {
-                eprintln!("error: query generation failed: {e}");
-                return ExitCode::FAILURE;
-            }
+        )
+        .map_err(|e| format!("query generation failed: {e}"))?;
+        for g in &generated {
+            eprintln!("generated {}: {}", g.spec.name, g.sql.replace('\n', " "));
         }
+        queries.extend(generated.into_iter().map(|g| g.spec));
     }
     if queries.is_empty() {
-        eprintln!("error: no queries selected (raise --job-limit or --random-count)");
-        return ExitCode::FAILURE;
+        return Err("no queries selected (raise --job-limit or --random-count)".to_owned());
     }
 
     let grid_options = qob_plangrid::GridOptions {
@@ -153,13 +106,8 @@ pub(crate) fn plangrid_main(args: &[String]) -> ExitCode {
         quickpick_runs: options.quickpick,
     };
     let started = Instant::now();
-    let report = match qob_plangrid::run_grid(&ctx, &queries, &grid_options) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report =
+        qob_plangrid::run_grid(&ctx, &queries, &grid_options).map_err(|e| e.to_string())?;
     let elapsed = started.elapsed();
 
     // The CI invariant: with perfect estimates, exhaustive DP provably
@@ -230,10 +178,8 @@ pub(crate) fn plangrid_main(args: &[String]) -> ExitCode {
         ("cells", Json::Arr(cells)),
         ("per_query", Json::Arr(per_query)),
     ]);
-    if let Err(e) = std::fs::write(&options.output, format!("{out}\n")) {
-        eprintln!("error: cannot write `{}`: {e}", options.output);
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&options.output, format!("{out}\n"))
+        .map_err(|e| format!("cannot write `{}`: {e}", options.output))?;
 
     eprintln!(
         "plangrid: {} queries x {} estimators x 3 cost models x 4 enumerators in {:.3?} → {}",
@@ -254,12 +200,11 @@ pub(crate) fn plangrid_main(args: &[String]) -> ExitCode {
         );
     }
     if options.require_true_optimal && !true_dpccp_optimal {
-        eprintln!(
-            "error: --require-true-optimal: dpccp under true cardinalities missed the optimum"
+        return Err(
+            "--require-true-optimal: dpccp under true cardinalities missed the optimum".to_owned()
         );
-        return ExitCode::FAILURE;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 #[cfg(test)]
@@ -269,7 +214,7 @@ mod tests {
 
     #[test]
     fn plangrid_flags_parse() {
-        let options = parse_plangrid_args(&args(&[
+        let options = parse_args(&args(&[
             "--seed",
             "7",
             "--job-limit",
@@ -296,7 +241,7 @@ mod tests {
         assert!(options.require_true_optimal);
         assert_eq!(options.output, "out.json");
 
-        let defaults = parse_plangrid_args(&[]).unwrap();
+        let defaults = parse_args(&[]).unwrap();
         assert_eq!(defaults.seed, 0);
         assert_eq!(defaults.job_limit, 4);
         assert_eq!(defaults.random_count, 4);
@@ -304,8 +249,8 @@ mod tests {
         assert_eq!(defaults.output, "BENCH_planspace.json");
         assert!(!defaults.require_true_optimal);
 
-        assert!(parse_plangrid_args(&args(&["--seed", "x"])).is_err());
-        assert!(parse_plangrid_args(&args(&["--bogus"])).is_err());
-        assert_eq!(parse_plangrid_args(&args(&["--help"])).err().unwrap(), "");
+        assert!(parse_args(&args(&["--seed", "x"])).is_err());
+        assert!(parse_args(&args(&["--bogus"])).is_err());
+        assert_eq!(parse_args(&args(&["--help"])).err().unwrap(), "");
     }
 }

@@ -3,127 +3,49 @@
 
 use std::process::ExitCode;
 
-use qob_core::{ServerContext, SessionOptions};
-use qob_datagen::Scale;
+use qob_core::{SchedulerConfig, ServerContext, SessionOptions};
 use qob_server::ServerConfig;
-use qob_storage::IndexConfig;
 
 use crate::flags::{
-    obtain_context, parse_count, parse_indexes, parse_scale, parse_threads, value_of,
+    count_of, obtain_context, parse_threads, take_session_flag, value_of, ContextFlags,
 };
-use crate::oneshot::{parse_cache_fence, parse_morsel_size};
-use crate::USAGE;
 
-pub(crate) struct ServeOptions {
-    pub(crate) addr: String,
-    pub(crate) scale: Option<Scale>,
-    pub(crate) indexes: Option<IndexConfig>,
-    pub(crate) threads: usize,
-    pub(crate) plan_cache: bool,
-    pub(crate) cache_fence: f64,
-    pub(crate) snapshot: Option<String>,
-    pub(crate) data_dir: Option<String>,
-    pub(crate) slow_query_ms: u64,
+pub(crate) struct Options {
+    addr: String,
+    pub(crate) context: ContextFlags,
+    /// Every session's starting options.
+    pub(crate) session: SessionOptions,
     /// Shared execution pool size (`0` on the command line = all cores).
-    pub(crate) workers: usize,
+    workers: usize,
     /// Admission concurrency limit; `None` = twice the pool size.
-    pub(crate) max_concurrent: Option<usize>,
-    pub(crate) max_queued: usize,
-    pub(crate) mem_budget: usize,
-    /// Default execution morsel size for every session (`0` = engine
-    /// default); small tables need a smaller morsel before a pipeline has
-    /// enough morsels to parallelise at all.
-    pub(crate) morsel_size: usize,
-    /// Regression-detector threshold for every session (`0` disables).
-    pub(crate) regression_ratio: f64,
+    max_concurrent: Option<usize>,
+    max_queued: usize,
 }
 
-/// Validates `--slow-query-ms` through [`SessionOptions::set`] (same rule
-/// as `set slow_query_ms` on the wire).
-fn parse_slow_query_ms(raw: &str) -> Result<u64, String> {
-    let mut scratch = SessionOptions::default();
-    scratch.set("slow_query_ms", raw)?;
-    Ok(scratch.slow_query_ms)
-}
-
-/// Validates `--mem-budget` through [`SessionOptions::set`] (same rule as
-/// `set mem_budget` on the wire).
-fn parse_mem_budget(raw: &str) -> Result<usize, String> {
-    let mut scratch = SessionOptions::default();
-    scratch.set("mem_budget", raw)?;
-    Ok(scratch.mem_budget)
-}
-
-/// Validates `--regression-ratio` through [`SessionOptions::set`] (same rule
-/// as `set regression_ratio` on the wire).
-fn parse_regression_ratio(raw: &str) -> Result<f64, String> {
-    let mut scratch = SessionOptions::default();
-    scratch.set("regression_ratio", raw)?;
-    Ok(scratch.regression_ratio)
-}
-
-pub(crate) fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
-    let mut options = ServeOptions {
+pub(crate) fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut options = Options {
         addr: qob_server::DEFAULT_ADDR.to_owned(),
-        scale: None,
-        indexes: None,
-        threads: qob_exec::default_threads(),
-        plan_cache: false,
-        cache_fence: qob_core::DEFAULT_CACHE_FENCE,
-        snapshot: None,
-        data_dir: None,
-        slow_query_ms: 0,
+        context: ContextFlags::default(),
+        session: SessionOptions::default(),
         workers: qob_exec::default_threads(),
         max_concurrent: None,
         max_queued: 256,
-        mem_budget: 0,
-        morsel_size: qob_exec::DEFAULT_MORSEL_SIZE,
-        regression_ratio: qob_core::DEFAULT_REGRESSION_RATIO,
     };
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "-h" | "--help" => return Err(String::new()),
             "--addr" => options.addr = value_of(args, &mut i, "--addr")?,
-            "--scale" => options.scale = Some(parse_scale(&value_of(args, &mut i, "--scale")?)?),
-            "--indexes" => {
-                options.indexes = Some(parse_indexes(&value_of(args, &mut i, "--indexes")?)?)
-            }
-            "--threads" => options.threads = parse_threads(&value_of(args, &mut i, "--threads")?)?,
-            "--plan-cache" => options.plan_cache = true,
-            "--cache-fence" => {
-                options.cache_fence = parse_cache_fence(&value_of(args, &mut i, "--cache-fence")?)?
-            }
-            "--snapshot" => options.snapshot = Some(value_of(args, &mut i, "--snapshot")?),
-            "--data-dir" => options.data_dir = Some(value_of(args, &mut i, "--data-dir")?),
-            "--slow-query-ms" => {
-                options.slow_query_ms =
-                    parse_slow_query_ms(&value_of(args, &mut i, "--slow-query-ms")?)?
-            }
             "--workers" => {
                 // Same `0 = all cores` rule as --threads.
                 options.workers = parse_threads(&value_of(args, &mut i, "--workers")?)?
             }
             "--max-concurrent" => {
-                options.max_concurrent = Some(parse_count(
-                    &value_of(args, &mut i, "--max-concurrent")?,
-                    "--max-concurrent",
-                )?)
+                options.max_concurrent = Some(count_of(args, &mut i, "--max-concurrent")?)
             }
-            "--max-queued" => {
-                options.max_queued =
-                    parse_count(&value_of(args, &mut i, "--max-queued")?, "--max-queued")?
-            }
-            "--mem-budget" => {
-                options.mem_budget = parse_mem_budget(&value_of(args, &mut i, "--mem-budget")?)?
-            }
-            "--morsel-size" => {
-                options.morsel_size = parse_morsel_size(&value_of(args, &mut i, "--morsel-size")?)?
-            }
-            "--regression-ratio" => {
-                options.regression_ratio =
-                    parse_regression_ratio(&value_of(args, &mut i, "--regression-ratio")?)?
-            }
+            "--max-queued" => options.max_queued = count_of(args, &mut i, "--max-queued")?,
+            _ if options.context.take(args, &mut i)? => {}
+            _ if take_session_flag(&mut options.session, args, &mut i)? => {}
             flag => return Err(format!("unknown serve flag `{flag}`")),
         }
         i += 1;
@@ -131,56 +53,18 @@ pub(crate) fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> 
     Ok(options)
 }
 
-pub(crate) fn serve_main(args: &[String]) -> ExitCode {
-    let options = match parse_serve_args(args) {
-        Ok(options) => options,
-        Err(message) if message.is_empty() => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(message) => {
-            eprintln!("error: {message}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+pub(crate) fn run(options: Options) -> Result<ExitCode, String> {
+    let (ctx, snapshot_loaded) = obtain_context(&options.context)?;
 
-    let (ctx, snapshot_loaded) = match obtain_context(
-        options.scale,
-        options.indexes,
-        options.snapshot.as_deref(),
-        options.data_dir.as_deref(),
-    ) {
-        Ok(pair) => pair,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let defaults = SessionOptions {
-        threads: options.threads,
-        plan_cache: options.plan_cache,
-        cache_fence: options.cache_fence,
-        slow_query_ms: options.slow_query_ms,
-        mem_budget: options.mem_budget,
-        morsel_size: options.morsel_size,
-        regression_ratio: options.regression_ratio,
-        ..SessionOptions::default()
-    };
-    let scheduler = qob_core::SchedulerConfig {
+    let scheduler = SchedulerConfig {
         workers: options.workers,
         max_concurrent: options.max_concurrent.unwrap_or(2 * options.workers),
         max_queued: options.max_queued,
     };
-    let context = ServerContext::with_scheduler(ctx, defaults, scheduler);
+    let context = ServerContext::with_scheduler(ctx, options.session, scheduler);
     let config = ServerConfig { addr: options.addr, snapshot_loaded };
-    let handle = match qob_server::serve(context, config) {
-        Ok(handle) => handle,
-        Err(e) => {
-            eprintln!("error: cannot bind server: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let handle =
+        qob_server::serve(context, config).map_err(|e| format!("cannot bind server: {e}"))?;
     eprintln!(
         "execution: shared pool of {} workers, {} concurrent statements, {} queued max",
         scheduler.workers, scheduler.max_concurrent, scheduler.max_queued
@@ -188,7 +72,7 @@ pub(crate) fn serve_main(args: &[String]) -> ExitCode {
     eprintln!("qob server listening on {} (JSON lines; see docs/PROTOCOL.md)", handle.local_addr());
     handle.join();
     eprintln!("qob server stopped");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 #[cfg(test)]
@@ -197,20 +81,8 @@ mod tests {
     use crate::flags::args;
 
     #[test]
-    fn regression_ratio_serve_flag_parses() {
-        let defaults = parse_serve_args(&[]).unwrap();
-        assert_eq!(defaults.regression_ratio, qob_core::DEFAULT_REGRESSION_RATIO);
-        let options = parse_serve_args(&args(&["--regression-ratio", "1.5"])).unwrap();
-        assert_eq!(options.regression_ratio, 1.5);
-        let disabled = parse_serve_args(&args(&["--regression-ratio", "0"])).unwrap();
-        assert_eq!(disabled.regression_ratio, 0.0);
-        assert!(parse_serve_args(&args(&["--regression-ratio", "-1"])).is_err());
-        assert!(parse_serve_args(&args(&["--regression-ratio", "fast"])).is_err());
-    }
-
-    #[test]
     fn serve_args_parse() {
-        let options = parse_serve_args(&args(&[
+        let options = parse_args(&args(&[
             "--addr",
             "127.0.0.1:0",
             "--snapshot",
@@ -222,47 +94,34 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(options.addr, "127.0.0.1:0");
-        assert_eq!(options.snapshot.as_deref(), Some("db.qob"));
-        assert_eq!(options.threads, 2);
-        assert!(parse_serve_args(&args(&["--bogus"])).is_err());
-        assert!(parse_serve_args(&args(&["positional"])).is_err());
-        assert_eq!(parse_serve_args(&args(&["--help"])).err().unwrap(), "");
-        assert_eq!(parse_serve_args(&[]).unwrap().addr, qob_server::DEFAULT_ADDR);
+        assert_eq!(options.context.snapshot.as_deref(), Some("db.qob"));
+        assert_eq!(options.context.scale, Some(qob_datagen::Scale::small()));
+        assert!(parse_args(&args(&["--bogus"])).is_err());
+        assert!(parse_args(&args(&["positional"])).is_err());
+        assert_eq!(parse_args(&args(&["--help"])).err().unwrap(), "");
+        let defaults = parse_args(&[]).unwrap();
+        assert_eq!(defaults.addr, qob_server::DEFAULT_ADDR);
+        assert_eq!(defaults.session, SessionOptions::default());
     }
 
     #[test]
     fn scheduler_serve_flags_parse() {
-        let defaults = parse_serve_args(&[]).unwrap();
+        let defaults = parse_args(&[]).unwrap();
         assert_eq!(defaults.workers, qob_exec::default_threads(), "shared pool defaults on");
         assert_eq!(defaults.max_concurrent, None, "limit defaults to 2x workers at serve time");
         assert_eq!(defaults.max_queued, 256);
-        assert_eq!(defaults.mem_budget, 0);
-        assert_eq!(defaults.morsel_size, qob_exec::DEFAULT_MORSEL_SIZE);
 
-        let options = parse_serve_args(&args(&[
-            "--workers",
-            "4",
-            "--max-concurrent",
-            "8",
-            "--max-queued",
-            "16",
-            "--mem-budget",
-            "1000000",
-            "--morsel-size",
-            "1024",
-        ]))
-        .unwrap();
+        let options =
+            parse_args(&args(&["--workers", "4", "--max-concurrent", "8", "--max-queued", "16"]))
+                .unwrap();
         assert_eq!(options.workers, 4);
         assert_eq!(options.max_concurrent, Some(8));
         assert_eq!(options.max_queued, 16);
-        assert_eq!(options.mem_budget, 1_000_000);
-        assert_eq!(options.morsel_size, 1024);
         assert_eq!(
-            parse_serve_args(&args(&["--workers", "0"])).unwrap().workers,
+            parse_args(&args(&["--workers", "0"])).unwrap().workers,
             qob_exec::default_threads()
         );
-        assert!(parse_serve_args(&args(&["--workers", "many"])).is_err());
-        assert!(parse_serve_args(&args(&["--max-concurrent", "-1"])).is_err());
-        assert!(parse_serve_args(&args(&["--mem-budget", "big"])).is_err());
+        assert!(parse_args(&args(&["--workers", "many"])).is_err());
+        assert!(parse_args(&args(&["--max-concurrent", "-1"])).is_err());
     }
 }

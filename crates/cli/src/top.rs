@@ -5,10 +5,9 @@ use std::time::Instant;
 
 use qob_server::{Client, Json, Request};
 
-use crate::flags::{parse_count, value_of};
-use crate::USAGE;
+use crate::flags::{count_of, value_of};
 
-struct TopOptions {
+pub(crate) struct Options {
     addr: String,
     interval_ms: u64,
     /// Frames to render before exiting; `0` = run until interrupted.
@@ -17,29 +16,19 @@ struct TopOptions {
     top: usize,
 }
 
-fn parse_top_args(args: &[String]) -> Result<TopOptions, String> {
-    let mut options = TopOptions {
-        addr: qob_server::DEFAULT_ADDR.to_owned(),
-        interval_ms: 1000,
-        count: 0,
-        top: 8,
-    };
+pub(crate) fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut options =
+        Options { addr: qob_server::DEFAULT_ADDR.to_owned(), interval_ms: 1000, count: 0, top: 8 };
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "-h" | "--help" => return Err(String::new()),
             "--addr" => options.addr = value_of(args, &mut i, "--addr")?,
             "--interval" => {
-                options.interval_ms =
-                    parse_count(&value_of(args, &mut i, "--interval")?, "--interval")?.max(50)
-                        as u64
+                options.interval_ms = count_of(args, &mut i, "--interval")?.max(50) as u64
             }
-            "--count" => {
-                options.count = parse_count(&value_of(args, &mut i, "--count")?, "--count")?
-            }
-            "--top" => {
-                options.top = parse_count(&value_of(args, &mut i, "--top")?, "--top")?.max(1)
-            }
+            "--count" => options.count = count_of(args, &mut i, "--count")?,
+            "--top" => options.top = count_of(args, &mut i, "--top")?.max(1),
             flag => return Err(format!("unknown top flag `{flag}`")),
         }
         i += 1;
@@ -136,25 +125,9 @@ fn format_top_frame(
     out
 }
 
-pub(crate) fn top_main(args: &[String]) -> ExitCode {
-    let options = match parse_top_args(args) {
-        Ok(options) => options,
-        Err(message) if message.is_empty() => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(message) => {
-            eprintln!("error: {message}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut client = match Client::connect(&options.addr) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("error: cannot connect to {}: {e}", options.addr);
-            return ExitCode::FAILURE;
-        }
-    };
+pub(crate) fn run(options: Options) -> Result<ExitCode, String> {
+    let addr = &options.addr;
+    let mut client = Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
 
     // QPS is the queries_total delta between consecutive frames; the first
     // frame has no baseline and shows `--`.
@@ -169,13 +142,8 @@ pub(crate) fn top_main(args: &[String]) -> ExitCode {
                 .map_err(|e| e.to_string())?;
             Ok((stats, metrics, history))
         })();
-        let (stats, metrics, history) = match polled {
-            Ok(tuple) => tuple,
-            Err(message) => {
-                eprintln!("error: lost the server at {}: {message}", options.addr);
-                return ExitCode::FAILURE;
-            }
-        };
+        let (stats, metrics, history) =
+            polled.map_err(|message| format!("lost the server at {addr}: {message}"))?;
         let summary = metrics.get("summary").cloned().unwrap_or(Json::Null);
         let now = Instant::now();
         let total = summary.get("queries_total").and_then(Json::as_u64).unwrap_or(0);
@@ -192,7 +160,7 @@ pub(crate) fn top_main(args: &[String]) -> ExitCode {
 
         frame += 1;
         if options.count > 0 && frame >= options.count {
-            return ExitCode::SUCCESS;
+            return Ok(ExitCode::SUCCESS);
         }
         std::thread::sleep(std::time::Duration::from_millis(options.interval_ms));
     }
@@ -205,13 +173,13 @@ mod tests {
 
     #[test]
     fn top_args_parse() {
-        let defaults = parse_top_args(&[]).unwrap();
+        let defaults = parse_args(&[]).unwrap();
         assert_eq!(defaults.addr, qob_server::DEFAULT_ADDR);
         assert_eq!(defaults.interval_ms, 1000);
         assert_eq!(defaults.count, 0, "run until interrupted by default");
         assert_eq!(defaults.top, 8);
 
-        let options = parse_top_args(&args(&[
+        let options = parse_args(&args(&[
             "--addr",
             "127.0.0.1:9",
             "--interval",
@@ -226,10 +194,10 @@ mod tests {
         assert_eq!(options.interval_ms, 250);
         assert_eq!(options.count, 3);
         assert_eq!(options.top, 5);
-        assert_eq!(parse_top_args(&args(&["--interval", "1"])).unwrap().interval_ms, 50, "floored");
-        assert!(parse_top_args(&args(&["--interval", "soon"])).is_err());
-        assert!(parse_top_args(&args(&["--bogus"])).is_err());
-        assert_eq!(parse_top_args(&args(&["--help"])).err().unwrap(), "");
+        assert_eq!(parse_args(&args(&["--interval", "1"])).unwrap().interval_ms, 50, "floored");
+        assert!(parse_args(&args(&["--interval", "soon"])).is_err());
+        assert!(parse_args(&args(&["--bogus"])).is_err());
+        assert_eq!(parse_args(&args(&["--help"])).err().unwrap(), "");
     }
 
     #[test]

@@ -333,9 +333,11 @@ pub struct OperatorReport {
 /// Per-phase wall-clock timings for one traced statement, in microseconds.
 ///
 /// `parse_us` covers the script parse the statement arrived in (the parse
-/// is per-script, so multi-statement scripts repeat it on every report) and
-/// is `0` when the statement reached the session already parsed — prepared
-/// execution, or hosts driving [`Session::run_statement`] directly.
+/// is per-script, so multi-statement scripts repeat it on every report):
+/// [`Session::run_script`] times it, and hosts that parse scripts
+/// themselves hand their parse time to [`Session::run_statement`].  It is
+/// `0` for prepared execution and [`Session::run_query`], whose statements
+/// arrive already parsed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceReport {
     /// Script parse time.
@@ -891,25 +893,16 @@ impl Session {
         if parsed.is_empty() {
             return Err(SessionError::Sql("the input contains no statements".into()));
         }
-        parsed.iter().map(|statement| self.run_statement_timed(statement, parse_elapsed)).collect()
+        parsed.iter().map(|statement| self.run_statement(statement, parse_elapsed)).collect()
     }
 
     /// Runs one already-parsed script statement (the unit [`run_script`]
     /// iterates; the CLI drives it directly for partial-result reporting).
+    /// `parse_elapsed` is the parse time of the script the statement arrived
+    /// in, which traced reports attribute as `parse_us`.
     ///
     /// [`run_script`]: Session::run_script
     pub fn run_statement(
-        &mut self,
-        parsed: &ParsedStatement,
-    ) -> Result<ScriptOutcome, SessionError> {
-        self.run_statement_timed(parsed, Duration::ZERO)
-    }
-
-    /// [`run_statement`] with the parse time of the script the statement
-    /// arrived in, so traced reports can attribute it.
-    ///
-    /// [`run_statement`]: Session::run_statement
-    fn run_statement_timed(
         &mut self,
         parsed: &ParsedStatement,
         parse_elapsed: Duration,
@@ -2134,5 +2127,17 @@ mod tests {
         assert!(b.prepared_statements().is_empty(), "b never sees a's statements");
         let mut b = b;
         assert!(b.execute_prepared("mine", &[ParamValue::Int(2000)]).is_err());
+    }
+
+    #[test]
+    fn run_statement_attributes_the_given_parse_time() {
+        let server = server();
+        let mut session = server.session();
+        session.options.tracing = true;
+        let parsed = parse_script(THREE_WAY).unwrap();
+        let parse_elapsed = Duration::from_micros(1_234);
+        let outcome = session.run_statement(&parsed[0], parse_elapsed).unwrap();
+        let trace = outcome.as_query().unwrap().trace.expect("traced report");
+        assert_eq!(u128::from(trace.parse_us), parse_elapsed.as_micros());
     }
 }

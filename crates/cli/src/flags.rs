@@ -216,6 +216,7 @@ pub(crate) fn args(list: &[&str]) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::{oneshot, serve};
+    use qob_core::EstimatorKind;
 
     /// The session options a command line yields in one-shot mode and in
     /// `qob serve`, which must agree.
@@ -228,54 +229,97 @@ mod tests {
 
     #[test]
     fn session_flags_parse_exactly_like_set() {
-        assert_eq!(session_of(&[]).unwrap(), SessionOptions::default());
-        // The first case of each row is not the default value.
-        let cases = [
-            ("--estimator", "hyper"),
-            ("--estimator", "postgres"),
-            ("--estimator", "true-distinct"),
-            ("--estimator", "dbms-a"),
-            ("--estimator", "dbms-b"),
-            ("--estimator", "dbms-c"),
-            ("--threads", "4"),
-            ("--threads", "1"),
-            ("--threads", "0"),
-            ("--morsel-size", "64"),
-            ("--morsel-size", "1024"),
-            ("--morsel-size", "0"),
-            ("--adaptive", ""),
-            ("--adaptive-threshold", "2.5"),
-            ("--adaptive-threshold", "3"),
-            ("--plan-cache", ""),
-            ("--cache-fence", "2.5"),
-            ("--cache-fence", "3"),
-            ("--tracing", ""),
-            ("--no-exec", ""),
-            ("--slow-query-ms", "250"),
-            ("--slow-query-ms", "0"),
-            ("--mem-budget", "1000000"),
-            ("--regression-ratio", "1.5"),
-            ("--regression-ratio", "0"),
-        ];
-        for (flag, raw) in cases {
-            let &(_, name, implied) = SESSION_FLAGS.iter().find(|row| row.0 == flag).unwrap();
-            let mut expected = SessionOptions::default();
-            expected.set(name, implied.unwrap_or(raw)).unwrap();
-            let list = if implied.is_some() { vec![flag] } else { vec![flag, raw] };
-            assert_eq!(session_of(&list).unwrap(), expected, "{list:?}");
-        }
+        let defaults = session_of(&[]).unwrap();
+        assert_eq!(defaults, SessionOptions::default());
+        assert_eq!(defaults.estimator, EstimatorKind::Postgres);
+        assert_eq!(defaults.threads, qob_exec::default_threads());
+        assert_eq!(defaults.morsel_size, qob_exec::DEFAULT_MORSEL_SIZE);
+        assert!(defaults.execute && !defaults.adaptive.enabled, "execution on, adaptivity off");
+        assert!(!defaults.plan_cache && !defaults.tracing, "caching and tracing off");
+        assert_eq!(defaults.cache_fence, qob_core::DEFAULT_CACHE_FENCE);
+        assert_eq!((defaults.slow_query_ms, defaults.mem_budget), (0, 0));
+        assert_eq!(defaults.regression_ratio, qob_core::DEFAULT_REGRESSION_RATIO);
 
-        // Every row on one command line, between context flags.
+        // `(command line, set name, set value, the field it must change)`,
+        // spelled out here so the table is checked against something other
+        // than itself.  The first case of each flag is not the default.
+        type Case =
+            (&'static [&'static str], &'static str, &'static str, fn(&SessionOptions) -> bool);
+        let cases: [Case; 25] = [
+            (&["--estimator", "hyper"], "estimator", "hyper", |o| {
+                o.estimator == EstimatorKind::HyPer
+            }),
+            (&["--estimator", "postgres"], "estimator", "postgres", |o| {
+                o.estimator == EstimatorKind::Postgres
+            }),
+            (&["--estimator", "true-distinct"], "estimator", "true-distinct", |o| {
+                o.estimator == EstimatorKind::PostgresTrueDistinct
+            }),
+            (&["--estimator", "dbms-a"], "estimator", "dbms-a", |o| {
+                o.estimator == EstimatorKind::DbmsA
+            }),
+            (&["--estimator", "dbms-b"], "estimator", "dbms-b", |o| {
+                o.estimator == EstimatorKind::DbmsB
+            }),
+            (&["--estimator", "dbms-c"], "estimator", "dbms-c", |o| {
+                o.estimator == EstimatorKind::DbmsC
+            }),
+            (&["--threads", "4"], "threads", "4", |o| o.threads == 4),
+            (&["--threads", "1"], "threads", "1", |o| o.threads == 1),
+            (&["--threads", "0"], "threads", "0", |o| o.threads == qob_exec::default_threads()),
+            (&["--morsel-size", "64"], "morsel_size", "64", |o| o.morsel_size == 64),
+            (&["--morsel-size", "1024"], "morsel_size", "1024", |o| o.morsel_size == 1024),
+            (&["--morsel-size", "0"], "morsel_size", "0", |o| {
+                o.morsel_size == qob_exec::DEFAULT_MORSEL_SIZE
+            }),
+            (&["--adaptive"], "adaptive", "true", |o| o.adaptive.enabled),
+            (&["--adaptive-threshold", "2.5"], "adaptive_threshold", "2.5", |o| {
+                o.adaptive.divergence_threshold == 2.5
+            }),
+            (&["--adaptive-threshold", "3"], "adaptive_threshold", "3", |o| {
+                o.adaptive.divergence_threshold == 3.0
+            }),
+            (&["--plan-cache"], "plan_cache", "true", |o| o.plan_cache),
+            (&["--cache-fence", "2.5"], "cache_fence", "2.5", |o| o.cache_fence == 2.5),
+            (&["--cache-fence", "3"], "cache_fence", "3", |o| o.cache_fence == 3.0),
+            (&["--tracing"], "tracing", "true", |o| o.tracing),
+            (&["--no-exec"], "execute", "false", |o| !o.execute),
+            (&["--slow-query-ms", "250"], "slow_query_ms", "250", |o| o.slow_query_ms == 250),
+            (&["--slow-query-ms", "0"], "slow_query_ms", "0", |o| o.slow_query_ms == 0),
+            (&["--mem-budget", "1000000"], "mem_budget", "1000000", |o| o.mem_budget == 1_000_000),
+            (&["--regression-ratio", "1.5"], "regression_ratio", "1.5", |o| {
+                o.regression_ratio == 1.5
+            }),
+            (&["--regression-ratio", "0"], "regression_ratio", "0", |o| o.regression_ratio == 0.0),
+        ];
+        for (list, name, value, changed) in cases {
+            let mut expected = SessionOptions::default();
+            expected.set(name, value).unwrap();
+            let parsed = session_of(list).unwrap();
+            assert_eq!(parsed, expected, "{list:?}");
+            assert!(changed(&parsed), "{list:?}");
+        }
+        // A threshold or fence alone tunes without switching the feature on.
+        assert!(!session_of(&["--adaptive-threshold", "2.5"]).unwrap().adaptive.enabled);
+        assert!(!session_of(&["--cache-fence", "2.5"]).unwrap().plan_cache);
+
+        // Every row has a case, and every row on one command line (between
+        // context flags) applies each one.
         let mut list = vec!["--scale", "tiny"];
         let mut expected = SessionOptions::default();
-        for (flag, name, implied) in SESSION_FLAGS {
-            let (_, raw) = cases.iter().find(|case| case.0 == flag).expect("a case per row");
-            list.extend(if implied.is_some() { vec![flag] } else { vec![flag, raw] });
-            expected.set(name, implied.unwrap_or(raw)).unwrap();
+        let mut firsts = Vec::new();
+        for (flag, ..) in SESSION_FLAGS {
+            let &(argv, name, value, changed) =
+                cases.iter().find(|case| case.0[0] == flag).expect("a case per row");
+            list.extend(argv);
+            expected.set(name, value).unwrap();
+            firsts.push(changed);
         }
+        assert!(cases.iter().all(|case| SESSION_FLAGS.iter().any(|row| row.0 == case.0[0])));
         list.extend(["--indexes", "pkfk"]);
-        assert_ne!(expected, SessionOptions::default());
-        assert_eq!(session_of(&list).unwrap(), expected);
+        let parsed = session_of(&list).unwrap();
+        assert_eq!(parsed, expected);
+        assert!(firsts.iter().all(|changed| changed(&parsed)), "{list:?}");
     }
 
     #[test]

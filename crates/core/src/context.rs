@@ -577,7 +577,9 @@ mod tests {
             Some(EstimatorKind::PostgresTrueDistinct)
         );
         assert_eq!(EstimatorKind::parse("hyper"), Some(EstimatorKind::HyPer));
+        assert_eq!(EstimatorKind::parse("dbms-a"), Some(EstimatorKind::DbmsA));
         assert_eq!(EstimatorKind::parse("dbms-b"), Some(EstimatorKind::DbmsB));
+        assert_eq!(EstimatorKind::parse("dbms-c"), Some(EstimatorKind::DbmsC));
         assert_eq!(EstimatorKind::parse("oracle"), None);
     }
 

@@ -9,6 +9,7 @@ use qob_cardest::{
 };
 use qob_cost::{CostModel, PostgresCostModel, SimpleCostModel};
 use qob_enumerate::{Planner, PlannerConfig, ShapeRestriction};
+use qob_exec::operators::scan;
 use qob_exec::ExecutionOptions;
 use qob_plan::QuerySpec;
 use qob_storage::IndexConfig;
@@ -38,24 +39,23 @@ pub fn base_table_quality(
     query_limit: Option<usize>,
 ) -> Vec<BaseTableQuality> {
     let queries = ctx.query_subset(query_limit);
+    // The true size of every filtered base relation, scanned once (by the
+    // engine's own scan) and shared by every system.
+    let truths: Vec<(&QuerySpec, usize, f64)> = queries
+        .into_iter()
+        .flat_map(|query| {
+            (0..query.relations.len())
+                .filter(|&rel| !query.relations[rel].predicates.is_empty())
+                .map(move |rel| (query, rel, scan(ctx.db(), query, rel).len() as f64))
+        })
+        .collect();
     let mut results = Vec::new();
     for kind in EstimatorKind::paper_systems() {
         let estimator = ctx.estimator(kind);
-        let mut errors = Vec::new();
-        for query in &queries {
-            for (rel, relation) in query.relations.iter().enumerate() {
-                if relation.predicates.is_empty() {
-                    continue;
-                }
-                let table = ctx.db().table(relation.table);
-                let truth = table
-                    .row_ids()
-                    .filter(|&row| relation.predicates.iter().all(|p| p.matches(table, row)))
-                    .count() as f64;
-                let estimate = estimator.estimate_base(query, rel);
-                errors.push(q_error(estimate, truth));
-            }
-        }
+        let errors: Vec<f64> = truths
+            .iter()
+            .map(|&(query, rel, truth)| q_error(estimator.estimate_base(query, rel), truth))
+            .collect();
         if let Some(summary) = QErrorSummary::from_errors(&errors) {
             results.push(BaseTableQuality { system: kind.label().to_owned(), summary });
         }

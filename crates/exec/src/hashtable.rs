@@ -135,7 +135,7 @@ impl ChainedHashTable {
     ///
     /// `bucket_count` and the partition count (`runs[m].len()`, equal for
     /// every morsel) must be powers of two with partitions ≤ `bucket_count`;
-    /// partition `p` must hold exactly the keys whose [`bucket_for`] falls in
+    /// partition `p` must hold exactly the keys whose `bucket_for` falls in
     /// `p`'s contiguous bucket range.  Each partition owns disjoint bucket
     /// and entry ranges, so inserts need no synchronisation.  Concatenating
     /// the runs in morsel order yields each partition's pairs in ascending

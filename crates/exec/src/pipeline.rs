@@ -24,20 +24,20 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use qob_plan::{JoinAlgorithm, JoinKey, PhysicalPlan, QuerySpec, RelSet};
-use qob_storage::{ColumnId, Database, RowId, Table};
+use qob_storage::{ColumnId, Database, RowId, ScanFilter, Table};
 
 use crate::executor::{ExecutionError, ExecutionOptions, OperatorTiming};
 use crate::intermediate::{Intermediate, Materialized};
 use crate::operators::{
-    build_hash_table, merge_join, BuildSide, ColReader, CompiledFilter, ExecGuard, HashProbeOp,
-    IndexProbeOp, NlProbeOp, PipelineOp, ProbeBatch, Ticker,
+    build_hash_table, merge_join, BuildSide, ColReader, ExecGuard, HashProbeOp, IndexProbeOp,
+    NlProbeOp, PipelineOp, ProbeBatch, Ticker,
 };
 
 /// Where a pipeline's tuples come from.
 enum Source<'a> {
     /// A base-table scan with compiled selection predicates; morsels range
-    /// over the table's row ids and filter on the fly.
-    Scan { table: &'a Table, filter: CompiledFilter<'a> },
+    /// over the table's row ids and select from them a page at a time.
+    Scan { table: &'a Table, filter: ScanFilter<'a> },
     /// A materialised intermediate (the output of a breaker).
     Mat(Intermediate),
     /// A borrowed materialised intermediate (pair-join entry point).
@@ -217,7 +217,7 @@ impl<'a> Engine<'a> {
                 Ok(Pipeline {
                     source: Source::Scan {
                         table,
-                        filter: CompiledFilter::compile(table, &relation.predicates),
+                        filter: ScanFilter::compile(table, &relation.predicates),
                     },
                     ops: Vec::new(),
                     out_rels: vec![*rel],
@@ -538,18 +538,9 @@ fn fill_source(
     ticker: &mut Ticker<'_>,
 ) -> Result<(), ExecutionError> {
     match source {
-        Source::Scan { filter, .. } if filter.is_empty() => {
-            ticker.tick_n(range.len())?;
-            out.extend(range.map(|row| row as RowId));
-        }
         Source::Scan { filter, .. } => {
-            for row in range {
-                ticker.tick()?;
-                let row = row as RowId;
-                if filter.matches(row) {
-                    out.push(row);
-                }
-            }
+            ticker.tick_n(range.len())?;
+            filter.select(range, out);
         }
         Source::Mat(i) => copy_tuples(i, range, out, ticker)?,
         Source::MatRef(i) => copy_tuples(i, range, out, ticker)?,

@@ -23,6 +23,7 @@
 //! [`PageStore`].
 
 use std::fs::File;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::StorageError;
@@ -105,6 +106,57 @@ fn unpack_bit(packed: &[u64], width: u8, i: usize) -> u64 {
         v
     } else {
         v & ((1u64 << width) - 1)
+    }
+}
+
+/// Calls `f(rows, run)` for each RLE run overlapping `rows`, clipped to it.
+fn rle_runs(run_ends: &[u32], rows: Range<usize>, mut f: impl FnMut(Range<usize>, usize)) {
+    let mut r = run_ends.partition_point(|&end| end as usize <= rows.start);
+    let mut i = rows.start;
+    while i < rows.end {
+        let end = (run_ends[r] as usize).min(rows.end);
+        f(i..end, r);
+        i = end;
+        r += 1;
+    }
+}
+
+/// True if `v` lies in one of the sorted, disjoint, inclusive `intervals`.
+#[inline]
+pub(crate) fn in_intervals<T: Ord + Copy>(intervals: &[(T, T)], v: T) -> bool {
+    match intervals {
+        [(low, high)] => (*low <= v) & (v <= *high),
+        _ => {
+            let i = intervals.partition_point(|&(low, _)| low <= v);
+            i > 0 && v <= intervals[i - 1].1
+        }
+    }
+}
+
+/// Bit `i` of a bitset (false past its end).
+#[inline]
+pub(crate) fn bit(words: &[u64], i: usize) -> bool {
+    words.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+}
+
+#[inline]
+fn set_bit(words: &mut [u64], i: usize, value: bool) {
+    words[i / 64] |= (value as u64) << (i % 64);
+}
+
+/// The bits of 64-bit word `w` of a bitset that fall in `rows`.
+#[inline]
+pub(crate) fn word_mask(rows: &Range<usize>, w: usize) -> u64 {
+    let low = rows.start.max(w * 64) - w * 64;
+    let high = rows.end.min(w * 64 + 64) - w * 64;
+    (u64::MAX << low) & (u64::MAX >> (64 - high))
+}
+
+/// Sets bits `rows` of a bitset.
+fn set_bits(words: &mut [u64], rows: Range<usize>) {
+    let first = rows.start / 64;
+    for (w, word) in words[first..rows.end.div_ceil(64)].iter_mut().enumerate() {
+        *word |= word_mask(&rows, first + w);
     }
 }
 
@@ -284,7 +336,7 @@ impl IntPage {
     /// order, decoding the range in one pass (runs are expanded, not
     /// searched per row).
     #[inline]
-    pub(crate) fn for_each_in(&self, rows: std::ops::Range<usize>, mut f: impl FnMut(i64)) {
+    pub(crate) fn for_each_in(&self, rows: Range<usize>, mut f: impl FnMut(i64)) {
         match &self.encoding {
             IntEncoding::Plain(values) => values[rows].iter().for_each(|&v| f(v)),
             IntEncoding::For { base, width, packed } => {
@@ -293,14 +345,7 @@ impl IntPage {
                 }
             }
             IntEncoding::Rle { values, run_ends } => {
-                let mut r = run_ends.partition_point(|&end| end as usize <= rows.start);
-                let mut i = rows.start;
-                while i < rows.end {
-                    let end = (run_ends[r] as usize).min(rows.end);
-                    (i..end).for_each(|_| f(values[r]));
-                    i = end;
-                    r += 1;
-                }
+                rle_runs(run_ends, rows, |run, r| run.for_each(|_| f(values[r])))
             }
         }
     }
@@ -325,23 +370,33 @@ impl IntPage {
         }
     }
 
-    /// Calls `f(start_row, end_row, value)` for each maximal run of equal
-    /// stored values (a single pass that never materialises the page).
-    pub fn for_each_run(&self, mut f: impl FnMut(usize, usize, i64)) {
+    /// Sets bit `i` of `hits` for each row `i` of `rows` whose stored value
+    /// lies in one of the sorted, disjoint, inclusive `intervals`.  An RLE
+    /// run is tested once; FOR-packed words are compared against the
+    /// intervals translated into the page's frame, never unpacked to `i64`.
+    pub(crate) fn test_into(&self, rows: Range<usize>, intervals: &[(i64, i64)], hits: &mut [u64]) {
         match &self.encoding {
-            IntEncoding::Rle { values, run_ends } => {
-                let mut start = 0usize;
-                for (v, &end) in values.iter().zip(run_ends) {
-                    f(start, end as usize, *v);
-                    start = end as usize;
-                }
+            IntEncoding::Plain(values) => {
+                rows.for_each(|i| set_bit(hits, i, in_intervals(intervals, values[i])))
             }
-            _ => {
-                for i in 0..self.len() {
-                    let v = self.get(i);
-                    f(i, i + 1, v);
-                }
+            IntEncoding::For { base, width, packed } => {
+                // `value - base` is exact in i128; an interval below the frame
+                // drops out and the one straddling its start clamps to 0.
+                let frame = |v: i64| (v as i128 - *base as i128).max(0) as u64;
+                let framed: Vec<(u64, u64)> = intervals
+                    .iter()
+                    .filter(|&&(_, high)| high >= *base)
+                    .map(|&(low, high)| (frame(low), frame(high)))
+                    .collect();
+                rows.for_each(|i| {
+                    set_bit(hits, i, in_intervals(&framed, unpack_bit(packed, *width, i)))
+                })
             }
+            IntEncoding::Rle { values, run_ends } => rle_runs(run_ends, rows, |run, r| {
+                if in_intervals(intervals, values[r]) {
+                    set_bits(hits, run)
+                }
+            }),
         }
     }
 
@@ -500,23 +555,20 @@ impl CodePage {
         }
     }
 
-    /// Calls `f(start_row, end_row, code)` for each maximal run of equal
-    /// stored codes.
-    pub fn for_each_run(&self, mut f: impl FnMut(usize, usize, u32)) {
+    /// Sets bit `i` of `hits` for each row `i` of `rows` whose stored code
+    /// is set in the code bitset `codes`; an RLE run is tested once.
+    pub(crate) fn test_into(&self, rows: Range<usize>, codes: &[u64], hits: &mut [u64]) {
         match &self.encoding {
-            CodeEncoding::Rle { values, run_ends } => {
-                let mut start = 0usize;
-                for (c, &end) in values.iter().zip(run_ends) {
-                    f(start, end as usize, *c);
-                    start = end as usize;
-                }
+            CodeEncoding::Plain(stored) => {
+                rows.for_each(|i| set_bit(hits, i, bit(codes, stored[i] as usize)))
             }
-            _ => {
-                for i in 0..self.len() {
-                    let c = self.get(i);
-                    f(i, i + 1, c);
+            CodeEncoding::Packed { width, packed } => rows
+                .for_each(|i| set_bit(hits, i, bit(codes, unpack_bit(packed, *width, i) as usize))),
+            CodeEncoding::Rle { values, run_ends } => rle_runs(run_ends, rows, |run, r| {
+                if bit(codes, values[r] as usize) {
+                    set_bits(hits, run)
                 }
-            }
+            }),
         }
     }
 
@@ -877,6 +929,24 @@ mod tests {
             assert_eq!(page.get(i), v);
         }
         assert!(page.encoded_bytes() < values.len() * 8 / 4, "7-bit FOR beats 64-bit plain");
+
+        // Intervals below, straddling, inside and above the frame, and the
+        // extremes, test exactly as on the decoded values.
+        let sets: [&[(i64, i64)]; 5] = [
+            &[(i64::MIN, 1800), (1950, 1950)],
+            &[(1000, 1905), (2019, i64::MAX)],
+            &[(1901, 1901), (1930, 1940)],
+            &[(i64::MIN, i64::MAX)],
+            &[(i64::MIN, i64::MIN), (2500, 3000)],
+        ];
+        for set in sets {
+            let mut hits = vec![0u64; values.len().div_ceil(64)];
+            page.test_into(3..997, set, &mut hits);
+            for (i, &v) in values.iter().enumerate() {
+                let want = (3..997).contains(&i) && in_intervals(set, v);
+                assert_eq!(bit(&hits, i), want, "row {i} value {v} set {set:?}");
+            }
+        }
     }
 
     #[test]
@@ -893,13 +963,11 @@ mod tests {
         for (i, &v) in values.iter().enumerate() {
             assert_eq!(page.get(i), v);
         }
-        let mut runs = 0;
-        page.for_each_run(|start, end, v| {
-            assert!(end > start);
-            assert_eq!(v, values[start]);
-            runs += 1;
-        });
-        assert_eq!(runs, 20);
+        // Each run is tested once, clipped to the requested rows.
+        let mut hits = vec![0u64; values.len().div_ceil(64)];
+        page.test_into(25..975, &[(3, 6)], &mut hits);
+        let set: Vec<usize> = (0..values.len()).filter(|&i| bit(&hits, i)).collect();
+        assert_eq!(set, (50..150).collect::<Vec<_>>());
     }
 
     #[test]

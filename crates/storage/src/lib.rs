@@ -13,7 +13,8 @@
 //!   RLE encoding at build time ([`encoding`]),
 //! * unclustered hash and ordered indexes ([`index`]),
 //! * a catalog of tables and indexes ([`Database`]),
-//! * a predicate language with vectorised evaluation ([`predicate`]).
+//! * a predicate language ([`predicate`]) and the one base-table scan that
+//!   evaluates it a page at a time ([`scan`]).
 //!
 //! The storage layer is deliberately simple — all data fits in RAM, rows are
 //! addressed by dense [`RowId`]s, and strings are dictionary encoded so that
@@ -55,6 +56,7 @@ pub mod error;
 pub mod index;
 pub mod ingest;
 pub mod predicate;
+pub mod scan;
 pub mod snapshot;
 pub mod table;
 pub mod value;
@@ -67,6 +69,7 @@ pub use error::StorageError;
 pub use index::{HashIndex, OrderedIndex};
 pub use ingest::{export_csv_dir, ingest_csv_dir, IngestReport, IngestTableReport, TableSchema};
 pub use predicate::{like_match, CmpOp, Predicate};
+pub use scan::ScanFilter;
 pub use snapshot::{SnapshotMeta, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use table::{ColumnId, ColumnMeta, RowId, Table, TableBuilder};
 pub use value::{sql_string_literal, DataType, Value};

@@ -2,10 +2,10 @@
 //!
 //! JOB queries restrict base tables with equality, range, `IN`, `LIKE`,
 //! disjunctive and null predicates.  This module represents those predicates
-//! and evaluates them against a [`Table`], producing either a selection
-//! vector of matching [`RowId`]s or a per-row boolean.
+//! and defines their semantics, row by row ([`Predicate::matches`]); scans
+//! evaluate them a page at a time through [`crate::scan`].
 
-use crate::column::EncodedColumn;
+use crate::scan::ScanFilter;
 use crate::table::{ColumnId, RowId, Table};
 use crate::value::DataType;
 
@@ -114,95 +114,61 @@ pub enum Predicate {
     Not(Box<Predicate>),
 }
 
+/// One cell as a predicate sees it: NULL, or a value of its column's type.
+pub(crate) enum Cell<'a> {
+    Null,
+    Int(i64),
+    Str(&'a str),
+}
+
 impl Predicate {
-    /// Evaluates the predicate for one row of `table`.
+    /// Evaluates the predicate for one row of `table` — the row-wise
+    /// reference every faster evaluator is tested against.
     pub fn matches(&self, table: &Table, row: RowId) -> bool {
-        let r = row as usize;
-        match self {
-            Predicate::IntCmp { column, op, value } => match table.column(*column).int_at(r) {
-                Some(v) => op.apply(v, *value),
-                None => false,
-            },
-            Predicate::IntBetween { column, low, high } => match table.column(*column).int_at(r) {
-                Some(v) => v >= *low && v <= *high,
-                None => false,
-            },
-            Predicate::StrEq { column, value } => match table.column(*column).str_at(r) {
-                Some(s) => s == value,
-                None => false,
-            },
-            Predicate::StrIn { column, values } => match table.column(*column).str_at(r) {
-                Some(s) => values.iter().any(|v| v == s),
-                None => false,
-            },
-            Predicate::Like { column, pattern } => match table.column(*column).str_at(r) {
-                Some(s) => like_match(pattern, s),
-                None => false,
-            },
-            Predicate::IsNull { column } => table.column(*column).is_null(r),
-            Predicate::IsNotNull { column } => !table.column(*column).is_null(r),
-            Predicate::And(preds) => preds.iter().all(|p| p.matches(table, row)),
-            Predicate::Or(preds) => preds.iter().any(|p| p.matches(table, row)),
-            Predicate::Not(p) => !p.matches(table, row),
-        }
+        let row = row as usize;
+        self.eval(&|column| {
+            let col = table.column(column);
+            match col.data_type() {
+                DataType::Int => col.int_at(row).map_or(Cell::Null, Cell::Int),
+                DataType::Str => col.str_at(row).map_or(Cell::Null, Cell::Str),
+            }
+        })
     }
 
-    /// Evaluates the predicate against a whole table, returning the matching
-    /// row ids in order.
-    ///
-    /// String equality / IN / LIKE predicates are evaluated once against the
-    /// column dictionary and then as integer code comparisons; integer
-    /// comparisons and ranges evaluate directly on the encoded pages.  Both
-    /// paths skip whole pages whose non-null min/max is disjoint from the
-    /// wanted values, and evaluate RLE pages once per run rather than once
-    /// per row.
-    pub fn filter(&self, table: &Table) -> Vec<RowId> {
-        // Fast paths for the common leaf predicates.
+    /// Evaluates the predicate over the cells `cell` returns per column: the
+    /// one definition of predicate semantics.  A comparison of the wrong type
+    /// or against NULL is false.
+    pub(crate) fn eval<'a>(&self, cell: &impl Fn(ColumnId) -> Cell<'a>) -> bool {
         match self {
-            Predicate::StrEq { column, value } => {
-                return filter_str_codes(table.column(*column), |dict| {
-                    dict.code_of(value).map(|c| vec![c]).unwrap_or_default()
-                });
-            }
-            Predicate::StrIn { column, values } => {
-                return filter_str_codes(table.column(*column), |dict| {
-                    values.iter().filter_map(|v| dict.code_of(v)).collect()
-                });
-            }
-            Predicate::Like { column, pattern } => {
-                return filter_str_codes(table.column(*column), |dict| {
-                    dict.iter().filter(|(_, s)| like_match(pattern, s)).map(|(c, _)| c).collect()
-                });
-            }
-            Predicate::IntCmp { column, op, value } if *op != CmpOp::Ne => {
-                // `Ne` has no contiguous match range, so it stays row-wise.
-                let (low, high) = match op {
-                    CmpOp::Eq => (*value, *value),
-                    CmpOp::Lt => match value.checked_sub(1) {
-                        Some(high) => (i64::MIN, high),
-                        None => return Vec::new(),
-                    },
-                    CmpOp::Le => (i64::MIN, *value),
-                    CmpOp::Gt => match value.checked_add(1) {
-                        Some(low) => (low, i64::MAX),
-                        None => return Vec::new(),
-                    },
-                    CmpOp::Ge => (*value, i64::MAX),
-                    CmpOp::Ne => unreachable!("guarded above"),
-                };
-                return filter_int_range(table.column(*column), low, high);
+            Predicate::IntCmp { column, op, value } => {
+                matches!(cell(*column), Cell::Int(v) if op.apply(v, *value))
             }
             Predicate::IntBetween { column, low, high } => {
-                return filter_int_range(table.column(*column), *low, *high);
+                matches!(cell(*column), Cell::Int(v) if *low <= v && v <= *high)
             }
-            _ => {}
+            Predicate::StrEq { column, value } => {
+                matches!(cell(*column), Cell::Str(s) if s == value)
+            }
+            Predicate::StrIn { column, values } => {
+                matches!(cell(*column), Cell::Str(s) if values.iter().any(|v| v == s))
+            }
+            Predicate::Like { column, pattern } => {
+                matches!(cell(*column), Cell::Str(s) if like_match(pattern, s))
+            }
+            Predicate::IsNull { column } => matches!(cell(*column), Cell::Null),
+            Predicate::IsNotNull { column } => !matches!(cell(*column), Cell::Null),
+            Predicate::And(preds) => preds.iter().all(|p| p.eval(cell)),
+            Predicate::Or(preds) => preds.iter().any(|p| p.eval(cell)),
+            Predicate::Not(p) => !p.eval(cell),
         }
-        table.row_ids().filter(|&row| self.matches(table, row)).collect()
     }
 
-    /// Counts the matching rows without materialising the selection.
-    pub fn count(&self, table: &Table) -> usize {
-        table.row_ids().filter(|&row| self.matches(table, row)).count()
+    /// The rows of `table` matching this predicate: a one-predicate [`ScanFilter`].
+    pub fn filter(&self, table: &Table) -> Vec<RowId> {
+        let mut rows = Vec::new();
+        ScanFilter::compile(table, std::slice::from_ref(self))
+            .select(0..table.row_count(), &mut rows);
+        rows
     }
 
     /// All columns referenced by the predicate (with duplicates removed).
@@ -239,112 +205,35 @@ impl Predicate {
     }
 }
 
-/// Evaluates the selected dictionary codes against a string column, page by
-/// page: pages whose code min/max is disjoint from the wanted codes are
-/// skipped without decoding, and RLE pages are tested once per run.
-fn filter_str_codes<F>(col: &EncodedColumn, select_codes: F) -> Vec<RowId>
-where
-    F: FnOnce(&crate::column::StringDict) -> Vec<u32>,
-{
-    // A string predicate over an int column never matches (the schema-level
-    // type check happens upstream).
-    let Some(dict) = col.dict() else { return Vec::new() };
-    let wanted = select_codes(dict);
-    if wanted.is_empty() {
-        return Vec::new();
-    }
-    let (lo, hi) =
-        (*wanted.iter().min().expect("non-empty"), *wanted.iter().max().expect("non-empty"));
-    let single = (wanted.len() == 1).then(|| wanted[0]);
-    let set: std::collections::HashSet<u32> =
-        if single.is_some() { Default::default() } else { wanted.into_iter().collect() };
-    let validity = col.validity();
-    let mut out = Vec::new();
-    for p in 0..col.page_count() {
-        let page = col.code_page(p);
-        if page.disjoint_with(lo, hi) {
-            continue;
-        }
-        let base = col.page_rows(p).start;
-        page.for_each_run(|start, end, code| {
-            let hit = match single {
-                Some(target) => code == target,
-                None => set.contains(&code),
-            };
-            if hit {
-                for i in start..end {
-                    let row = base + i;
-                    if validity.get(row) {
-                        out.push(row as RowId);
-                    }
-                }
-            }
-        });
-    }
-    out
-}
-
-/// Collects rows of an integer column whose value lies in `[low, high]`
-/// (inclusive), skipping pages whose non-null min/max is disjoint from the
-/// range and testing RLE pages once per run.
-fn filter_int_range(col: &EncodedColumn, low: i64, high: i64) -> Vec<RowId> {
-    if col.data_type() != DataType::Int || low > high {
-        return Vec::new();
-    }
-    let validity = col.validity();
-    let mut out = Vec::new();
-    for p in 0..col.page_count() {
-        let page = col.int_page(p);
-        if page.disjoint_with(low, high) {
-            continue;
-        }
-        let base = col.page_rows(p).start;
-        page.for_each_run(|start, end, v| {
-            if v >= low && v <= high {
-                for i in start..end {
-                    let row = base + i;
-                    if validity.get(row) {
-                        out.push(row as RowId);
-                    }
-                }
-            }
-        });
-    }
-    out
-}
-
 /// SQL `LIKE` matching with `%` (any sequence) and `_` (any single char).
 ///
-/// Matching is case sensitive, as in PostgreSQL.
+/// Matching is case sensitive, as in PostgreSQL, and allocates nothing: a
+/// greedy walk over both strings that backtracks to the last `%`.
 pub fn like_match(pattern: &str, value: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let v: Vec<char> = value.chars().collect();
-    like_rec(&p, &v)
-}
-
-fn like_rec(p: &[char], v: &[char]) -> bool {
-    // Iterative greedy matcher with backtracking for '%'.
-    let (mut pi, mut vi) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None;
-    while vi < v.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == v[vi]) {
-            pi += 1;
-            vi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some((pi, vi));
-            pi += 1;
-        } else if let Some((sp, sv)) = star {
-            pi = sp + 1;
-            vi = sv + 1;
-            star = Some((sp, sv + 1));
-        } else {
-            return false;
+    let (mut p, mut v) = (pattern, value);
+    // The pattern after the last `%`, and the value from where that `%`
+    // stops absorbing characters.
+    let mut star: Option<(&str, &str)> = None;
+    while let Some(c) = v.chars().next() {
+        let mut rest = p.chars();
+        match rest.next() {
+            Some(x) if x == '_' || x == c => {
+                p = rest.as_str();
+                v = &v[c.len_utf8()..];
+            }
+            Some('%') => {
+                p = rest.as_str();
+                star = Some((p, v));
+            }
+            _ => {
+                let Some((after, from)) = star else { return false };
+                let next = &from[from.chars().next().map_or(0, char::len_utf8)..];
+                (p, v) = (after, next);
+                star = Some((after, next));
+            }
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
+    p.chars().all(|c| c == '%')
 }
 
 #[cfg(test)]
@@ -352,6 +241,13 @@ mod tests {
     use super::*;
     use crate::table::{ColumnMeta, TableBuilder};
     use crate::value::{DataType, Value};
+
+    /// The rows of `t` matching `p`, through the one scan.
+    fn select(t: &Table, p: &Predicate) -> Vec<RowId> {
+        let mut rows = Vec::new();
+        ScanFilter::compile(t, std::slice::from_ref(p)).select(0..t.row_count(), &mut rows);
+        rows
+    }
 
     fn movies() -> Table {
         let mut b = TableBuilder::new(
@@ -400,10 +296,10 @@ mod tests {
         let t = movies();
         let year = t.column_id("production_year").unwrap();
         let p = Predicate::IntCmp { column: year, op: CmpOp::Gt, value: 2000 };
-        assert_eq!(p.filter(&t), vec![1, 2, 5]);
+        assert_eq!(select(&t, &p), vec![1, 2, 5]);
         let p = Predicate::IntBetween { column: year, low: 1999, high: 2003 };
-        assert_eq!(p.filter(&t), vec![0, 1, 2]);
-        assert_eq!(p.count(&t), 3);
+        assert_eq!(select(&t, &p), vec![0, 1, 2]);
+        assert_eq!(select(&t, &p).len(), 3);
     }
 
     #[test]
@@ -412,11 +308,11 @@ mod tests {
         let year = t.column_id("production_year").unwrap();
         // The NULL year row never matches a comparison, like in SQL.
         let p = Predicate::IntCmp { column: year, op: CmpOp::Ne, value: 1999 };
-        assert!(!p.filter(&t).contains(&4));
+        assert!(!select(&t, &p).contains(&4));
         let p = Predicate::IsNull { column: year };
-        assert_eq!(p.filter(&t), vec![4]);
+        assert_eq!(select(&t, &p), vec![4]);
         let p = Predicate::IsNotNull { column: year };
-        assert_eq!(p.count(&t), 5);
+        assert_eq!(select(&t, &p).len(), 5);
     }
 
     #[test]
@@ -424,12 +320,12 @@ mod tests {
         let t = movies();
         let kind = t.column_id("kind").unwrap();
         let p = Predicate::StrEq { column: kind, value: "movie".into() };
-        assert_eq!(p.filter(&t), vec![0, 1, 4, 5]);
+        assert_eq!(select(&t, &p), vec![0, 1, 4, 5]);
         let p =
             Predicate::StrIn { column: kind, values: vec!["short".into(), "documentary".into()] };
-        assert_eq!(p.filter(&t), vec![2, 3]);
+        assert_eq!(select(&t, &p), vec![2, 3]);
         let p = Predicate::StrEq { column: kind, value: "does not exist".into() };
-        assert!(p.filter(&t).is_empty());
+        assert!(select(&t, &p).is_empty());
     }
 
     #[test]
@@ -453,10 +349,10 @@ mod tests {
         let t = movies();
         let title = t.column_id("title").unwrap();
         let p = Predicate::Like { column: title, pattern: "%Matrix%".into() };
-        assert_eq!(p.filter(&t), vec![0, 1]);
+        assert_eq!(select(&t, &p), vec![0, 1]);
         // per-row evaluation agrees with the dictionary fast path
         let slow: Vec<RowId> = t.row_ids().filter(|&r| p.matches(&t, r)).collect();
-        assert_eq!(p.filter(&t), slow);
+        assert_eq!(select(&t, &p), slow);
     }
 
     #[test]
@@ -468,14 +364,14 @@ mod tests {
             Predicate::StrEq { column: kind, value: "movie".into() },
             Predicate::IntCmp { column: year, op: CmpOp::Ge, value: 2003 },
         ]);
-        assert_eq!(p.filter(&t), vec![1, 5]);
+        assert_eq!(select(&t, &p), vec![1, 5]);
         let p = Predicate::Or(vec![
             Predicate::StrEq { column: kind, value: "short".into() },
             Predicate::StrEq { column: kind, value: "documentary".into() },
         ]);
-        assert_eq!(p.filter(&t), vec![2, 3]);
+        assert_eq!(select(&t, &p), vec![2, 3]);
         let p = Predicate::Not(Box::new(Predicate::StrEq { column: kind, value: "movie".into() }));
-        assert_eq!(p.filter(&t), vec![2, 3]);
+        assert_eq!(select(&t, &p), vec![2, 3]);
     }
 
     #[test]
@@ -503,11 +399,11 @@ mod tests {
             for value in [1950, 1999, 2003, 2004, i64::MIN, i64::MAX] {
                 let p = Predicate::IntCmp { column: year, op, value };
                 let slow: Vec<RowId> = t.row_ids().filter(|&r| p.matches(&t, r)).collect();
-                assert_eq!(p.filter(&t), slow, "op {op:?} value {value}");
+                assert_eq!(select(&t, &p), slow, "op {op:?} value {value}");
             }
         }
         let p = Predicate::IntBetween { column: year, low: 2003, high: 1999 };
-        assert!(p.filter(&t).is_empty(), "inverted range matches nothing");
+        assert!(select(&t, &p).is_empty(), "inverted range matches nothing");
     }
 
     #[test]
@@ -515,7 +411,7 @@ mod tests {
         let t = movies();
         let id = t.column_id("id").unwrap();
         let p = Predicate::StrEq { column: id, value: "movie".into() };
-        assert!(p.filter(&t).is_empty());
+        assert!(select(&t, &p).is_empty());
     }
 
     #[test]
@@ -529,5 +425,50 @@ mod tests {
             !Predicate::IntCmp { column: year, op: CmpOp::Gt, value: 1999 }.is_simple_equality()
         );
         assert!(!Predicate::Like { column: kind, pattern: "%m%".into() }.is_simple_equality());
+    }
+
+    /// The `Vec<char>` matcher `like_match` replaced, kept as its reference.
+    fn like_reference(pattern: &str, value: &str) -> bool {
+        let p: Vec<char> = pattern.chars().collect();
+        let v: Vec<char> = value.chars().collect();
+        let (mut pi, mut vi) = (0usize, 0usize);
+        let mut star: Option<(usize, usize)> = None;
+        while vi < v.len() {
+            if pi < p.len() && (p[pi] == '_' || p[pi] == v[vi]) {
+                pi += 1;
+                vi += 1;
+            } else if pi < p.len() && p[pi] == '%' {
+                star = Some((pi, vi));
+                pi += 1;
+            } else if let Some((sp, sv)) = star {
+                pi = sp + 1;
+                vi = sv + 1;
+                star = Some((sp, sv + 1));
+            } else {
+                return false;
+            }
+        }
+        while pi < p.len() && p[pi] == '%' {
+            pi += 1;
+        }
+        pi == p.len()
+    }
+
+    proptest::proptest! {
+        /// The allocation-free matcher agrees with the reference on
+        /// multibyte text, `_`, repeated `%` and literal `%`/`_` in values.
+        #[test]
+        fn like_match_agrees_with_the_reference(
+            pattern in "[ab%_é中]{0,8}",
+            value in "[abé中%_]{0,10}",
+        ) {
+            proptest::prop_assert_eq!(
+                like_match(&pattern, &value),
+                like_reference(&pattern, &value),
+                "pattern {:?} value {:?}",
+                pattern,
+                value
+            );
+        }
     }
 }

@@ -737,7 +737,7 @@ mod tests {
     use crate::predicate::{CmpOp, Predicate};
     use crate::table::TableBuilder;
     use crate::value::Value;
-    use crate::{ColumnId, EncodingPolicy};
+    use crate::{ColumnId, EncodingPolicy, ScanFilter};
 
     fn sample_db(config: IndexConfig) -> Database {
         let mut db = Database::new();
@@ -848,8 +848,10 @@ mod tests {
         // A single-table point query touches only the pages it scans.
         let title = lazy.table_by_name("title").unwrap();
         let id = title.column_id("id").unwrap();
-        let p = Predicate::IntCmp { column: id, op: CmpOp::Eq, value: 17 };
-        assert_eq!(p.filter(title), vec![17]);
+        let p = [Predicate::IntCmp { column: id, op: CmpOp::Eq, value: 17 }];
+        let mut rows = Vec::new();
+        ScanFilter::compile(title, &p).select(0..title.row_count(), &mut rows);
+        assert_eq!(rows, vec![17]);
         let touched = store.bytes_read();
         assert!(touched > 0, "the point query must fault at least one page");
         assert!(

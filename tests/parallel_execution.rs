@@ -139,3 +139,57 @@ fn parallel_memory_guard_aborts() {
     let err = ctx.execute(&query, &plan.clone(), pg.as_ref(), &options).unwrap_err();
     assert!(matches!(err, ExecutionError::IntermediateTooLarge { .. }), "got {err:?}");
 }
+
+/// Every tuple of `result`, flattened in order, with its slot layout.
+fn tuples(result: &qob_exec::Intermediate) -> (Vec<usize>, Vec<qob_storage::RowId>) {
+    (result.rels().to_vec(), result.slices_in(0..result.len()).flatten().copied().collect())
+}
+
+/// Scan morsels that start and end mid-page (1 000 and `PAGE_ROWS + 3`
+/// rows) produce the same tuples, in the same order, as the sequential
+/// engine's page-aligned morsels — at 1 and 4 threads, on every JOB query and on
+/// `scan_filter`-style single-table statements, at a scale where the large
+/// tables span several pages.
+#[test]
+fn page_straddling_scan_morsels_match_on_all_113_job_queries() {
+    let ctx =
+        BenchmarkContext::new(Scale::with_movies(7_000), IndexConfig::PrimaryKeyOnly).unwrap();
+    let db = ctx.db();
+    let ci = db.table(db.table_id("cast_info").unwrap());
+    assert!(ci.row_count() > qob_storage::PAGE_ROWS, "cast_info has {} rows", ci.row_count());
+    let pg = ctx.estimator(EstimatorKind::Postgres);
+    let model = qob_cost::SimpleCostModel::new();
+    let single_table = [
+        "SELECT COUNT(*) FROM cast_info ci WHERE ci.role_id IN (1, 4, 8)",
+        "SELECT COUNT(*) FROM cast_info ci WHERE ci.note IS NULL AND ci.id BETWEEN 1000 AND 70000",
+        "SELECT COUNT(*) FROM cast_info ci WHERE ci.note LIKE '(%' AND ci.nr_order <> 3",
+    ];
+    let mut queries = ctx.queries().to_vec();
+    for (i, sql) in single_table.iter().enumerate() {
+        queries.push(qob_sql::compile(db, sql, format!("scan{i}")).unwrap());
+    }
+    let reference = ExecutionOptions { threads: 1, ..Default::default() };
+    for query in &queries {
+        let planner =
+            qob_enumerate::Planner::new(db, query, &model, pg.as_ref(), PlannerConfig::default());
+        let plan = qob_enumerate::goo::optimize_goo(&planner).unwrap().plan;
+        let hint = |set| pg.estimate(query, set);
+        let run = |options: &ExecutionOptions| {
+            let premat = qob_exec::Materialized::new();
+            let (out, cards) =
+                qob_exec::materialize_plan(db, query, &plan, &hint, options, &premat).unwrap();
+            (tuples(&out), cards)
+        };
+        let expected = run(&reference);
+        for threads in [1, 4] {
+            for morsel_size in [1_000, qob_storage::PAGE_ROWS + 3] {
+                let options = ExecutionOptions { threads, morsel_size, ..Default::default() };
+                assert!(
+                    run(&options) == expected,
+                    "{}: threads {threads}, morsel {morsel_size} diverge",
+                    query.name
+                );
+            }
+        }
+    }
+}

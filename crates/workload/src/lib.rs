@@ -33,3 +33,21 @@ pub use sql::{
     SqlLoadError,
 };
 pub use tpch::tpch_queries;
+
+#[cfg(test)]
+mod sql_files {
+    use super::*;
+    use qob_datagen::{generate_imdb, generate_tpch, Scale};
+
+    #[test]
+    fn the_sql_files_load_to_the_builders_specs() {
+        let imdb = generate_imdb(&Scale::tiny()).unwrap();
+        let loaded = load_sql_str(&imdb, include_str!("../sql/job.sql"))
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(loaded, job_queries(&imdb));
+        let tpch = generate_tpch(&Scale::tiny()).unwrap();
+        let loaded = load_sql_str(&tpch, include_str!("../sql/tpch.sql"))
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(loaded, tpch_queries(&tpch));
+    }
+}

@@ -596,7 +596,6 @@ struct ServerShared {
     /// concurrency limit is off.
     admission: Option<AdmissionController>,
     queries_served: AtomicU64,
-    replans_total: AtomicU64,
     /// The server-wide plan cache, shared by every session (the enable
     /// switch and fence are per-session options).
     plan_cache: Mutex<PlanCache>,
@@ -657,7 +656,6 @@ impl ServerContext {
                 exec_pool,
                 admission,
                 queries_served: AtomicU64::new(0),
-                replans_total: AtomicU64::new(0),
                 plan_cache: Mutex::new(PlanCache::new(capacity)),
                 metrics: MetricsRegistry::new(),
                 events,
@@ -710,7 +708,7 @@ impl ServerContext {
 
     /// Total adaptive re-planning rounds fired across all sessions.
     pub fn replans_total(&self) -> u64 {
-        self.shared.replans_total.load(Ordering::Relaxed)
+        self.shared.metrics.replans_total.get()
     }
 
     /// The shared plan cache's lifetime event counters.
@@ -884,10 +882,8 @@ impl Session {
     /// one at a time via [`Session::run_statement`].
     pub fn run_script(&mut self, sql: &str) -> Result<Vec<ScriptOutcome>, SessionError> {
         let parse_started = Instant::now();
-        let parsed = parse_script(sql).map_err(|e| {
-            self.server.shared.metrics.query_errors_total.inc();
-            SessionError::Sql(e.to_string())
-        })?;
+        let parsed =
+            self.counted(parse_script(sql).map_err(|e| SessionError::Sql(e.to_string())))?;
         let parse_elapsed = parse_started.elapsed();
         self.server.shared.metrics.parse_latency.record(parse_elapsed);
         if parsed.is_empty() {
@@ -907,13 +903,32 @@ impl Session {
         parsed: &ParsedStatement,
         parse_elapsed: Duration,
     ) -> Result<ScriptOutcome, SessionError> {
+        let out = self.answer_statement(parsed, parse_elapsed);
+        self.counted(out)
+    }
+
+    /// Counts a failed statement in `qob_query_errors_total`.  Each public
+    /// entry point passes its result through here exactly once — the
+    /// parse of [`Session::run_script`], [`Session::run_statement`],
+    /// [`Session::run_query`], [`Session::prepare`],
+    /// [`Session::execute_prepared`] and [`Session::deallocate`] — and the
+    /// private steps beneath them never count.
+    fn counted<T>(&self, out: Result<T, SessionError>) -> Result<T, SessionError> {
+        if out.is_err() {
+            self.server.shared.metrics.query_errors_total.inc();
+        }
+        out
+    }
+
+    fn answer_statement(
+        &mut self,
+        parsed: &ParsedStatement,
+        parse_elapsed: Duration,
+    ) -> Result<ScriptOutcome, SessionError> {
         let bind = |this: &Self, statement: &SelectStatement| {
             let bind_started = Instant::now();
             let bound = qob_sql::bind(this.context().db(), statement, parsed.name.clone())
-                .map_err(|e| {
-                    this.server.shared.metrics.query_errors_total.inc();
-                    SessionError::Sql(parsed.error(e).to_string())
-                })?;
+                .map_err(|e| SessionError::Sql(parsed.error(e).to_string()))?;
             let bind_elapsed = bind_started.elapsed();
             this.server.shared.metrics.bind_latency.record(bind_elapsed);
             Ok((bound, bind_elapsed))
@@ -948,10 +963,10 @@ impl Session {
                     .map(ParamValue::from_literal)
                     .collect::<Result<Vec<_>, _>>()
                     .map_err(|e| SessionError::Sql(parsed.error(e).to_string()))?;
-                Ok(ScriptOutcome::Query(Box::new(self.execute_prepared(name, &values)?)))
+                Ok(ScriptOutcome::Query(Box::new(self.answer_prepared(name, &values)?)))
             }
             ScriptStatement::Deallocate { name } => {
-                self.deallocate(name)?;
+                self.drop_prepared(name)?;
                 Ok(ScriptOutcome::Deallocated { name: name.clone() })
             }
         }
@@ -960,11 +975,13 @@ impl Session {
     /// Registers a (possibly parameterized) statement under `name`,
     /// parsing it once.  Returns the number of parameter slots.
     pub fn prepare(&mut self, name: &str, sql: &str) -> Result<usize, SessionError> {
-        let statement =
-            qob_sql::parse_statement(sql).map_err(|e| SessionError::Sql(e.render(sql)))?;
-        let params = qob_sql::param_count(&statement);
-        self.install_prepared(name, statement, params)?;
-        Ok(params)
+        let out = qob_sql::parse_statement(sql)
+            .map_err(|e| SessionError::Sql(e.render(sql)))
+            .and_then(|statement| {
+                let params = qob_sql::param_count(&statement);
+                self.install_prepared(name, statement, params).map(|()| params)
+            });
+        self.counted(out)
     }
 
     fn install_prepared(
@@ -991,6 +1008,15 @@ impl Session {
         name: &str,
         values: &[ParamValue],
     ) -> Result<QueryReport, SessionError> {
+        let out = self.answer_prepared(name, values);
+        self.counted(out)
+    }
+
+    fn answer_prepared(
+        &self,
+        name: &str,
+        values: &[ParamValue],
+    ) -> Result<QueryReport, SessionError> {
         let prepared = self
             .prepared
             .get(name)
@@ -1011,6 +1037,11 @@ impl Session {
 
     /// Drops a prepared statement.
     pub fn deallocate(&mut self, name: &str) -> Result<(), SessionError> {
+        let out = self.drop_prepared(name);
+        self.counted(out)
+    }
+
+    fn drop_prepared(&mut self, name: &str) -> Result<(), SessionError> {
         self.prepared
             .remove(name)
             .map(|_| ())
@@ -1116,12 +1147,16 @@ impl Session {
     /// Plans (and, per [`SessionOptions::execute`], executes) one bound
     /// query against the shared context.
     pub fn run_query(&self, query: &QuerySpec) -> Result<QueryReport, SessionError> {
-        self.run_query_traced(query, RunMode::from_options(&self.options), PhaseSpans::ZERO)
+        self.counted(self.run_query_traced(
+            query,
+            RunMode::from_options(&self.options),
+            PhaseSpans::ZERO,
+        ))
     }
 
     /// The answer path behind [`Session::run_query`]: wraps
-    /// [`Session::answer_query`] with the registry's end-to-end latency and
-    /// outcome counters.
+    /// [`Session::answer_query`] with the registry's query count and
+    /// end-to-end latency.
     fn run_query_traced(
         &self,
         query: &QuerySpec,
@@ -1133,9 +1168,6 @@ impl Session {
         let out = self.answer_query(query, mode, spans);
         shared.metrics.queries_total.inc();
         shared.metrics.query_latency.record(started.elapsed());
-        if out.is_err() {
-            shared.metrics.query_errors_total.inc();
-        }
         out
     }
 
@@ -1227,7 +1259,6 @@ impl Session {
                         resumed_plan: e.resumed_plan.clone(),
                     })
                     .collect::<Vec<_>>();
-                shared.replans_total.fetch_add(replans.len() as u64, Ordering::Relaxed);
                 shared.metrics.replans_total.add(replans.len() as u64);
                 for replan in &replans {
                     shared.events.emit(
@@ -1914,6 +1945,54 @@ mod tests {
         assert!(body.contains("qob_query_errors_total 1"), "{body}");
         assert!(body.contains("qob_execute_seconds_count 2"), "{body}");
         assert!(body.contains("qob_plan_cache_entries 0"), "{body}");
+    }
+
+    #[test]
+    fn every_failed_statement_counts_exactly_once() {
+        let server = server();
+        let mut session = server.session();
+        session.options.execute = false;
+        let errors = || {
+            let body = server.metrics_exposition();
+            let line = body.lines().find(|l| l.starts_with("qob_query_errors_total ")).unwrap();
+            line["qob_query_errors_total ".len()..].parse::<u64>().unwrap()
+        };
+        session.prepare("p", "SELECT COUNT(*) FROM title t WHERE t.production_year > ?").unwrap();
+        // Parses (PREPARE never binds), fails to bind at EXECUTE.
+        session.prepare("unbindable", "SELECT COUNT(*) FROM nope n WHERE n.a = ?").unwrap();
+        type Failure = (&'static str, fn(&mut Session) -> bool);
+        let failures: [Failure; 13] = [
+            ("script: EXECUTE of an unknown name", |s| s.run_script("EXECUTE nope(1)").is_err()),
+            ("script: wrong arity", |s| s.run_script("EXECUTE p(1, 2)").is_err()),
+            ("script: bad argument", |s| s.run_script("EXECUTE p($1)").is_err()),
+            ("script: bind error at EXECUTE", |s| s.run_script("EXECUTE unbindable(1)").is_err()),
+            ("script: duplicate PREPARE", |s| {
+                s.run_script("PREPARE p AS SELECT COUNT(*) FROM title t").is_err()
+            }),
+            ("script: DEALLOCATE of an unknown name", |s| s.run_script("DEALLOCATE nope").is_err()),
+            ("script: SELECT that fails to bind", |s| {
+                s.run_script("SELECT COUNT(*) FROM no_such_table x").is_err()
+            }),
+            ("script: SELECT that fails to parse", |s| {
+                s.run_script("SELECT COUNT(* FROM").is_err()
+            }),
+            ("wire: EXECUTE of an unknown name", |s| s.execute_prepared("nope", &[]).is_err()),
+            ("wire: wrong arity", |s| s.execute_prepared("p", &[]).is_err()),
+            ("wire: bind error at EXECUTE", |s| {
+                s.execute_prepared("unbindable", &[ParamValue::Int(1)]).is_err()
+            }),
+            ("wire: duplicate PREPARE", |s| s.prepare("p", THREE_WAY).is_err()),
+            ("wire: DEALLOCATE of an unknown name", |s| s.deallocate("nope").is_err()),
+        ];
+        for (label, fails) in failures {
+            let before = errors();
+            assert!(fails(&mut session), "{label} fails");
+            assert_eq!(errors(), before + 1, "{label} counts exactly once");
+        }
+        // Successes count nothing.
+        let before = errors();
+        session.run_script("EXECUTE p(2000); DEALLOCATE p;").unwrap();
+        assert_eq!(errors(), before);
     }
 
     #[test]

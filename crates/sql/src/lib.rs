@@ -17,12 +17,17 @@
 //! 3. [`binder`] — name resolution against the catalog (unknown table /
 //!    alias / column, ambiguous column), literal-vs-column type checking,
 //!    join-edge extraction and whole-query validation (connected join
-//!    graph) — producing the same [`QuerySpec`] the programmatic
-//!    `QueryBuilder` of `qob-workload` builds.
+//!    graph) — producing a [`QuerySpec`].  Every query reaches its spec
+//!    through [`bind`]: the built-in JOB and TPC-H workloads are SQL files
+//!    that `qob-workload` loads through it, like any user script.
 //!
 //! [`emit::emit_query`] renders any bound spec back to SQL such that
-//! `emit → parse → bind` is the identity on specs — the property the
+//! `emit → parse → bind` is the identity on specs, and the built-in
+//! workload files are that emitter's output — the property the
 //! repository-level round-trip suite checks over all 113 JOB queries.
+//! Splitting a script into statements (and naming them) is
+//! `qob_workload::parse_script`'s job; this crate parses one statement at
+//! a time.
 //!
 //! ```text
 //!    SQL text ──lex──▶ tokens ──parse──▶ AST ──bind──▶ QuerySpec
@@ -45,7 +50,7 @@ pub use emit::{emit_predicate, emit_query, emit_query_join_syntax};
 pub use error::{ErrorKind, Span, SqlError};
 pub use lexer::tokenize;
 pub use params::{param_count, substitute_params, ParamValue};
-pub use parser::{parse_script_statement, parse_statement, parse_statements};
+pub use parser::{parse_script_statement, parse_statement};
 
 use qob_plan::QuerySpec;
 use qob_storage::Database;
@@ -54,13 +59,6 @@ use qob_storage::Database;
 pub fn compile(db: &Database, sql: &str, name: impl Into<String>) -> Result<QuerySpec, SqlError> {
     let stmt = parse_statement(sql)?;
     bind(db, &stmt, name)
-}
-
-/// Parses and binds a `;`-separated script, naming the queries `q1`, `q2`, …
-/// (`qob_workload` layers a `-- name: <x>` comment convention on top).
-pub fn compile_script(db: &Database, sql: &str) -> Result<Vec<QuerySpec>, SqlError> {
-    let statements = parse_statements(sql)?;
-    statements.iter().enumerate().map(|(i, stmt)| bind(db, stmt, format!("q{}", i + 1))).collect()
 }
 
 #[cfg(test)]
@@ -84,20 +82,6 @@ mod tests {
         assert_eq!(q.join_predicate_count(), 2);
         assert_eq!(q.base_predicate_count(), 2);
         assert!(q.validate(&db).is_ok());
-    }
-
-    #[test]
-    fn compile_script_names_queries_in_order() {
-        let db = generate_imdb(&Scale::tiny()).unwrap();
-        let specs = compile_script(
-            &db,
-            "SELECT COUNT(*) FROM title t, movie_keyword mk WHERE mk.movie_id = t.id;\n\
-             SELECT COUNT(*) FROM keyword k, movie_keyword mk WHERE mk.keyword_id = k.id;",
-        )
-        .unwrap();
-        assert_eq!(specs.len(), 2);
-        assert_eq!(specs[0].name, "q1");
-        assert_eq!(specs[1].name, "q2");
     }
 
     #[test]

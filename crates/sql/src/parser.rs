@@ -57,25 +57,6 @@ pub fn parse_statement(sql: &str) -> Result<SelectStatement, SqlError> {
     Ok(stmt)
 }
 
-/// Parses a `;`-separated script of statements (empty statements are
-/// skipped, so trailing semicolons and comment-only segments are fine).
-pub fn parse_statements(sql: &str) -> Result<Vec<SelectStatement>, SqlError> {
-    let mut parser = Parser::new(sql)?;
-    let mut statements = Vec::new();
-    loop {
-        while parser.eat_if(&Tok::Semi) {}
-        if parser.peek() == &Tok::Eof {
-            break;
-        }
-        statements.push(parser.statement()?);
-        if !parser.eat_if(&Tok::Semi) {
-            parser.expect_eof()?;
-            break;
-        }
-    }
-    Ok(statements)
-}
-
 /// Parses one script statement: a `SELECT`, or one of the
 /// prepared-statement commands (`PREPARE name AS ...`, `EXECUTE name(...)`,
 /// `DEALLOCATE name`).  A trailing `;` is allowed.
@@ -214,9 +195,6 @@ impl Parser {
     }
 
     fn statement(&mut self) -> Result<SelectStatement, SqlError> {
-        // Parameter slots are per-statement state.
-        self.positional_params = 0;
-        self.max_numbered_param = 0;
         self.expect(Tok::Select, "`SELECT`")?;
         let mut items = vec![self.select_item()?];
         while self.eat_if(&Tok::Comma) {
@@ -571,15 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_multi_statement_scripts() {
-        let script = "-- two queries\nSELECT * FROM a;\n\nSELECT * FROM b x;;\n";
-        let stmts = parse_statements(script).unwrap();
-        assert_eq!(stmts.len(), 2);
-        assert_eq!(stmts[1].from[0].alias.as_deref(), Some("x"));
-        assert!(parse_statements("  -- nothing\n").unwrap().is_empty());
-    }
-
-    #[test]
     fn error_paths_are_spanned() {
         for (sql, needle) in [
             ("FROM t", "expected `SELECT`"),
@@ -780,11 +749,6 @@ mod tests {
             let err = parse_statement(sql).unwrap_err();
             assert!(err.message.contains(needle), "for `{sql}`: {}", err.message);
         }
-        // Param slots reset between statements of one script.
-        let stmts =
-            parse_statements("SELECT * FROM t x WHERE x.a = ?; SELECT * FROM t x WHERE x.a = $1;")
-                .unwrap();
-        assert_eq!(stmts.len(), 2);
     }
 
     #[test]

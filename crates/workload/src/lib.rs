@@ -1,53 +1,96 @@
 //! # qob-workload
 //!
-//! The query workload of the reproduction:
+//! The query workload of the reproduction, kept as SQL text, and the loader
+//! every SQL workload goes through:
 //!
-//! * [`job`] — the Join Order Benchmark reproduction: 33 query families with
-//!   2–6 variants each (113 queries in total) over the 21-table IMDB-like
-//!   schema, mirroring the structure of the original JOB (3–16 joins per
-//!   query, one select-project-join block each, variants differing only in
-//!   their selection predicates),
-//! * [`tpch`] — three TPC-H-shaped join queries (Q5/Q8/Q10 analogues) over
-//!   the uniform synthetic TPC-H database, used for the Figure 4 contrast,
-//! * [`builder`] — a small fluent builder for select-project-join queries
-//!   that resolves table/column names against a catalog,
-//! * [`sql`] — `.sql` workload loading through the `qob-sql` frontend (with
-//!   a `-- name:` annotation convention) and script emission, so external
-//!   text workloads reach the same pipeline as the built-in ones.
+//! * `sql/job.sql` — the Join Order Benchmark reproduction: 33 query
+//!   families with 2–6 variants each (113 queries in total) over the
+//!   21-table IMDB-like schema, mirroring the structure of the original JOB
+//!   (3–16 joins per query, one select-project-join block each, variants
+//!   differing only in their selection predicates),
+//! * `sql/tpch.sql` — three TPC-H-shaped join queries (Q5/Q8/Q10 analogues)
+//!   over the uniform synthetic TPC-H database, used for the Figure 4
+//!   contrast,
+//! * [`sql`] — `.sql` script splitting (with a `-- name:` annotation
+//!   convention), parsing, binding and script emission.
 //!
-//! The original JOB text is published as SQL against the real IMDB snapshot;
-//! since this reproduction generates its own IMDB-like data, the queries are
-//! re-expressed through the builder with the same join structures and the
-//! same *kinds* of predicates (equality on dimension values, `IN` lists,
-//! `LIKE` patterns, year ranges, null tests) over the generated vocabulary.
+//! [`job_queries`] and [`tpch_queries`] bind the built-in files through
+//! [`load_sql_str`], the same path a user's `.sql` file, a CLI script and a
+//! wire statement take: every query reaches a [`QuerySpec`] through
+//! `qob_sql`'s one parser and binder.  Both files are in [`emit_script`]'s
+//! canonical form, which the repository's round-trip suite pins statement
+//! by statement.
 
-pub mod builder;
-pub mod job;
 pub mod sql;
-pub mod tpch;
 
-pub use builder::QueryBuilder;
-pub use job::{job_queries, job_query, JOB_FAMILY_COUNT, JOB_QUERY_COUNT};
 pub use sql::{
     bind_parsed, emit_script, load_sql_file, load_sql_str, parse_script, ParsedStatement,
     SqlLoadError,
 };
-pub use tpch::tpch_queries;
+
+use qob_plan::QuerySpec;
+use qob_storage::Database;
+
+/// Number of query families in [`job_queries`].
+pub const JOB_FAMILY_COUNT: usize = 33;
+
+/// Total number of queries in [`job_queries`].
+pub const JOB_QUERY_COUNT: usize = 113;
+
+/// Binds a built-in workload.  The files are static artefacts, so a
+/// statement that fails to bind panics with its rendered diagnostic.
+fn builtin(db: &Database, script: &str) -> Vec<QuerySpec> {
+    load_sql_str(db, script).unwrap_or_else(|e| panic!("built-in workload: {e}"))
+}
+
+/// The 113 JOB queries, bound against an IMDB-like catalog.
+pub fn job_queries(db: &Database) -> Vec<QuerySpec> {
+    builtin(db, include_str!("../sql/job.sql"))
+}
+
+/// Looks up a single JOB query by name (e.g. `"13d"`).
+pub fn job_query(db: &Database, query_name: &str) -> Option<QuerySpec> {
+    job_queries(db).into_iter().find(|q| q.name == query_name)
+}
+
+/// The three TPC-H-shaped queries used in Figure 4, bound against a
+/// TPC-H catalog.
+pub fn tpch_queries(db: &Database) -> Vec<QuerySpec> {
+    builtin(db, include_str!("../sql/tpch.sql"))
+}
 
 #[cfg(test)]
-mod sql_files {
+mod tests {
     use super::*;
     use qob_datagen::{generate_imdb, generate_tpch, Scale};
 
     #[test]
-    fn the_sql_files_load_to_the_builders_specs() {
-        let imdb = generate_imdb(&Scale::tiny()).unwrap();
-        let loaded = load_sql_str(&imdb, include_str!("../sql/job.sql"))
-            .unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(loaded, job_queries(&imdb));
-        let tpch = generate_tpch(&Scale::tiny()).unwrap();
-        let loaded = load_sql_str(&tpch, include_str!("../sql/tpch.sql"))
-            .unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(loaded, tpch_queries(&tpch));
+    fn job_queries_have_unique_names_and_the_papers_example() {
+        let db = generate_imdb(&Scale::tiny()).unwrap();
+        let queries = job_queries(&db);
+        let names: std::collections::HashSet<&str> =
+            queries.iter().map(|q| q.name.as_str()).collect();
+        assert_eq!(names.len(), JOB_QUERY_COUNT);
+        assert!(job_query(&db, "99z").is_none());
+        // 13d mirrors the paper's example: 9 relations.
+        let q = job_query(&db, "13d").unwrap();
+        let aliases: Vec<&str> = q.relations.iter().map(|r| r.alias.as_str()).collect();
+        assert_eq!(aliases, ["t", "kt", "mc", "cn", "ct", "mi", "it", "miidx", "it2"]);
+        for table in ["cast_info", "movie_link", "complete_cast", "person_info", "aka_title"] {
+            let tid = db.table_id(table).unwrap();
+            assert!(
+                queries.iter().any(|q| q.relations.iter().any(|r| r.table == tid)),
+                "no query uses table {table}"
+            );
+        }
+    }
+
+    #[test]
+    fn tpch_queries_have_their_join_shapes() {
+        let db = generate_tpch(&Scale::tiny()).unwrap();
+        let queries = tpch_queries(&db);
+        let shapes: Vec<(&str, usize)> =
+            queries.iter().map(|q| (q.name.as_str(), q.rel_count())).collect();
+        assert_eq!(shapes, [("tpch5", 6), ("tpch8", 7), ("tpch10", 4)]);
     }
 }

@@ -1,11 +1,12 @@
 //! SQL workload loading and emission.
 //!
-//! The built-in workloads are constructed programmatically, but external
-//! workloads arrive as `.sql` files.  This module loads such scripts through
-//! the `qob-sql` frontend — splitting statements safely (string literals may
-//! contain `;`), honouring a `-- name: <query>` comment convention — and
-//! emits any list of bound queries back out as a script, which makes a
-//! workload a plain text artefact.
+//! Every SQL workload enters here: the built-in `sql/*.sql` files, a user's
+//! `.sql` file, a CLI script and a wire statement.  This module splits a
+//! script into statements safely (string literals may contain `;`),
+//! honouring a `-- name: <query>` comment convention, parses each through
+//! the `qob-sql` frontend and binds it against a catalog.  It also emits
+//! any list of bound queries back out as a script, which makes a workload a
+//! plain text artefact.
 
 use std::path::Path;
 
@@ -43,18 +44,11 @@ impl std::fmt::Display for SqlLoadError {
 
 impl std::error::Error for SqlLoadError {}
 
-/// One raw statement of a script.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawStatement {
-    /// Name from the nearest preceding `-- name:` comment, or `q<N>`.
-    pub name: String,
-    /// The statement text (without the terminating `;`).
-    pub text: String,
-}
-
-/// Splits a script into statements on top-level `;`, tracking string
-/// literals and `--` comments, and extracts `-- name:` annotations.
-pub fn split_statements(script: &str) -> Vec<RawStatement> {
+/// Splits a script into `(name, text)` statements on top-level `;`,
+/// tracking string literals and `--` comments.  A statement is named by the
+/// nearest preceding `-- name:` comment, or `q<N>` by position; its text
+/// has no terminating `;`, and empty statements are dropped.
+fn split_statements(script: &str) -> Vec<(String, String)> {
     let mut statements = Vec::new();
     let mut pending_name: Option<String> = None;
     let mut current = String::new();
@@ -103,14 +97,14 @@ pub fn split_statements(script: &str) -> Vec<RawStatement> {
     statements
 }
 
-fn flush(current: &mut String, pending_name: &mut Option<String>, out: &mut Vec<RawStatement>) {
+fn flush(current: &mut String, pending_name: &mut Option<String>, out: &mut Vec<(String, String)>) {
     let text = std::mem::take(current);
     let trimmed = text.trim();
     if trimmed.is_empty() {
         return;
     }
     let name = pending_name.take().unwrap_or_else(|| format!("q{}", out.len() + 1));
-    out.push(RawStatement { name, text: trimmed.to_owned() });
+    out.push((name, trimmed.to_owned()));
 }
 
 /// A statement that has passed the syntactic stages (split + parse) but has
@@ -143,11 +137,9 @@ impl ParsedStatement {
 pub fn parse_script(script: &str) -> Result<Vec<ParsedStatement>, Box<SqlLoadError>> {
     split_statements(script)
         .into_iter()
-        .map(|raw| match parse_script_statement(&raw.text) {
-            Ok(statement) => Ok(ParsedStatement { name: raw.name, text: raw.text, statement }),
-            Err(error) => {
-                Err(Box::new(SqlLoadError::Sql { name: raw.name, error, text: raw.text }))
-            }
+        .map(|(name, text)| match parse_script_statement(&text) {
+            Ok(statement) => Ok(ParsedStatement { name, text, statement }),
+            Err(error) => Err(Box::new(SqlLoadError::Sql { name, error, text })),
         })
         .collect()
 }
@@ -221,34 +213,38 @@ mod tests {
     use qob_datagen::{generate_imdb, Scale};
 
     #[test]
-    fn split_handles_names_comments_and_quoted_semicolons() {
-        let script = "-- name: first\nSELECT * FROM a;\n\
-                      -- a plain comment\n\
-                      SELECT * FROM b WHERE b.x = 'semi;colon';\n\
-                      -- name: third\nSELECT * FROM c\n";
-        let raw = split_statements(script);
-        assert_eq!(raw.len(), 3);
-        assert_eq!(raw[0].name, "first");
-        assert_eq!(raw[1].name, "q2", "unnamed statements are numbered");
-        assert!(raw[1].text.contains("'semi;colon'"));
-        assert_eq!(raw[2].name, "third");
-        assert!(split_statements(" -- name: orphan\n ;;; ").is_empty());
+    fn parse_script_splits_names_and_skips_empty_segments() {
+        let parsed = parse_script(
+            "-- name: first\nSELECT * FROM a;\n\
+             -- a plain comment\n\
+             SELECT * FROM b x WHERE x.y = 'semi;colon';;\n\
+             -- name: third\nSELECT * FROM c\n",
+        )
+        .unwrap();
+        let names: Vec<&str> = parsed.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["first", "q2", "third"], "unnamed statements are numbered");
+        let ScriptStatement::Select(second) = &parsed[1].statement else { panic!("a SELECT") };
+        assert_eq!(second.from[0].alias.as_deref(), Some("x"));
+        assert!(parsed[1].text.contains("'semi;colon'"));
+        assert!(parse_script(" -- name: orphan\n ;;; ").unwrap().is_empty());
     }
 
     #[test]
-    fn load_sql_str_binds_against_the_catalog() {
-        let db = generate_imdb(&Scale::tiny()).unwrap();
-        let queries = load_sql_str(
-            &db,
-            "-- name: us_movies\n\
-             SELECT COUNT(*) FROM title t, movie_companies mc, company_name cn\n\
-             WHERE mc.movie_id = t.id AND mc.company_id = cn.id\n\
-               AND cn.country_code = '[us]';",
+    fn parameter_slots_are_counted_per_statement() {
+        // `?` in one statement and `$n` in the next never mix.
+        let parsed = parse_script(
+            "PREPARE a AS SELECT * FROM t x WHERE x.a = ?;\n\
+             PREPARE b AS SELECT * FROM t x WHERE x.a = $1 AND x.b = $2;",
         )
         .unwrap();
-        assert_eq!(queries.len(), 1);
-        assert_eq!(queries[0].name, "us_movies");
-        assert_eq!(queries[0].rel_count(), 3);
+        let slots: Vec<usize> = parsed
+            .iter()
+            .map(|p| match p.statement {
+                ScriptStatement::Prepare { params, .. } => params,
+                _ => panic!("a PREPARE"),
+            })
+            .collect();
+        assert_eq!(slots, [1, 2]);
     }
 
     #[test]

@@ -48,11 +48,6 @@ pub fn job_queries(db: &Database) -> Vec<QuerySpec> {
     builtin(db, include_str!("../sql/job.sql"))
 }
 
-/// Looks up a single JOB query by name (e.g. `"13d"`).
-pub fn job_query(db: &Database, query_name: &str) -> Option<QuerySpec> {
-    job_queries(db).into_iter().find(|q| q.name == query_name)
-}
-
 /// The three TPC-H-shaped queries used in Figure 4, bound against a
 /// TPC-H catalog.
 pub fn tpch_queries(db: &Database) -> Vec<QuerySpec> {
@@ -63,34 +58,56 @@ pub fn tpch_queries(db: &Database) -> Vec<QuerySpec> {
 mod tests {
     use super::*;
     use qob_datagen::{generate_imdb, generate_tpch, Scale};
+    use std::collections::HashSet;
 
     #[test]
-    fn job_queries_have_unique_names_and_the_papers_example() {
+    fn job_queries_have_unique_names_every_bridge_table_and_the_papers_example() {
         let db = generate_imdb(&Scale::tiny()).unwrap();
         let queries = job_queries(&db);
-        let names: std::collections::HashSet<&str> =
-            queries.iter().map(|q| q.name.as_str()).collect();
+        let find = |name: &str| queries.iter().find(|q| q.name == name);
+        let names: HashSet<&str> = queries.iter().map(|q| q.name.as_str()).collect();
         assert_eq!(names.len(), JOB_QUERY_COUNT);
-        assert!(job_query(&db, "99z").is_none());
-        // 13d mirrors the paper's example: 9 relations.
-        let q = job_query(&db, "13d").unwrap();
+        assert!(find("6a").is_some() && find("99z").is_none());
+        // 13d mirrors the paper's example: 9 relations joined by a spanning
+        // set of join edges.
+        let q = find("13d").unwrap();
         let aliases: Vec<&str> = q.relations.iter().map(|r| r.alias.as_str()).collect();
         assert_eq!(aliases, ["t", "kt", "mc", "cn", "ct", "mi", "it", "miidx", "it2"]);
-        for table in ["cast_info", "movie_link", "complete_cast", "person_info", "aka_title"] {
+        assert!(q.join_predicate_count() >= q.rel_count() - 1);
+        let bridges = "cast_info movie_companies movie_info movie_info_idx movie_keyword \
+                       movie_link complete_cast person_info aka_name aka_title";
+        for table in bridges.split_whitespace() {
             let tid = db.table_id(table).unwrap();
-            assert!(
-                queries.iter().any(|q| q.relations.iter().any(|r| r.table == tid)),
-                "no query uses table {table}"
-            );
+            let used = queries.iter().any(|q| q.relations.iter().any(|r| r.table == tid));
+            assert!(used, "no query uses table {table}");
         }
     }
 
     #[test]
-    fn tpch_queries_have_their_join_shapes() {
+    fn variants_share_structure_but_differ_in_predicates() {
+        let db = generate_imdb(&Scale::tiny()).unwrap();
+        let queries = job_queries(&db);
+        let f13: Vec<&QuerySpec> = queries.iter().filter(|q| q.name.starts_with("13")).collect();
+        assert_eq!(f13.len(), 4);
+        let shape = |q: &QuerySpec| (q.rel_count(), q.join_predicate_count());
+        assert!(f13.iter().all(|q| shape(q) == shape(f13[0])));
+        // Predicates differ between variants (different country codes).
+        let preds: HashSet<String> = f13
+            .iter()
+            .map(|q| format!("{:?}", q.relations.iter().map(|r| &r.predicates).collect::<Vec<_>>()))
+            .collect();
+        assert_eq!(preds.len(), 4);
+    }
+
+    #[test]
+    fn tpch_queries_have_their_join_shapes_and_filters() {
         let db = generate_tpch(&Scale::tiny()).unwrap();
         let queries = tpch_queries(&db);
         let shapes: Vec<(&str, usize)> =
             queries.iter().map(|q| (q.name.as_str(), q.rel_count())).collect();
         assert_eq!(shapes, [("tpch5", 6), ("tpch8", 7), ("tpch10", 4)]);
+        for q in &queries {
+            assert!(q.join_count() >= 3 && q.base_predicate_count() >= 2, "{}", q.name);
+        }
     }
 }

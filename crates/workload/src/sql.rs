@@ -260,18 +260,10 @@ mod tests {
         let db = generate_imdb(&Scale::tiny()).unwrap();
         let bound = bind_parsed(&db, &parsed).unwrap();
         assert_eq!(bound, load_sql_str(&db, script).unwrap());
-        // Bind errors still render with the statement name.
-        let unknown = parse_script("SELECT COUNT(*) FROM nope n").unwrap();
-        assert!(bind_parsed(&db, &unknown).unwrap_err().to_string().contains("nope"));
-    }
-
-    #[test]
-    fn load_errors_carry_the_query_name_and_render() {
-        let db = generate_imdb(&Scale::tiny()).unwrap();
-        let err = load_sql_str(&db, "-- name: broken\nSELECT * FROM no_such_table;").unwrap_err();
-        let message = err.to_string();
-        assert!(message.contains("broken"), "{message}");
-        assert!(message.contains("no_such_table"), "{message}");
+        // Bind errors render with the statement name and the unknown table.
+        let unknown = parse_script("-- name: bad\nSELECT COUNT(*) FROM nope n").unwrap();
+        let message = bind_parsed(&db, &unknown).unwrap_err().to_string();
+        assert!(message.starts_with("query `bad`") && message.contains("nope"), "{message}");
     }
 
     #[test]

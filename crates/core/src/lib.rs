@@ -36,8 +36,12 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
+pub mod admission;
 pub mod context;
 pub mod experiments;
+pub mod options;
+pub mod report;
+pub mod server;
 pub mod session;
 pub mod slowdown;
 
@@ -50,11 +54,14 @@ pub mod metrics {
 }
 
 pub use adaptive::{execute_adaptive, AdaptiveOutcome, ReplanEvent};
+pub use admission::SchedulerConfig;
 pub use context::{BenchmarkContext, ColumnStorageSize, EstimatorKind, TableStorageSize};
+pub use options::{SessionOptions, DEFAULT_CACHE_FENCE, DEFAULT_REGRESSION_RATIO};
 pub use qob_cardest::percentile;
-pub use session::{
-    ExecutionReport, OperatorReport, PlanCacheStatus, QueryReport, ReplanReport, SchedulerConfig,
-    ScriptOutcome, ServerContext, Session, SessionError, SessionOptions, TraceReport,
-    DEFAULT_CACHE_FENCE, DEFAULT_REGRESSION_RATIO,
+pub use report::{
+    ExecutionReport, OperatorReport, PlanCacheStatus, QueryReport, ReplanReport, ScriptOutcome,
+    SessionError, TraceReport,
 };
+pub use server::ServerContext;
+pub use session::Session;
 pub use slowdown::{geometric_mean, SlowdownBucket, SlowdownDistribution};

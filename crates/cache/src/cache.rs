@@ -148,13 +148,6 @@ impl PlanCache {
         self.capacity
     }
 
-    /// Resizes the cache, evicting least-recently-used entries if it
-    /// shrinks below the current population.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        self.evict_to_capacity();
-    }
-
     /// Number of cached fingerprints.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -168,14 +161,6 @@ impl PlanCache {
     /// The event counters so far.
     pub fn counters(&self) -> CacheCounters {
         self.counters
-    }
-
-    /// Drops every entry (counters are preserved — they are lifetime
-    /// totals, not a population gauge).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.head = None;
-        self.tail = None;
     }
 
     /// Detaches `key` from the recency list (its entry must exist).
@@ -430,6 +415,7 @@ mod tests {
         assert!(matches!(cache.lookup(key(2), 2.0, &est), Lookup::Miss), "2 was evicted");
         assert!(matches!(cache.lookup(key(1), 2.0, &est), Lookup::Hit { .. }));
         assert!(matches!(cache.lookup(key(3), 2.0, &est), Lookup::Hit { .. }));
+        assert_eq!(PlanCache::new(0).capacity(), 1, "capacity clamps to 1");
     }
 
     /// Differential check of the intrusive recency list: a long churn of
@@ -486,24 +472,5 @@ mod tests {
             }
         }
         assert!(model_evictions > 100, "churn actually evicted ({model_evictions})");
-    }
-
-    #[test]
-    fn capacity_shrink_evicts_and_clear_preserves_counters() {
-        let mut cache = PlanCache::new(4);
-        let est = flat(1.0);
-        for i in 0..4 {
-            cache.install(key(i), CachedVariant::capture(&plan(&[0, 1]), i as f64, &est));
-        }
-        cache.set_capacity(1);
-        assert_eq!(cache.capacity(), 1);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.counters().evictions, 3);
-        // The survivor is the most recently installed.
-        assert!(matches!(cache.lookup(key(3), 2.0, &est), Lookup::Hit { .. }));
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.counters().installs, 4, "counters survive clear");
-        assert_eq!(PlanCache::new(0).capacity(), 1, "capacity clamps to 1");
     }
 }

@@ -311,7 +311,7 @@ mod tests {
     use super::*;
     use crate::flags::args;
     use qob_core::{
-        ExecutionReport, OperatorReport, PlanCacheStatus, QueryReport, ReplanReport, ScriptOutcome,
+        CacheOutcome, ExecutionReport, OperatorReport, QueryReport, ReplanEvent, ScriptOutcome,
         TraceReport,
     };
     use qob_server::protocol::outcome_to_json;
@@ -339,7 +339,7 @@ mod tests {
             cost: 1234.56,
             threads: 2,
             plan: "HJ {cn,mc,t}\n  HJ {mc,t}\n    Scan t\n    Scan mc\n  Scan cn\n".to_owned(),
-            plan_cache: Some(PlanCacheStatus::FenceRejected),
+            plan_cache: CacheOutcome::FenceRejected,
             execution: Some(ExecutionReport {
                 rows: 1,
                 elapsed: Duration::from_micros(1_500),
@@ -349,7 +349,7 @@ mod tests {
                     op("{cn,mc,t}", 3.0, 120, 40.0, 7),
                 ],
                 worst_q_error: 40.0,
-                replans: vec![ReplanReport {
+                replans: vec![ReplanEvent {
                     after: "{mc,t}".to_owned(),
                     estimated: 12.4,
                     observed: 400,
@@ -410,7 +410,7 @@ mod tests {
         // unchanged re-plan prints no plan.
         let mut report = traced_report();
         report.trace = None;
-        report.plan_cache = None;
+        report.plan_cache = CacheOutcome::Off;
         let exec = report.execution.as_mut().unwrap();
         exec.replans[0].changed = false;
         for op in &mut exec.operators {

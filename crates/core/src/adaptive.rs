@@ -44,12 +44,14 @@ use qob_exec::{ExecutionError, ExecutionOptions, ExecutionResult, Materialized};
 use qob_plan::{PhysicalPlan, QuerySpec, RelSet};
 
 use crate::context::BenchmarkContext;
+use crate::report::relset_label;
 
 /// One re-planning round: what diverged, by how much, and what came of it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplanEvent {
-    /// The materialised subexpression whose cardinality triggered the round.
-    pub trigger: RelSet,
+    /// The materialised subexpression whose cardinality triggered the
+    /// round, rendered as its aliases (`{t,mc}`).
+    pub after: String,
     /// The cardinality the current plan was optimized with.
     pub estimated: f64,
     /// The true cardinality observed at the breaker.
@@ -220,7 +222,7 @@ pub fn execute_adaptive(
                 None => (false, current.render(query)),
             };
             replans.push(ReplanEvent {
-                trigger: set,
+                after: relset_label(query, set),
                 estimated: believed,
                 observed: observed_rows,
                 factor,

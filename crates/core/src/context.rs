@@ -340,11 +340,6 @@ impl BenchmarkContext {
         failures
     }
 
-    /// Sets the worker-thread count used inside ground-truth extraction.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.truth_options.threads = threads.max(1);
-    }
-
     /// Pre-computes (and caches) ground truth for a query subset, spreading
     /// whole queries across `workers` threads.  Returns how many queries were
     /// freshly extracted.
@@ -377,9 +372,7 @@ impl BenchmarkContext {
         cards: &dyn CardinalityEstimator,
         config: PlannerConfig,
     ) -> Result<OptimizedPlan, qob_enumerate::EnumerationError> {
-        let model = SimpleCostModel::new();
-        let planner = Planner::new(&self.db, query, &model, cards, config);
-        qob_enumerate::dpccp::optimize_bushy(&planner)
+        self.optimize_with_model(query, cards, &SimpleCostModel::new(), config)
     }
 
     /// Optimizes `query` under an explicit cost model.

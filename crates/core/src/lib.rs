@@ -14,9 +14,24 @@
 //!   plain data structures that the `qob-bench` binaries print.
 //!
 //! For long-lived use (the `qob serve` server, or any host that answers many
-//! queries against one warm database) the [`session`] module wraps a context
-//! in a shareable [`ServerContext`] and hands each connection a [`Session`]
-//! with private options — see its module docs for the locking model.
+//! queries against one warm database) the serve path wraps a context in a
+//! shareable [`ServerContext`] and hands each connection a [`Session`] with
+//! private options — see the [`session`] module docs for the locking model.
+//! It spans five modules, one per layer:
+//!
+//! * [`options`] — [`SessionOptions`], the per-connection state a `SET`
+//!   changes, and its one parser.
+//! * [`report`] — what a statement answers: [`QueryReport`] and its parts,
+//!   [`ScriptOutcome`], [`SessionError`] and the `EXPLAIN ANALYZE` renderer.
+//! * [`admission`] — [`SchedulerConfig`] and the admission queue in front
+//!   of the execute phase (the `queue_us` span).
+//! * [`server`] — [`ServerContext`]: the state every session shares and the
+//!   Prometheus exposition.
+//! * [`session`] — [`Session`]: script and prepared dispatch, plan choice
+//!   through the plan cache, execution and history recording.
+//!
+//! [`adaptive`] holds the mid-execution re-planner and [`slowdown`] the
+//! paper's slowdown buckets.
 //!
 //! ## Quick start
 //!
@@ -45,22 +60,13 @@ pub mod server;
 pub mod session;
 pub mod slowdown;
 
-/// Deprecated alias of [`slowdown`]: the paper's slowdown buckets were
-/// renamed so they cannot be confused with the runtime metrics registry
-/// (`qob-obs`).
-#[deprecated(since = "0.1.0", note = "renamed to `qob_core::slowdown`")]
-pub mod metrics {
-    pub use crate::slowdown::{geometric_mean, SlowdownBucket, SlowdownDistribution};
-}
-
 pub use adaptive::{execute_adaptive, AdaptiveOutcome, ReplanEvent};
 pub use admission::SchedulerConfig;
 pub use context::{BenchmarkContext, ColumnStorageSize, EstimatorKind, TableStorageSize};
 pub use options::{SessionOptions, DEFAULT_CACHE_FENCE, DEFAULT_REGRESSION_RATIO};
-pub use qob_cardest::percentile;
+pub use qob_obs::CacheOutcome;
 pub use report::{
-    ExecutionReport, OperatorReport, PlanCacheStatus, QueryReport, ReplanReport, ScriptOutcome,
-    SessionError, TraceReport,
+    ExecutionReport, OperatorReport, QueryReport, ScriptOutcome, SessionError, TraceReport,
 };
 pub use server::ServerContext;
 pub use session::Session;

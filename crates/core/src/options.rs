@@ -1,14 +1,15 @@
 //! Per-session options: the state one connection's `SET` changes, and the
-//! execution options that state implies.
+//! execution options that state implies.  A `SET` changes its own session
+//! and nothing else: server-wide state (the plan cache's capacity, whether
+//! the event log is on) is fixed when the server is built.
 
 use std::time::Duration;
 
-use qob_cache::PlanCache;
 use qob_exec::{AdaptiveOptions, ExecutionOptions};
 
 use crate::context::EstimatorKind;
 #[cfg(doc)]
-use crate::{OperatorReport, QueryReport, Session};
+use crate::{OperatorReport, QueryReport};
 
 /// Per-session (per-connection) execution state.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,21 +37,15 @@ pub struct SessionOptions {
     /// cardinality estimate under the current parameters is within this
     /// q-error factor of the estimate the plan was optimized under.
     pub cache_fence: f64,
-    /// Fingerprint capacity of the shared plan cache.  The cache is
-    /// server-wide: the value is applied when the option is *set* (via
-    /// [`Session::set_option`]), so the most recent `set` wins and probes
-    /// never resize; `0` is normalised to the default by
-    /// [`SessionOptions::set`].
-    pub cache_capacity: usize,
     /// When `true`, query reports expose trace spans: per-phase timings in
     /// [`QueryReport::trace`] and per-operator wall time / morsel counts on
     /// each [`OperatorReport`].  Tracing never changes what executes — the
     /// counters are collected unconditionally; this option only controls
     /// whether reports carry them.
     pub tracing: bool,
-    /// Slow-query threshold in milliseconds.  `0` disables the threshold
-    /// and (when set via [`Session::set_option`]) the server's structured
-    /// event log; any positive value enables both.
+    /// Slow-query threshold in milliseconds (`0` = off).  The server's
+    /// structured event log is on exactly when the *server default* is
+    /// positive; a session's own value only moves its threshold.
     pub slow_query_ms: u64,
     /// Per-statement intermediate-tuple budget: the executor aborts a
     /// statement whose intermediates grow past this many tuple slots.  `0`
@@ -58,12 +53,6 @@ pub struct SessionOptions {
     /// control this is the per-session memory budget: a runaway join burns
     /// its own budget instead of the whole server's.
     pub mem_budget: usize,
-    /// When `true` (the default), every executed statement records one
-    /// sample into the server-wide per-fingerprint query history
-    /// ([`qob_obs::QueryHistory`]).  Recording is a handful of counter
-    /// updates after the result exists — it never changes what executes —
-    /// but the switch lets differential tests pin history-on ≡ history-off.
-    pub history: bool,
     /// Regression-detector threshold: a `regression` event fires for a
     /// fingerprint when the median latency of its recent window exceeds
     /// `regression_ratio ×` the median of the preceding baseline window.
@@ -89,116 +78,68 @@ impl Default for SessionOptions {
             adaptive: AdaptiveOptions::default(),
             plan_cache: false,
             cache_fence: DEFAULT_CACHE_FENCE,
-            cache_capacity: PlanCache::DEFAULT_CAPACITY,
             tracing: false,
             slow_query_ms: 0,
             mem_budget: 0,
-            history: true,
             regression_ratio: DEFAULT_REGRESSION_RATIO,
         }
     }
 }
 
 impl SessionOptions {
-    /// Sets one option by its wire-protocol name: `threads` (integer, `0` =
-    /// all cores), `timeout_ms` (integer, `0` = no timeout), `estimator`
-    /// (profile name), `execute` (`true`/`false`), `morsel_size` (integer,
-    /// `0` = engine default), `adaptive` (`true`/`false`),
-    /// `adaptive_threshold` (q-error factor > 1), `max_replans` (integer),
-    /// `plan_cache` (`true`/`false`), `cache_fence` (q-error factor > 1),
-    /// `cache_capacity` (integer, `0` = default), `tracing`
-    /// (`true`/`false`), `slow_query_ms` (integer, `0` = off),
-    /// `mem_budget` (intermediate tuple slots, `0` = engine default),
-    /// `history` (`true`/`false`) or `regression_ratio` (number ≥ 0, `0` =
-    /// detector off).  Returns a description of the rejection otherwise.
+    /// Sets one option by its wire-protocol name.  The `set` table in
+    /// `docs/PROTOCOL.md` lists every name with the values it takes (the
+    /// session tests pin the table to this parser).  Returns a description
+    /// of the rejection otherwise.
     pub fn set(&mut self, name: &str, value: &str) -> Result<(), String> {
-        let flag = |value: &str| match value {
+        let flag = || match value {
             "true" => Ok(true),
             "false" => Ok(false),
             other => Err(format!("{name} needs true or false, got `{other}`")),
         };
+        let int = || {
+            value.parse::<usize>().map_err(|_| format!("{name} needs an integer, got `{value}`"))
+        };
+        let number =
+            || value.parse::<f64>().map_err(|_| format!("{name} needs a number, got `{value}`"));
+        let factor = || match number()? {
+            f if f > 1.0 => Ok(f),
+            _ => Err(format!("{name} is a q-error factor and must exceed 1, got `{value}`")),
+        };
         match name {
             "threads" => {
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| format!("threads needs an integer, got `{value}`"))?;
+                let n = int()?;
                 self.threads = if n == 0 { qob_exec::default_threads() } else { n };
             }
             "timeout_ms" => {
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| format!("timeout_ms needs an integer, got `{value}`"))?;
+                let ms = int()? as u64;
                 self.timeout = if ms == 0 { None } else { Some(Duration::from_millis(ms)) };
             }
             "estimator" => {
                 self.estimator = EstimatorKind::parse(value)
                     .ok_or_else(|| format!("unknown estimator `{value}`"))?;
             }
-            "execute" => self.execute = flag(value)?,
+            "execute" => self.execute = flag()?,
             "morsel_size" => {
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| format!("morsel_size needs an integer, got `{value}`"))?;
+                let n = int()?;
                 self.morsel_size = if n == 0 { qob_exec::DEFAULT_MORSEL_SIZE } else { n };
             }
-            "adaptive" => self.adaptive.enabled = flag(value)?,
-            "adaptive_threshold" => {
-                let t: f64 = value
-                    .parse()
-                    .map_err(|_| format!("adaptive_threshold needs a number, got `{value}`"))?;
-                if t.is_nan() || t <= 1.0 {
-                    return Err(format!(
-                        "adaptive_threshold is a q-error factor and must exceed 1, got `{value}`"
-                    ));
-                }
-                self.adaptive.divergence_threshold = t;
-            }
-            "max_replans" => {
-                self.adaptive.max_replans = value
-                    .parse()
-                    .map_err(|_| format!("max_replans needs an integer, got `{value}`"))?;
-            }
-            "plan_cache" => self.plan_cache = flag(value)?,
-            "cache_fence" => {
-                let f: f64 = value
-                    .parse()
-                    .map_err(|_| format!("cache_fence needs a number, got `{value}`"))?;
-                if f.is_nan() || f <= 1.0 {
-                    return Err(format!(
-                        "cache_fence is a q-error factor and must exceed 1, got `{value}`"
-                    ));
-                }
-                self.cache_fence = f;
-            }
-            "cache_capacity" => {
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| format!("cache_capacity needs an integer, got `{value}`"))?;
-                self.cache_capacity = if n == 0 { PlanCache::DEFAULT_CAPACITY } else { n };
-            }
-            "tracing" => self.tracing = flag(value)?,
-            "slow_query_ms" => {
-                self.slow_query_ms = value
-                    .parse()
-                    .map_err(|_| format!("slow_query_ms needs an integer, got `{value}`"))?;
-            }
-            "mem_budget" => {
-                self.mem_budget = value
-                    .parse()
-                    .map_err(|_| format!("mem_budget needs an integer, got `{value}`"))?;
-            }
-            "history" => self.history = flag(value)?,
-            "regression_ratio" => {
-                let r: f64 = value
-                    .parse()
-                    .map_err(|_| format!("regression_ratio needs a number, got `{value}`"))?;
-                if r.is_nan() || r < 0.0 {
+            "adaptive" => self.adaptive.enabled = flag()?,
+            "adaptive_threshold" => self.adaptive.divergence_threshold = factor()?,
+            "max_replans" => self.adaptive.max_replans = int()?,
+            "plan_cache" => self.plan_cache = flag()?,
+            "cache_fence" => self.cache_fence = factor()?,
+            "tracing" => self.tracing = flag()?,
+            "slow_query_ms" => self.slow_query_ms = int()? as u64,
+            "mem_budget" => self.mem_budget = int()?,
+            "regression_ratio" => match number()? {
+                r if r >= 0.0 => self.regression_ratio = r,
+                _ => {
                     return Err(format!(
                         "regression_ratio needs a number >= 0 (0 disables), got `{value}`"
-                    ));
+                    ))
                 }
-                self.regression_ratio = r;
-            }
+            },
             other => return Err(format!("unknown option `{other}`")),
         }
         Ok(())

@@ -8,7 +8,10 @@ use std::time::Duration;
 
 use qob_cardest::q_error;
 use qob_exec::OperatorTiming;
+use qob_obs::CacheOutcome;
 use qob_plan::{PhysicalPlan, QuerySpec, RelSet};
+
+use crate::adaptive::ReplanEvent;
 
 #[cfg(doc)]
 use crate::{Session, SessionOptions};
@@ -100,23 +103,6 @@ pub struct TraceReport {
     pub execute_us: u64,
 }
 
-/// One adaptive re-planning round, as reported to clients.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplanReport {
-    /// The materialised subexpression that diverged, rendered as `{t,mc}`.
-    pub after: String,
-    /// The cardinality the running plan was optimized with.
-    pub estimated: f64,
-    /// The true cardinality observed at the pipeline breaker.
-    pub observed: u64,
-    /// The divergence factor (`q_error(estimated, observed)`).
-    pub factor: f64,
-    /// True if the round produced a different remainder plan.
-    pub changed: bool,
-    /// The plan execution resumed on.
-    pub resumed_plan: String,
-}
-
 /// The runtime half of a [`QueryReport`], present when the session executed
 /// the plan (not just planned it).
 #[derive(Debug, Clone, PartialEq)]
@@ -131,32 +117,7 @@ pub struct ExecutionReport {
     pub worst_q_error: f64,
     /// Adaptive re-planning rounds, in order (empty when adaptivity is off
     /// or nothing diverged).
-    pub replans: Vec<ReplanReport>,
-}
-
-/// How the plan cache treated one statement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanCacheStatus {
-    /// A cached plan passed the fence and was executed without optimizing.
-    Hit,
-    /// The fingerprint was not cached; the statement optimized cold and the
-    /// plan was installed.
-    Miss,
-    /// The fingerprint was cached but the current parameters' estimates
-    /// crossed the fence on every variant: the statement re-optimized and
-    /// the fresh plan was installed as a new variant.
-    FenceRejected,
-}
-
-impl PlanCacheStatus {
-    /// Wire/display label (`hit`, `miss`, `fence-reject`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            PlanCacheStatus::Hit => "hit",
-            PlanCacheStatus::Miss => "miss",
-            PlanCacheStatus::FenceRejected => "fence-reject",
-        }
-    }
+    pub replans: Vec<ReplanEvent>,
 }
 
 /// Everything one answered statement reports: the chosen plan and, when the
@@ -179,9 +140,9 @@ pub struct QueryReport {
     pub threads: usize,
     /// The chosen plan rendered as an indented tree.
     pub plan: String,
-    /// What the plan cache concluded for this statement (`None` when the
-    /// session runs with caching disabled).
-    pub plan_cache: Option<PlanCacheStatus>,
+    /// What the plan cache concluded for this statement
+    /// ([`CacheOutcome::Off`] when the session runs with caching disabled).
+    pub plan_cache: CacheOutcome,
     /// Runtime results, or `None` for explain-only sessions.
     pub execution: Option<ExecutionReport>,
     /// Per-phase timings, present when the session traces (or the statement
@@ -240,56 +201,35 @@ pub(crate) fn render_analyzed(
     cards: &HashMap<RelSet, u64>,
     timings: &HashMap<RelSet, OperatorTiming>,
 ) -> String {
-    let mut out = String::new();
-    render_analyzed_rec(query, plan, estimator, cards, timings, 0, &mut out);
-    out
-}
-
-fn render_analyzed_rec(
-    query: &QuerySpec,
-    plan: &PhysicalPlan,
-    estimator: &dyn qob_cardest::CardinalityEstimator,
-    cards: &HashMap<RelSet, u64>,
-    timings: &HashMap<RelSet, OperatorTiming>,
-    depth: usize,
-    out: &mut String,
-) {
     use std::fmt::Write as _;
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-    match plan {
-        PhysicalPlan::Scan { rel } => {
-            let alias = query.relations.get(*rel).map(|r| r.alias.as_str()).unwrap_or("?");
-            let _ = write!(out, "Scan {alias}");
+    let mut out = String::new();
+    // Pre-order, left child first: pop the left child before the right.
+    let mut stack = vec![(plan, 0)];
+    while let Some((plan, depth)) = stack.pop() {
+        out.push_str(&"  ".repeat(depth));
+        match plan {
+            PhysicalPlan::Scan { rel } => {
+                let alias = query.relations.get(*rel).map(|r| r.alias.as_str()).unwrap_or("?");
+                let _ = write!(out, "Scan {alias}");
+            }
+            PhysicalPlan::Join { algorithm, keys, left, right } => {
+                let _ = write!(out, "{} [{} keys]", algorithm.label(), keys.len());
+                stack.push((right, depth + 1));
+                stack.push((left, depth + 1));
+            }
         }
-        PhysicalPlan::Join { algorithm, keys, .. } => {
-            let _ = write!(out, "{} [{} keys]", algorithm.label(), keys.len());
-        }
-    }
-    let set = plan.rels();
-    let est = estimator.estimate(query, set);
-    match cards.get(&set) {
-        Some(&true_rows) => {
-            let _ = write!(
-                out,
-                "  (est={est:.0} true={true_rows} q={:.2}",
-                q_error(est, true_rows as f64)
-            );
+        let set = plan.rels();
+        let est = estimator.estimate(query, set);
+        let _ = write!(out, "  (est={est:.0}");
+        if let Some(&true_rows) = cards.get(&set) {
+            let _ = write!(out, " true={true_rows} q={:.2}", q_error(est, true_rows as f64));
             if let Some(t) = timings.get(&set) {
                 let _ = write!(out, " time={}us morsels={}", t.busy_nanos / 1_000, t.morsels);
             }
-            out.push(')');
         }
-        None => {
-            let _ = write!(out, "  (est={est:.0})");
-        }
+        out.push_str(")\n");
     }
-    out.push('\n');
-    if let PhysicalPlan::Join { left, right, .. } = plan {
-        render_analyzed_rec(query, left, estimator, cards, timings, depth + 1, out);
-        render_analyzed_rec(query, right, estimator, cards, timings, depth + 1, out);
-    }
+    out
 }
 
 /// Human label for a relation set: the aliases it covers, e.g. `{t,mc,cn}`.

@@ -20,9 +20,6 @@ use crate::session::Session;
 pub(crate) struct ServerShared {
     pub(crate) ctx: BenchmarkContext,
     pub(crate) defaults: SessionOptions,
-    /// The scheduling shape the server was built with (immutable, like the
-    /// pool below: sizing is a start-time decision, not a `SET`).
-    pub(crate) scheduler: SchedulerConfig,
     /// The shared worker pool every statement's morsels execute on, or
     /// `None` for per-query scoped pools.
     pub(crate) exec_pool: Option<Arc<qob_exec::WorkerPool>>,
@@ -30,17 +27,17 @@ pub(crate) struct ServerShared {
     /// concurrency limit is off.
     pub(crate) admission: Option<AdmissionController>,
     pub(crate) queries_served: AtomicU64,
-    /// The server-wide plan cache, shared by every session (the enable
-    /// switch and fence are per-session options).
+    /// The server-wide plan cache, shared by every session and sized at
+    /// [`PlanCache::DEFAULT_CAPACITY`] (the enable switch and fence are
+    /// per-session options).
     pub(crate) plan_cache: Mutex<PlanCache>,
     /// The server-wide metrics registry every session records into.
     pub(crate) metrics: MetricsRegistry,
-    /// The server-wide structured event log (off until some session sets a
-    /// positive `slow_query_ms`).
+    /// The server-wide structured event log, on exactly when the server's
+    /// default `slow_query_ms` is positive.
     pub(crate) events: EventLog,
     /// The server-wide per-fingerprint query history (see
-    /// [`qob_obs::QueryHistory`]): every session with
-    /// [`SessionOptions::history`] on records executed statements here.
+    /// [`qob_obs::QueryHistory`]): every executed statement records here.
     pub(crate) history: qob_obs::QueryHistory,
 }
 
@@ -75,7 +72,6 @@ impl ServerContext {
         defaults: SessionOptions,
         scheduler: SchedulerConfig,
     ) -> Self {
-        let capacity = defaults.cache_capacity;
         let events = EventLog::new();
         events.set_enabled(defaults.slow_query_ms > 0);
         let exec_pool =
@@ -86,21 +82,15 @@ impl ServerContext {
             shared: Arc::new(ServerShared {
                 ctx,
                 defaults,
-                scheduler,
                 exec_pool,
                 admission,
                 queries_served: AtomicU64::new(0),
-                plan_cache: Mutex::new(PlanCache::new(capacity)),
+                plan_cache: Mutex::new(PlanCache::new(PlanCache::DEFAULT_CAPACITY)),
                 metrics: MetricsRegistry::new(),
                 events,
                 history: qob_obs::QueryHistory::new(),
             }),
         }
-    }
-
-    /// The scheduling shape the server was built with.
-    pub fn scheduler_config(&self) -> SchedulerConfig {
-        self.shared.scheduler
     }
 
     /// Shared-pool gauges `(workers, busy, queued_tasks)`, all zero when
@@ -158,11 +148,6 @@ impl ServerContext {
     /// The shared plan cache's fingerprint capacity.
     pub fn plan_cache_capacity(&self) -> usize {
         self.shared.plan_cache.lock().capacity()
-    }
-
-    /// Drops every cached plan (counters are preserved).
-    pub fn clear_plan_cache(&self) {
-        self.shared.plan_cache.lock().clear();
     }
 
     /// The server-wide runtime metrics registry.

@@ -50,7 +50,7 @@ use qob_cache::{fingerprint_query, CachedVariant, Lookup};
 use qob_cardest::q_error;
 use qob_enumerate::PlannerConfig;
 use qob_exec::OperatorTiming;
-use qob_obs::Event;
+use qob_obs::{CacheOutcome, Event};
 use qob_plan::{QuerySpec, RelSet};
 use qob_sql::{ParamValue, ScriptStatement, SelectStatement};
 use qob_workload::{parse_script, ParsedStatement};
@@ -58,8 +58,8 @@ use qob_workload::{parse_script, ParsedStatement};
 use crate::context::BenchmarkContext;
 use crate::options::SessionOptions;
 use crate::report::{
-    relset_label, render_analyzed, ExecutionReport, OperatorReport, PlanCacheStatus, QueryReport,
-    ReplanReport, ScriptOutcome, SessionError, TraceReport,
+    relset_label, render_analyzed, ExecutionReport, OperatorReport, QueryReport, ScriptOutcome,
+    SessionError, TraceReport,
 };
 use crate::server::ServerContext;
 
@@ -98,13 +98,16 @@ impl Session {
     /// one at a time via [`Session::run_statement`].
     pub fn run_script(&mut self, sql: &str) -> Result<Vec<ScriptOutcome>, SessionError> {
         let parse_started = Instant::now();
-        let parsed =
-            self.counted(parse_script(sql).map_err(|e| SessionError::Sql(e.to_string())))?;
+        let parsed = self.counted(
+            parse_script(sql).map_err(|e| SessionError::Sql(e.to_string())).and_then(|parsed| {
+                if parsed.is_empty() {
+                    return Err(SessionError::Sql("the input contains no statements".into()));
+                }
+                Ok(parsed)
+            }),
+        )?;
         let parse_elapsed = parse_started.elapsed();
         self.server.shared.metrics.parse_latency.record(parse_elapsed);
-        if parsed.is_empty() {
-            return Err(SessionError::Sql("the input contains no statements".into()));
-        }
         parsed.iter().map(|statement| self.run_statement(statement, parse_elapsed)).collect()
     }
 
@@ -141,37 +144,22 @@ impl Session {
         parsed: &ParsedStatement,
         parse_elapsed: Duration,
     ) -> Result<ScriptOutcome, SessionError> {
-        let bind = |this: &Self, statement: &SelectStatement| {
-            let bind_started = Instant::now();
-            let bound = qob_sql::bind(this.context().db(), statement, parsed.name.clone())
-                .map_err(|e| SessionError::Sql(parsed.error(e).to_string()))?;
-            let bind_elapsed = bind_started.elapsed();
-            this.server.shared.metrics.bind_latency.record(bind_elapsed);
-            Ok((bound, bind_elapsed))
-        };
-        match &parsed.statement {
-            ScriptStatement::Select(statement) => {
-                let (query, bind_elapsed) = bind(self, statement)?;
-                let mode = RunMode::from_options(&self.options);
-                let spans = PhaseSpans { parse: parse_elapsed, bind: bind_elapsed };
-                Ok(ScriptOutcome::Query(Box::new(self.run_query_traced(&query, mode, spans)?)))
-            }
-            ScriptStatement::Explain { analyze, statement } => {
-                let (query, bind_elapsed) = bind(self, statement)?;
-                // Plain EXPLAIN stops after planning; EXPLAIN ANALYZE
-                // executes with tracing forced on and renders the plan
-                // annotated with est vs true cardinality and wall time.
-                let mode = RunMode {
+        let (statement, mode) = match &parsed.statement {
+            ScriptStatement::Select(statement) => (statement, RunMode::from_options(&self.options)),
+            // Plain EXPLAIN stops after planning; EXPLAIN ANALYZE executes
+            // with tracing forced on and renders the plan annotated with
+            // est vs true cardinality and wall time.
+            ScriptStatement::Explain { analyze, statement } => (
+                statement,
+                RunMode {
                     execute: *analyze && self.options.execute,
                     tracing: self.options.tracing || *analyze,
                     annotate: *analyze,
-                };
-                let spans = PhaseSpans { parse: parse_elapsed, bind: bind_elapsed };
-                Ok(ScriptOutcome::Query(Box::new(self.run_query_traced(&query, mode, spans)?)))
-            }
+                },
+            ),
             ScriptStatement::Prepare { name, statement, params } => {
                 self.install_prepared(name, statement.clone(), *params)?;
-                Ok(ScriptOutcome::Prepared { name: name.clone(), params: *params })
+                return Ok(ScriptOutcome::Prepared { name: name.clone(), params: *params });
             }
             ScriptStatement::Execute { name, args } => {
                 let values = args
@@ -179,13 +167,20 @@ impl Session {
                     .map(ParamValue::from_literal)
                     .collect::<Result<Vec<_>, _>>()
                     .map_err(|e| SessionError::Sql(parsed.error(e).to_string()))?;
-                Ok(ScriptOutcome::Query(Box::new(self.answer_prepared(name, &values)?)))
+                return Ok(ScriptOutcome::Query(Box::new(self.answer_prepared(name, &values)?)));
             }
             ScriptStatement::Deallocate { name } => {
                 self.drop_prepared(name)?;
-                Ok(ScriptOutcome::Deallocated { name: name.clone() })
+                return Ok(ScriptOutcome::Deallocated { name: name.clone() });
             }
-        }
+        };
+        let bind_started = Instant::now();
+        let query = qob_sql::bind(self.context().db(), statement, parsed.name.clone())
+            .map_err(|e| SessionError::Sql(parsed.error(e).to_string()))?;
+        let bind_elapsed = bind_started.elapsed();
+        self.server.shared.metrics.bind_latency.record(bind_elapsed);
+        let spans = PhaseSpans { parse: parse_elapsed, bind: bind_elapsed };
+        Ok(ScriptOutcome::Query(Box::new(self.run_query_traced(&query, mode, spans)?)))
     }
 
     /// Registers a (possibly parameterized) statement under `name`,
@@ -264,35 +259,6 @@ impl Session {
             .ok_or_else(|| SessionError::Sql(format!("no prepared statement named `{name}`")))
     }
 
-    /// Sets one session option by its wire name (see
-    /// [`SessionOptions::set`]), applying the few options with server-wide
-    /// side effects: `cache_capacity` resizes the shared plan cache at set
-    /// time (the most recent `set` wins; probes never resize, so sessions
-    /// with different defaults cannot thrash each other's entries), and
-    /// `slow_query_ms` switches the server's structured event log on
-    /// (positive) or off (`0`).
-    pub fn set_option(&mut self, name: &str, value: &str) -> Result<(), String> {
-        self.options.set(name, value)?;
-        if name == "cache_capacity" {
-            self.server.shared.plan_cache.lock().set_capacity(self.options.cache_capacity);
-        }
-        if name == "slow_query_ms" {
-            // The event log is server-wide, like the cache capacity: the
-            // most recent set wins.
-            self.server.shared.events.set_enabled(self.options.slow_query_ms > 0);
-        }
-        Ok(())
-    }
-
-    /// The names of this session's prepared statements, with their
-    /// parameter counts (sorted by name).
-    pub fn prepared_statements(&self) -> Vec<(String, usize)> {
-        let mut names: Vec<(String, usize)> =
-            self.prepared.iter().map(|(n, p)| (n.clone(), p.params)).collect();
-        names.sort();
-        names
-    }
-
     /// Picks the plan for `query`: through the shared plan cache when the
     /// session has it enabled (fingerprint probe → fence → reuse or
     /// re-optimize-and-install), otherwise a plain cold optimization.
@@ -300,7 +266,7 @@ impl Session {
         &self,
         query: &QuerySpec,
         estimator: &dyn qob_cardest::CardinalityEstimator,
-    ) -> Result<(qob_plan::PhysicalPlan, f64, Option<PlanCacheStatus>), SessionError> {
+    ) -> Result<(qob_plan::PhysicalPlan, f64, CacheOutcome), SessionError> {
         let ctx = self.context();
         let optimize = || {
             ctx.optimize(query, estimator, PlannerConfig::default())
@@ -308,7 +274,7 @@ impl Session {
         };
         if !self.options.plan_cache {
             let optimized = optimize()?;
-            return Ok((optimized.plan, optimized.cost, None));
+            return Ok((optimized.plan, optimized.cost, CacheOutcome::Off));
         }
         // The estimator profile is part of the key: plans optimized under
         // different estimate sources are not interchangeable.
@@ -329,16 +295,16 @@ impl Session {
         };
         let status = match probe {
             Lookup::Hit { variant, .. } => {
-                return Ok((variant.plan, variant.cost, Some(PlanCacheStatus::Hit)));
+                return Ok((variant.plan, variant.cost, CacheOutcome::Hit));
             }
-            Lookup::Miss => PlanCacheStatus::Miss,
+            Lookup::Miss => CacheOutcome::Miss,
             Lookup::FenceRejected { .. } => {
                 self.server.shared.events.emit(
                     Event::new("fence_reject")
                         .str("query", &query.name)
                         .float("fence", self.options.cache_fence),
                 );
-                PlanCacheStatus::FenceRejected
+                CacheOutcome::FenceRejected
             }
         };
         // Optimize outside the cache lock — enumeration is the expensive
@@ -357,7 +323,7 @@ impl Session {
                 .events
                 .emit(Event::new("eviction").str("query", &query.name).num("evicted", evicted));
         }
-        Ok((optimized.plan, optimized.cost, Some(status)))
+        Ok((optimized.plan, optimized.cost, status))
     }
 
     /// Plans (and, per [`SessionOptions::execute`], executes) one bound
@@ -463,20 +429,8 @@ impl Session {
                     PlannerConfig::default(),
                 )
                 .map_err(|e| self.execution_error(&query.name, e))?;
-                let replans = outcome
-                    .replans
-                    .iter()
-                    .map(|e| ReplanReport {
-                        after: relset_label(query, e.trigger),
-                        estimated: e.estimated,
-                        observed: e.observed,
-                        factor: e.factor,
-                        changed: e.changed,
-                        resumed_plan: e.resumed_plan.clone(),
-                    })
-                    .collect::<Vec<_>>();
-                shared.metrics.replans_total.add(replans.len() as u64);
-                for replan in &replans {
+                shared.metrics.replans_total.add(outcome.replans.len() as u64);
+                for replan in &outcome.replans {
                     shared.events.emit(
                         Event::new("replan")
                             .str("query", &query.name)
@@ -485,7 +439,7 @@ impl Session {
                             .num("changed", replan.changed as u64),
                     );
                 }
-                (outcome.result, replans)
+                (outcome.result, outcome.replans)
             } else {
                 let result = ctx
                     .execute(query, &plan, estimator.as_ref(), &exec_options)
@@ -539,9 +493,7 @@ impl Session {
                 worst_q_error: worst,
                 replans,
             });
-            if self.options.history {
-                self.record_history(query, &report, optimize_elapsed, queue_wait, execute_elapsed);
-            }
+            self.record_history(query, &report, optimize_elapsed, queue_wait, execute_elapsed);
         }
         if mode.tracing {
             report.trace = Some(TraceReport {
@@ -559,8 +511,8 @@ impl Session {
 
     /// Records one executed statement into the server-wide query history
     /// and, when the detector fires, counts and logs the regression.
-    /// Pure post-processing: the result already exists, so recording (and
-    /// the switch that skips it) can never change what a statement returns.
+    /// Pure post-processing: the result already exists, so recording can
+    /// never change what a statement returns.
     fn record_history(
         &self,
         query: &QuerySpec,
@@ -570,10 +522,7 @@ impl Session {
         execute_elapsed: Duration,
     ) {
         let shared = &self.server.shared;
-        let exec = match &report.execution {
-            Some(exec) => exec,
-            None => return,
-        };
+        let Some(exec) = &report.execution else { return };
         // The same key the plan cache uses: structure fingerprint mixed
         // with the estimator profile, so the same SQL planned by different
         // estimators tracks as separate latency series.  The history keys
@@ -590,12 +539,7 @@ impl Session {
             rows: exec.rows,
             max_q_error: exec.worst_q_error,
             replans: exec.replans.len() as u64,
-            cache: match report.plan_cache {
-                None => qob_obs::CacheOutcome::Off,
-                Some(PlanCacheStatus::Hit) => qob_obs::CacheOutcome::Hit,
-                Some(PlanCacheStatus::Miss) => qob_obs::CacheOutcome::Miss,
-                Some(PlanCacheStatus::FenceRejected) => qob_obs::CacheOutcome::FenceRejected,
-            },
+            cache: report.plan_cache,
         };
         let fired =
             shared.history.record(fingerprint, &query.name, sample, self.options.regression_ratio);

@@ -1,14 +1,17 @@
-//! Observability neutrality across the full JOB workload: turning `tracing`
-//! or `history` on must never change what a query answers — same rows, same
-//! per-operator cardinality table — because the timing counters are
-//! collected on the same always-on path as the cardinality counters and the
-//! options only gate whether they are *exposed* (tracing) or *recorded
-//! after the fact* (history).  The traced run additionally obeys the wall
+//! Observability neutrality across the full JOB workload: tracing and the
+//! always-on query history must never change what a query answers — same
+//! rows, same per-operator cardinality table — because the timing counters
+//! are collected on the same always-on path as the cardinality counters;
+//! tracing only gates whether they are *exposed*, and the history records
+//! them *after the fact*.  The traced run additionally obeys the wall
 //! clock: at one worker thread, per-operator busy time can never sum past
 //! the query's total elapsed time.
 
-use qob_core::{BenchmarkContext, ServerContext};
+use std::time::Duration;
+
+use qob_core::{BenchmarkContext, QueryReport, ServerContext};
 use qob_datagen::Scale;
+use qob_plan::QuerySpec;
 use qob_storage::IndexConfig;
 
 #[test]
@@ -78,39 +81,36 @@ fn history_is_tuple_neutral_across_the_full_workload() {
     let queries = ctx.queries().to_vec();
     assert_eq!(queries.len(), qob_workload::JOB_QUERY_COUNT);
     let server = ServerContext::new(ctx);
+    let mut session = server.session();
+    session.options.threads = 1;
+    let pass = || -> Vec<QueryReport> {
+        let run = |query: &QuerySpec| {
+            let mut report =
+                session.run_query(query).unwrap_or_else(|e| panic!("{}: {e}", query.name));
+            report.execution.as_mut().expect("the session executes").elapsed = Duration::ZERO;
+            report
+        };
+        queries.iter().map(run).collect()
+    };
 
-    let mut recording = server.session();
-    recording.options.threads = 1;
-    assert!(recording.options.history, "history defaults on");
-    let mut silent = server.session();
-    silent.options.threads = 1;
-    silent.set_option("history", "false").unwrap();
-
-    for query in &queries {
-        let on = recording.run_query(query).unwrap_or_else(|e| panic!("{} on: {e}", query.name));
-        let off = silent.run_query(query).unwrap_or_else(|e| panic!("{} off: {e}", query.name));
-        let oe = on.execution.as_ref().expect("recording session executes");
-        let fe = off.execution.as_ref().expect("silent session executes");
-        assert_eq!(oe.rows, fe.rows, "{}: history recording changed the answer", query.name);
-        assert_eq!(
-            oe.operators, fe.operators,
-            "{}: history recording changed the operator table",
-            query.name
-        );
-        assert_eq!(on.plan, off.plan, "{}: history recording changed the plan", query.name);
+    // The first pass fills the history; the second runs against it.
+    let first = pass();
+    assert_eq!(server.history().recorded(), queries.len() as u64);
+    let second = pass();
+    for (a, b) in first.iter().zip(&second) {
+        assert_eq!(a, b, "{}: a recorded history changed the report", a.name);
     }
 
-    // Only the recording session fed the history: one sample per JOB query.
-    // Fingerprints are literal-invariant, so a JOB family's variants
-    // (`1a`..`1d` differ only in constants) fold into one fingerprint —
-    // fewer series than queries, but every sample accounted for.
-    assert_eq!(server.history().recorded(), queries.len() as u64);
+    // One sample per execution.  Fingerprints are literal-invariant, so a
+    // JOB family's variants (`1a`..`1d` differ only in constants) fold
+    // into one fingerprint — fewer series than queries, but every sample
+    // accounted for.
+    assert_eq!(server.history().recorded(), 2 * queries.len() as u64);
     let snap = server.history().snapshot();
     assert!(
         snap.fingerprints.len() < queries.len(),
         "variant families share a structural fingerprint"
     );
     let samples: u64 = snap.fingerprints.iter().map(|f| f.count).sum();
-    assert_eq!(samples, queries.len() as u64, "every query recorded exactly one sample");
-    assert!(snap.regressions.is_empty(), "a handful of samples per fingerprint cannot regress");
+    assert_eq!(samples, 2 * queries.len() as u64, "every execution recorded exactly one sample");
 }

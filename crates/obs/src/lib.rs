@@ -595,6 +595,8 @@ fn push_json_str(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
+            '\u{08}' => out.push_str("\\b"),
+            '\u{0c}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
@@ -623,13 +625,13 @@ impl std::fmt::Debug for EventSink {
 
 /// A JSON-lines event log.
 ///
-/// Disabled by default; enabling it (the `slow_query_ms` session option /
-/// `--slow-query-ms` flag) turns on *all* event kinds — replans, fence
-/// rejects, evictions, worker panics, slow queries and regressions.  The
-/// enabled check is one relaxed atomic load, so a disabled log costs
-/// nothing on the hot path; the sink lock is only taken when a line is
-/// actually written.  Each written line gets a `seq` field assigned
-/// under that lock, so `seq` order **is** write order — strictly
+/// Disabled by default; enabling it (a positive server-default
+/// `slow_query_ms`, i.e. `qob serve --slow-query-ms`) turns on *all* event
+/// kinds — replans, fence rejects, evictions, worker panics, slow queries
+/// and regressions.  The enabled check is one relaxed atomic load, so a
+/// disabled log costs nothing on the hot path; the sink lock is only taken
+/// when a line is actually written.  Each written line gets a `seq` field
+/// assigned under that lock, so `seq` order **is** write order — strictly
 /// monotonic even under concurrent emitters.
 #[derive(Debug)]
 pub struct EventLog {

@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use qob_core::{QueryReport, ScriptOutcome, ServerContext, SessionError};
+use qob_core::{CacheOutcome, QueryReport, ScriptOutcome, ServerContext, SessionError};
 use qob_sql::ParamValue;
 
 use crate::json::Json;
@@ -260,8 +260,8 @@ pub fn report_to_json(report: &QueryReport) -> Json {
         ("threads", Json::Num(report.threads as f64)),
         ("plan", Json::str(report.plan.clone())),
     ];
-    if let Some(status) = report.plan_cache {
-        pairs.push(("plan_cache", Json::str(status.label())));
+    if report.plan_cache != CacheOutcome::Off {
+        pairs.push(("plan_cache", Json::str(report.plan_cache.label())));
     }
     if let Some(trace) = &report.trace {
         pairs.push((

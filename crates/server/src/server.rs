@@ -359,7 +359,7 @@ fn handle_request(
             Ok(()) => (deallocated_response(&name), true),
             Err(e) => (session_error_response(&e), true),
         },
-        Request::Set { option, value } => match session.set_option(&option, &value) {
+        Request::Set { option, value } => match session.options.set(&option, &value) {
             Ok(()) => (set_response(&option, &value), true),
             Err(message) => (error_response("invalid_option", &message), true),
         },

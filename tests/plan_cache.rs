@@ -9,7 +9,7 @@
 //! land on a *different join order*; and (3) the cache's counters must
 //! match exactly what the workload observed.
 
-use qob_core::{BenchmarkContext, PlanCacheStatus, QueryReport, ServerContext, SessionOptions};
+use qob_core::{BenchmarkContext, CacheOutcome, QueryReport, ServerContext, SessionOptions};
 use qob_datagen::Scale;
 use qob_sql::ParamValue;
 use qob_storage::IndexConfig;
@@ -46,33 +46,33 @@ fn cache_hits_execute_tuple_identical_to_cold_on_all_113_job_queries() {
     let (mut hits, mut misses, mut rejections) = (0u64, 0u64, 0u64);
     for query in &queries {
         let baseline = cold.run_query(query).unwrap();
-        assert_eq!(baseline.plan_cache, None, "cold session never touches the cache");
+        assert_eq!(baseline.plan_cache, CacheOutcome::Off, "cold session never touches the cache");
 
         let first = warm.run_query(query).unwrap();
         let fresh = seen_fingerprints.insert(qob_cache::fingerprint_query(query));
         match first.plan_cache {
-            Some(PlanCacheStatus::Miss) => {
+            CacheOutcome::Miss => {
                 assert!(fresh, "{}: missed a fingerprint another variant installed", query.name);
                 misses += 1;
             }
-            Some(PlanCacheStatus::FenceRejected) => {
+            CacheOutcome::FenceRejected => {
                 assert!(!fresh, "{}: rejected without a cached variant", query.name);
                 rejections += 1;
             }
-            Some(PlanCacheStatus::Hit) => {
+            CacheOutcome::Hit => {
                 // A sibling variant with identical estimates: its cached
                 // plan is the deterministic optimum for these estimates
                 // too, so the differential below still pins it.
                 assert!(!fresh, "{}: hit without a cached variant", query.name);
                 hits += 1;
             }
-            None => panic!("{}: caching session must report a status", query.name),
+            CacheOutcome::Off => panic!("{}: caching session must report a status", query.name),
         }
 
         let second = warm.run_query(query).unwrap();
         assert_eq!(
             second.plan_cache,
-            Some(PlanCacheStatus::Hit),
+            CacheOutcome::Hit,
             "{}: identical repeat must hit",
             query.name
         );
@@ -121,12 +121,12 @@ fn fence_crossing_parameter_shift_reoptimizes_to_a_different_join_order() {
     session.prepare("by_year", PARAM_SHIFT).unwrap();
 
     let loose = session.execute_prepared("by_year", &[ParamValue::Int(1885)]).unwrap();
-    assert_eq!(loose.plan_cache, Some(PlanCacheStatus::Miss));
+    assert_eq!(loose.plan_cache, CacheOutcome::Miss);
 
     let selective = session.execute_prepared("by_year", &[ParamValue::Int(2009)]).unwrap();
     assert_eq!(
         selective.plan_cache,
-        Some(PlanCacheStatus::FenceRejected),
+        CacheOutcome::FenceRejected,
         "the parameter shift must cross the fence, not silently reuse"
     );
     assert_ne!(
@@ -137,10 +137,10 @@ fn fence_crossing_parameter_shift_reoptimizes_to_a_different_join_order() {
     // Both parameter regimes are now variants of one fingerprint: each
     // repeat hits, each keeps its own join order.
     let loose_again = session.execute_prepared("by_year", &[ParamValue::Int(1885)]).unwrap();
-    assert_eq!(loose_again.plan_cache, Some(PlanCacheStatus::Hit));
+    assert_eq!(loose_again.plan_cache, CacheOutcome::Hit);
     assert_eq!(loose_again.plan, loose.plan);
     let selective_again = session.execute_prepared("by_year", &[ParamValue::Int(2009)]).unwrap();
-    assert_eq!(selective_again.plan_cache, Some(PlanCacheStatus::Hit));
+    assert_eq!(selective_again.plan_cache, CacheOutcome::Hit);
     assert_eq!(selective_again.plan, selective.plan);
 
     // Cached answers equal cold answers for both regimes.
@@ -168,11 +168,11 @@ fn literal_shifts_within_the_fence_reuse_the_plan() {
     session.prepare("by_year", PARAM_SHIFT).unwrap();
 
     let first = session.execute_prepared("by_year", &[ParamValue::Int(1980)]).unwrap();
-    assert_eq!(first.plan_cache, Some(PlanCacheStatus::Miss));
+    assert_eq!(first.plan_cache, CacheOutcome::Miss);
     let nearby = session.execute_prepared("by_year", &[ParamValue::Int(1981)]).unwrap();
     assert_eq!(
         nearby.plan_cache,
-        Some(PlanCacheStatus::Hit),
+        CacheOutcome::Hit,
         "a nearby parameter reuses the plan through automatic parameterization"
     );
     // Same plan, but the *answer* reflects the new parameter — reuse never

@@ -98,16 +98,13 @@ impl Session {
     /// one at a time via [`Session::run_statement`].
     pub fn run_script(&mut self, sql: &str) -> Result<Vec<ScriptOutcome>, SessionError> {
         let parse_started = Instant::now();
-        let parsed = self.counted(
-            parse_script(sql).map_err(|e| SessionError::Sql(e.to_string())).and_then(|parsed| {
-                if parsed.is_empty() {
-                    return Err(SessionError::Sql("the input contains no statements".into()));
-                }
-                Ok(parsed)
-            }),
-        )?;
+        let parsed =
+            self.counted(parse_script(sql).map_err(|e| SessionError::Sql(e.to_string())))?;
         let parse_elapsed = parse_started.elapsed();
         self.server.shared.metrics.parse_latency.record(parse_elapsed);
+        if parsed.is_empty() {
+            return self.counted(Err(SessionError::Sql("the input contains no statements".into())));
+        }
         parsed.iter().map(|statement| self.run_statement(statement, parse_elapsed)).collect()
     }
 

@@ -80,23 +80,32 @@ fn sessions_share_one_context_and_count_queries() {
 /// `SET` on one session changes nothing another session can see.
 #[test]
 fn set_changes_one_field_of_one_session() {
+    // One `SessionOptions` runs through the table in order, and every row
+    // must change it, so a value that resets a field (`0`, `false`) is
+    // tested from a state where that field was set.  `threads` takes a
+    // count no machine offers, so that `threads 0` restores a different
+    // value.
     type Accepted = (&'static str, &'static str, fn(&mut SessionOptions));
-    let accepted: [Accepted; 22] = [
-        ("threads", "4", |o| o.threads = 4),
+    let accepted: [Accepted; 26] = [
+        ("threads", "4096", |o| o.threads = 4096),
         ("threads", "0", |o| o.threads = qob_exec::default_threads()),
         ("timeout_ms", "1500", |o| o.timeout = Some(Duration::from_millis(1500))),
         ("timeout_ms", "0", |o| o.timeout = None),
         ("estimator", "hyper", |o| o.estimator = EstimatorKind::HyPer),
         ("estimator", "dbms-c", |o| o.estimator = EstimatorKind::DbmsC),
         ("execute", "false", |o| o.execute = false),
+        ("execute", "true", |o| o.execute = true),
         ("morsel_size", "128", |o| o.morsel_size = 128),
         ("morsel_size", "0", |o| o.morsel_size = qob_exec::DEFAULT_MORSEL_SIZE),
         ("adaptive", "true", |o| o.adaptive.enabled = true),
+        ("adaptive", "false", |o| o.adaptive.enabled = false),
         ("adaptive_threshold", "2.5", |o| o.adaptive.divergence_threshold = 2.5),
         ("max_replans", "7", |o| o.adaptive.max_replans = 7),
         ("plan_cache", "true", |o| o.plan_cache = true),
+        ("plan_cache", "false", |o| o.plan_cache = false),
         ("cache_fence", "2.5", |o| o.cache_fence = 2.5),
         ("tracing", "true", |o| o.tracing = true),
+        ("tracing", "false", |o| o.tracing = false),
         ("slow_query_ms", "250", |o| o.slow_query_ms = 250),
         ("slow_query_ms", "0", |o| o.slow_query_ms = 0),
         ("mem_budget", "5000", |o| o.mem_budget = 5000),
@@ -105,11 +114,13 @@ fn set_changes_one_field_of_one_session() {
         ("regression_ratio", "0", |o| o.regression_ratio = 0.0),
         ("regression_ratio", "0.01", |o| o.regression_ratio = 0.01),
     ];
+    let mut set = SessionOptions::default();
+    let mut expected = SessionOptions::default();
     for (name, value, change) in accepted {
-        let mut set = SessionOptions::default();
+        let previous = set.clone();
         set.set(name, value).unwrap_or_else(|e| panic!("set {name} {value}: {e}"));
-        let mut expected = SessionOptions::default();
         change(&mut expected);
+        assert_ne!(set, previous, "set {name} {value} changed nothing");
         assert_eq!(set, expected, "set {name} {value}");
     }
 
@@ -236,6 +247,8 @@ fn session_errors_carry_stage_codes() {
     assert!(err.to_string().contains("no_such_table"));
     let err = session.run_script("   ").unwrap_err();
     assert_eq!(err.code(), "sql_error");
+    // Both scripts parsed, so both record a parse time.
+    assert_eq!(server.metrics().parse_latency.snapshot().count, 2);
 
     let mut strict = server.session();
     strict.options.timeout = Some(Duration::from_nanos(1));

@@ -187,53 +187,45 @@ impl ServerContext {
         let mut ex = Exposition::new();
         self.shared.metrics.render(&mut ex);
         let c = self.plan_cache_counters();
-        ex.counter("qob_plan_cache_hits_total", "Cached plans reused past the fence", c.hits);
-        ex.counter("qob_plan_cache_misses_total", "Fingerprints optimized cold", c.misses);
-        ex.counter(
-            "qob_plan_cache_fence_rejections_total",
-            "Cached plans rejected by the cardinality fence",
-            c.fence_rejections,
-        );
-        ex.counter(
-            "qob_plan_cache_evictions_total",
-            "Fingerprints evicted by capacity pressure",
-            c.evictions,
-        );
-        ex.counter("qob_plan_cache_installs_total", "Plans installed into the cache", c.installs);
-        ex.gauge(
-            "qob_plan_cache_entries",
-            "Fingerprints currently cached",
-            self.plan_cache_len() as u64,
-        );
-        ex.gauge(
-            "qob_plan_cache_capacity",
-            "Fingerprint capacity of the shared plan cache",
-            self.plan_cache_capacity() as u64,
-        );
-        ex.gauge(
-            "qob_truth_cache_entries",
-            "Queries with cached ground-truth cardinalities",
-            self.shared.ctx.truth_cache_len() as u64,
-        );
+        for (name, help, value) in [
+            ("qob_plan_cache_hits_total", "Cached plans reused past the fence", c.hits),
+            ("qob_plan_cache_misses_total", "Fingerprints optimized cold", c.misses),
+            (
+                "qob_plan_cache_fence_rejections_total",
+                "Cached plans rejected by the cardinality fence",
+                c.fence_rejections,
+            ),
+            (
+                "qob_plan_cache_evictions_total",
+                "Fingerprints evicted by capacity pressure",
+                c.evictions,
+            ),
+            ("qob_plan_cache_installs_total", "Plans installed into the cache", c.installs),
+        ] {
+            ex.counter(name, help, value);
+        }
         let (workers, busy, queued_tasks) = self.pool_gauges();
-        ex.gauge(
-            "qob_pool_workers",
-            "Shared execution pool size (0 = no scheduler)",
-            workers as u64,
-        );
-        ex.gauge("qob_pool_busy", "Shared-pool workers currently running morsels", busy as u64);
-        ex.gauge(
-            "qob_pool_queue_depth",
-            "Tasks waiting in the shared-pool queue",
-            queued_tasks as u64,
-        );
         let (executing, queued) = self.admission_gauges();
-        ex.gauge(
-            "qob_admission_executing",
-            "Statements holding an execution slot",
-            executing as u64,
-        );
-        ex.gauge("qob_admission_queued", "Statements waiting for an execution slot", queued as u64);
+        for (name, help, value) in [
+            ("qob_plan_cache_entries", "Fingerprints currently cached", self.plan_cache_len()),
+            (
+                "qob_plan_cache_capacity",
+                "Fingerprint capacity of the shared plan cache",
+                self.plan_cache_capacity(),
+            ),
+            (
+                "qob_truth_cache_entries",
+                "Queries with cached ground-truth cardinalities",
+                self.shared.ctx.truth_cache_len(),
+            ),
+            ("qob_pool_workers", "Shared execution pool size (0 = no scheduler)", workers),
+            ("qob_pool_busy", "Shared-pool workers currently running morsels", busy),
+            ("qob_pool_queue_depth", "Tasks waiting in the shared-pool queue", queued_tasks),
+            ("qob_admission_executing", "Statements holding an execution slot", executing),
+            ("qob_admission_queued", "Statements waiting for an execution slot", queued),
+        ] {
+            ex.gauge(name, help, value as u64);
+        }
         let sizes = self.shared.ctx.storage_sizes();
         let encoded: usize = sizes.iter().map(|t| t.encoded_bytes).sum();
         let plain: usize = sizes.iter().map(|t| t.plain_bytes).sum();

@@ -80,11 +80,9 @@ fn sessions_share_one_context_and_count_queries() {
 /// `SET` on one session changes nothing another session can see.
 #[test]
 fn set_changes_one_field_of_one_session() {
-    // One `SessionOptions` runs through the table in order, and every row
-    // must change it, so a value that resets a field (`0`, `false`) is
-    // tested from a state where that field was set.  `threads` takes a
-    // count no machine offers, so that `threads 0` restores a different
-    // value.
+    // One `SessionOptions` runs through the rows in order and every row must
+    // change it, so resets (`0`, `false`) start from a field that was set;
+    // no machine has 4096 cores, so `threads 0` restores a different value.
     type Accepted = (&'static str, &'static str, fn(&mut SessionOptions));
     let accepted: [Accepted; 26] = [
         ("threads", "4096", |o| o.threads = 4096),

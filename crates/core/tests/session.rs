@@ -650,3 +650,65 @@ fn run_statement_attributes_the_given_parse_time() {
     assert_eq!(u128::from(trace.parse_us), parse_elapsed.as_micros());
     assert!(trace.optimize_us > 0, "optimization takes measurable time");
 }
+
+/// Every number a session reports for the 113 JOB statements under all six
+/// estimator profiles, with adaptive re-planning and the plan cache on,
+/// folded into one digest: the chosen plan, its cost and cache outcome,
+/// each operator's estimate, true count and q-error (as bits), and every
+/// field of every re-plan event.  A change to how the serve path asks for
+/// estimates must leave it unchanged.
+#[test]
+fn job_reports_under_every_profile_are_pinned() {
+    use std::fmt::Write as _;
+    let ctx = BenchmarkContext::new(Scale::tiny(), IndexConfig::PrimaryAndForeignKey).unwrap();
+    let server = ServerContext::new(ctx);
+    let mut out = String::new();
+    let (mut statements, mut replans) = (0, 0);
+    for profile in ["postgres", "true-distinct", "hyper", "dbms-a", "dbms-b", "dbms-c"] {
+        let mut session = server.session();
+        for (name, value) in [
+            ("estimator", profile),
+            ("threads", "1"),
+            ("adaptive", "true"),
+            ("adaptive_threshold", "2.0"),
+            ("plan_cache", "true"),
+        ] {
+            session.options.set(name, value).unwrap();
+        }
+        for query in server.context().queries() {
+            let r = session.run_query(query).unwrap();
+            let exec = r.execution.as_ref().expect("the session executes");
+            let _ = writeln!(
+                out,
+                "{} {} {:x} {:?}",
+                r.name,
+                r.estimator,
+                r.cost.to_bits(),
+                r.plan_cache
+            );
+            let _ = writeln!(
+                out,
+                "{}{} rows, worst {:x}",
+                r.plan,
+                exec.rows,
+                exec.worst_q_error.to_bits()
+            );
+            for op in &exec.operators {
+                let (est, q) = (op.estimated.to_bits(), op.q_error.to_bits());
+                let _ = writeln!(out, "{} {est:x} {} {q:x}", op.relations, op.true_rows);
+            }
+            for e in &exec.replans {
+                let (est, factor) = (e.estimated.to_bits(), e.factor.to_bits());
+                let _ =
+                    writeln!(out, "{} {est:x} {} {factor:x} {}", e.after, e.observed, e.changed);
+                out.push_str(&e.resumed_plan);
+            }
+            statements += 1;
+            replans += exec.replans.len();
+        }
+    }
+    assert_eq!(statements, 6 * 113);
+    assert!(replans > 0, "a 2x threshold re-plans somewhere in JOB");
+    let digest = qob_storage::encoding::fnv1a64(out.as_bytes());
+    assert_eq!(digest, 0xcf3f_c7bd_18e8_5578, "digest {digest:#018x} over {replans} re-plans");
+}

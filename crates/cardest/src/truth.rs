@@ -97,16 +97,6 @@ impl<'a> InjectedCardinalities<'a> {
         let name = format!("{} injected into {}", injected.name, fallback.name());
         InjectedCardinalities { injected, fallback, name }
     }
-
-    /// Fraction of requests that would be served from the injected map for
-    /// the given collection of subexpressions (diagnostic helper).
-    pub fn coverage(&self, sets: &[RelSet]) -> f64 {
-        if sets.is_empty() {
-            return 1.0;
-        }
-        let hits = sets.iter().filter(|s| self.injected.get(**s).is_some()).count();
-        hits as f64 / sets.len() as f64
-    }
 }
 
 impl CardinalityEstimator for InjectedCardinalities<'_> {
@@ -186,8 +176,5 @@ mod tests {
         assert_eq!(inj.estimate(&q, RelSet::single(1)), 99.0);
         assert!(inj.name().contains("DBMS X"));
         assert!(inj.name().contains("const"));
-        let cov = inj.coverage(&[RelSet::single(0), RelSet::single(1)]);
-        assert_eq!(cov, 0.5);
-        assert_eq!(inj.coverage(&[]), 1.0);
     }
 }

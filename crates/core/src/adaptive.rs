@@ -14,19 +14,20 @@
 //!    │   no: keep going ◀──────────────────────┤
 //!    │                                         ▼ yes
 //!    └── splice re-planned remainder ◀── re-enumerate with truth
-//!        (materialised prefixes stay          injected into the estimator
-//!         atomic, their cost is sunk)         (FeedbackEstimator)
+//!        (materialised prefixes stay          overlaid on the statement's
+//!         atomic, their cost is sunk)         planner (FeedbackEstimator)
 //! ```
 //!
 //! Execution proceeds breaker by breaker ([`qob_exec::materialize_plan`]),
 //! exactly in the order the morsel engine would materialise them.  Every
-//! observation feeds a [`FeedbackEstimator`] overlay; when the observed
+//! observation feeds a [`FeedbackEstimator`] overlay over the statement's
+//! [`Planner`], so no set's raw estimate is fetched twice.  When the observed
 //! count diverges from what the current plan was optimized with by more
-//! than [`qob_exec::AdaptiveOptions::divergence_threshold`] (a q-error
-//! factor), the
+//! than [`AdaptiveOptions::divergence_threshold`] (a q-error factor), the
 //! remainder is re-planned by [`qob_enumerate::optimize_bushy_with_prefixes`]
-//! — materialised intermediates enter the enumeration as atomic, zero-cost
-//! virtual base relations — and execution resumes on the spliced plan with
+//! under the planner's own cost model and configuration — materialised
+//! intermediates enter the enumeration as atomic, zero-cost virtual base
+//! relations — and execution resumes on the spliced plan with
 //! [`qob_exec::execute_plan_with`] serving the finished prefixes from the
 //! [`Materialized`] store.
 //!
@@ -38,12 +39,11 @@
 use std::time::Instant;
 
 use qob_cardest::{q_error, CardinalityEstimator, FeedbackEstimator, TrueCardinalities};
-use qob_cost::SimpleCostModel;
-use qob_enumerate::{optimize_bushy_with_prefixes, Planner, PlannerConfig, PrefixGroup};
+use qob_enumerate::{optimize_bushy_with_prefixes, Planner, PrefixGroup};
 use qob_exec::{ExecutionError, ExecutionOptions, ExecutionResult, Materialized};
-use qob_plan::{PhysicalPlan, QuerySpec, RelSet};
+use qob_plan::{PhysicalPlan, RelSet};
 
-use crate::context::BenchmarkContext;
+use crate::options::AdaptiveOptions;
 use crate::report::relset_label;
 
 /// One re-planning round: what diverged, by how much, and what came of it.
@@ -86,26 +86,22 @@ impl AdaptiveOutcome {
     }
 }
 
-/// Executes `plan` adaptively against the context (see the module docs for
-/// the loop).  With `options.adaptive.enabled == false` the divergence check
-/// never fires and this degrades to plain breaker-by-breaker execution of
-/// the given plan — same rows, same operator cardinalities.
+/// Executes `plan`, chosen by the statement's `planner`, adaptively (see the
+/// module docs).  With `adaptive.enabled == false` the divergence check never
+/// fires: plain breaker-by-breaker execution, same rows, same cardinalities.
 ///
-/// `estimator` is the profile the plan was optimized with; it seeds both the
-/// feedback overlay and hash-table sizing (observed sets size exactly,
-/// everything else sizes from the corrected estimate).
+/// The planner's estimates seed both the feedback overlay and hash-table
+/// sizing (observed sets size exactly, everything else from the corrected
+/// estimate).
 pub fn execute_adaptive(
-    ctx: &BenchmarkContext,
-    query: &QuerySpec,
+    planner: &Planner<'_>,
     plan: &PhysicalPlan,
-    estimator: &dyn CardinalityEstimator,
+    adaptive: AdaptiveOptions,
     options: &ExecutionOptions,
-    planner_config: PlannerConfig,
 ) -> Result<AdaptiveOutcome, ExecutionError> {
+    let (db, query) = (planner.db, planner.query);
     plan.validate(query).map_err(ExecutionError::InvalidPlan)?;
-    let adaptive = options.adaptive;
     let started = Instant::now();
-    let model = SimpleCostModel::new();
 
     let mut current = plan.clone();
     let mut mat = Materialized::new();
@@ -126,20 +122,14 @@ pub fn execute_adaptive(
         // Per-round budget: the statement timeout covers the whole adaptive
         // loop, not each round separately.
         let round_options = remaining_budget(options, started)?;
-        let overlay = FeedbackEstimator::new(&observed, estimator);
+        let overlay = FeedbackEstimator::new(&observed, planner);
         let hint = |set: RelSet| overlay.estimate(query, set);
 
         let Some(breaker) = first_breaker(&current, &mat).cloned() else {
             // Only the top pipeline remains: run it over the stored
             // intermediates and assemble the final report.
-            let res = qob_exec::execute_plan_with(
-                ctx.db(),
-                query,
-                &current,
-                &hint,
-                &round_options,
-                &mat,
-            )?;
+            let res =
+                qob_exec::execute_plan_with(db, query, &current, &hint, &round_options, &mat)?;
             let operator_cardinalities = overlay_recorded(res.operator_cardinalities, &recorded);
             return Ok(AdaptiveOutcome {
                 result: ExecutionResult {
@@ -160,9 +150,9 @@ pub fn execute_adaptive(
         // What the *running* plan believed this intermediate would hold:
         // the estimate at the plan's own planning time (raw estimates for
         // the initial plan, the feedback state as of the last re-plan).
-        let believed = FeedbackEstimator::new(&planned_with, estimator).estimate(query, set);
+        let believed = FeedbackEstimator::new(&planned_with, planner).estimate(query, set);
         let (intermediate, cards) =
-            qob_exec::materialize_plan(ctx.db(), query, &breaker, &hint, &round_options, &mat)?;
+            qob_exec::materialize_plan(db, query, &breaker, &hint, &round_options, &mat)?;
         let observed_rows = intermediate.len() as u64;
 
         // Feed every newly executed join's truth back, not just the
@@ -181,8 +171,8 @@ pub fn execute_adaptive(
             && factor > adaptive.divergence_threshold
             && replans.len() < adaptive.max_replans
         {
-            let overlay = FeedbackEstimator::new(&observed, estimator);
-            let planner = Planner::new(ctx.db(), query, &model, &overlay, planner_config);
+            let overlay = FeedbackEstimator::new(&observed, planner);
+            let replanner = Planner::new(db, query, planner.cost_model, &overlay, planner.config);
             // Every maximal materialised set is, by construction, a subtree
             // of the running plan — that subtree is the group's fixed
             // prefix.  (The store prunes subsumed sets, so the sets are
@@ -200,7 +190,7 @@ pub fn execute_adaptive(
                 .collect();
             let replanned = groups
                 .as_deref()
-                .map(|groups| optimize_bushy_with_prefixes(&planner, groups))
+                .map(|groups| optimize_bushy_with_prefixes(&replanner, groups))
                 .and_then(Result::ok)
                 // A sound re-plan keeps every materialised prefix as an
                 // unchanged subtree; anything else must not be resumed on.
@@ -297,10 +287,11 @@ fn overlay_recorded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::EstimatorKind;
+    use crate::context::{BenchmarkContext, EstimatorKind};
+    use qob_cost::{CostContext, CostModel, PostgresCostModel, SubPlanInfo};
     use qob_datagen::Scale;
-    use qob_exec::AdaptiveOptions;
-    use qob_plan::JoinAlgorithm;
+    use qob_enumerate::{dpccp::optimize_bushy, PlannerConfig};
+    use qob_plan::{JoinAlgorithm, QuerySpec};
     use qob_storage::IndexConfig;
 
     fn ctx() -> BenchmarkContext {
@@ -319,24 +310,62 @@ mod tests {
         }
     }
 
+    /// Prices a sort-merge join at its output and every other join at ten
+    /// times that, so each plan chosen under it is all sort-merge.
+    struct SortMergeWins;
+    impl CostModel for SortMergeWins {
+        fn name(&self) -> &str {
+            "sort-merge wins"
+        }
+        fn scan_cost(&self, _: &CostContext<'_>, _: usize, rows: f64) -> f64 {
+            rows
+        }
+        fn join_cost(
+            &self,
+            _: &CostContext<'_>,
+            algorithm: JoinAlgorithm,
+            _: &SubPlanInfo,
+            _: &SubPlanInfo,
+            rows: f64,
+        ) -> f64 {
+            if algorithm == JoinAlgorithm::SortMerge {
+                rows
+            } else {
+                10.0 * rows
+            }
+        }
+    }
+
+    /// The statement planner for `query` over `cards` and the plan it picks.
+    /// The tests plan under the main-memory PostgreSQL model rather than the
+    /// session's `C_mm`: the driver re-plans under whatever model it is given.
+    fn plan<'a>(
+        ctx: &'a BenchmarkContext,
+        query: &'a QuerySpec,
+        model: &'a PostgresCostModel,
+        cards: &'a dyn CardinalityEstimator,
+    ) -> (Planner<'a>, PhysicalPlan) {
+        let planner = Planner::new(ctx.db(), query, model, cards, PlannerConfig::default());
+        let plan = optimize_bushy(&planner).unwrap().plan;
+        (planner, plan)
+    }
+
+    fn on(divergence_threshold: f64, max_replans: usize) -> AdaptiveOptions {
+        AdaptiveOptions { enabled: true, divergence_threshold, max_replans }
+    }
+
     #[test]
     fn disabled_adaptivity_reproduces_plain_execution() {
         let ctx = ctx();
         let pg = ctx.estimator(EstimatorKind::Postgres);
+        let model = PostgresCostModel::tuned_for_main_memory();
+        let options = ExecutionOptions::with_threads(1);
         for name in ["2a", "6a", "13b"] {
             let query = ctx.query(name).unwrap();
-            let plan = ctx.optimize(&query, pg.as_ref(), PlannerConfig::default()).unwrap().plan;
-            let options = ExecutionOptions::with_threads(1);
-            let plain = ctx.execute(&query, &plan, pg.as_ref(), &options).unwrap();
-            let adaptive = execute_adaptive(
-                &ctx,
-                &query,
-                &plan,
-                pg.as_ref(),
-                &options,
-                PlannerConfig::default(),
-            )
-            .unwrap();
+            let (planner, plan) = plan(&ctx, &query, &model, pg.as_ref());
+            let plain = ctx.execute(&query, &plan, &planner, &options).unwrap();
+            let adaptive =
+                execute_adaptive(&planner, &plan, AdaptiveOptions::default(), &options).unwrap();
             assert_eq!(plain.rows, adaptive.result.rows, "{name}");
             assert!(adaptive.replans.is_empty(), "{name}: disabled adaptivity never re-plans");
             assert_eq!(adaptive.final_plan, plan, "{name}");
@@ -353,21 +382,14 @@ mod tests {
     fn wild_misestimates_trigger_a_replan_and_results_stay_identical() {
         let ctx = ctx();
         let pg = ctx.estimator(EstimatorKind::Postgres);
-        let bad = OneRow;
+        let model = PostgresCostModel::tuned_for_main_memory();
         let query = ctx.query("6a").unwrap();
         // Plan with the broken estimator so the plan really was built on the
         // misestimate the runtime then observes.
-        let plan = ctx.optimize(&query, &bad, PlannerConfig::default()).unwrap().plan;
-        let options = ExecutionOptions {
-            threads: 1,
-            adaptive: AdaptiveOptions { enabled: true, divergence_threshold: 2.0, max_replans: 3 },
-            ..ExecutionOptions::default()
-        };
-        let reference =
-            ctx.execute(&query, &plan, pg.as_ref(), &ExecutionOptions::with_threads(1)).unwrap();
-        let adaptive =
-            execute_adaptive(&ctx, &query, &plan, &bad, &options, PlannerConfig::default())
-                .unwrap();
+        let (planner, plan) = plan(&ctx, &query, &model, &OneRow);
+        let options = ExecutionOptions::with_threads(1);
+        let reference = ctx.execute(&query, &plan, pg.as_ref(), &options).unwrap();
+        let adaptive = execute_adaptive(&planner, &plan, on(2.0, 3), &options).unwrap();
         assert!(!adaptive.replans.is_empty(), "a 1-row estimator must diverge somewhere");
         let event = &adaptive.replans[0];
         assert!(event.factor > 2.0);
@@ -386,19 +408,30 @@ mod tests {
     }
 
     #[test]
+    fn replans_run_under_the_planners_cost_model() {
+        let ctx = ctx();
+        let query = ctx.query("6a").unwrap();
+        let planner =
+            Planner::new(ctx.db(), &query, &SortMergeWins, &OneRow, PlannerConfig::default());
+        let plan = optimize_bushy(&planner).unwrap().plan;
+        let options = ExecutionOptions::with_threads(1);
+        let outcome = execute_adaptive(&planner, &plan, on(2.0, 3), &options).unwrap();
+        assert!(outcome.plans_changed() > 0, "the observed truth must change the remainder");
+        assert!(
+            !outcome.final_plan.uses_algorithm(JoinAlgorithm::Hash),
+            "the remainder was priced by another model:\n{}",
+            outcome.final_plan.render(&query)
+        );
+    }
+
+    #[test]
     fn replanned_operator_cardinalities_match_ground_truth() {
         let ctx = ctx();
-        let bad = OneRow;
+        let model = PostgresCostModel::tuned_for_main_memory();
         let query = ctx.query("3a").unwrap();
-        let plan = ctx.optimize(&query, &bad, PlannerConfig::default()).unwrap().plan;
-        let options = ExecutionOptions {
-            threads: 1,
-            adaptive: AdaptiveOptions { enabled: true, divergence_threshold: 2.0, max_replans: 5 },
-            ..ExecutionOptions::default()
-        };
-        let outcome =
-            execute_adaptive(&ctx, &query, &plan, &bad, &options, PlannerConfig::default())
-                .unwrap();
+        let (planner, plan) = plan(&ctx, &query, &model, &OneRow);
+        let options = ExecutionOptions::with_threads(1);
+        let outcome = execute_adaptive(&planner, &plan, on(2.0, 5), &options).unwrap();
         let truth = ctx.try_true_cardinalities(&query).unwrap();
         assert!(!outcome.result.operator_cardinalities.is_empty());
         for (set, count) in &outcome.result.operator_cardinalities {
@@ -413,17 +446,11 @@ mod tests {
     #[test]
     fn max_replans_bounds_the_rounds() {
         let ctx = ctx();
-        let bad = OneRow;
+        let model = PostgresCostModel::tuned_for_main_memory();
         let query = ctx.query("13b").unwrap();
-        let plan = ctx.optimize(&query, &bad, PlannerConfig::default()).unwrap().plan;
-        let options = ExecutionOptions {
-            threads: 1,
-            adaptive: AdaptiveOptions { enabled: true, divergence_threshold: 1.1, max_replans: 1 },
-            ..ExecutionOptions::default()
-        };
-        let outcome =
-            execute_adaptive(&ctx, &query, &plan, &bad, &options, PlannerConfig::default())
-                .unwrap();
+        let (planner, plan) = plan(&ctx, &query, &model, &OneRow);
+        let options = ExecutionOptions::with_threads(1);
+        let outcome = execute_adaptive(&planner, &plan, on(1.1, 1), &options).unwrap();
         assert!(outcome.replans.len() <= 1, "got {} rounds", outcome.replans.len());
     }
 
@@ -431,17 +458,15 @@ mod tests {
     fn timeout_covers_the_whole_adaptive_loop() {
         let ctx = ctx();
         let pg = ctx.estimator(EstimatorKind::Postgres);
+        let model = PostgresCostModel::tuned_for_main_memory();
         let query = ctx.query("6a").unwrap();
-        let plan = ctx.optimize(&query, pg.as_ref(), PlannerConfig::default()).unwrap().plan;
+        let (planner, plan) = plan(&ctx, &query, &model, pg.as_ref());
         let options = ExecutionOptions {
             threads: 1,
             timeout: Some(std::time::Duration::from_nanos(1)),
-            adaptive: AdaptiveOptions::on(),
             ..ExecutionOptions::default()
         };
-        let err =
-            execute_adaptive(&ctx, &query, &plan, pg.as_ref(), &options, PlannerConfig::default())
-                .unwrap_err();
+        let err = execute_adaptive(&planner, &plan, on(10.0, 3), &options).unwrap_err();
         assert!(matches!(err, ExecutionError::Timeout { .. }), "got {err:?}");
     }
 

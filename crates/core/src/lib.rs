@@ -63,7 +63,7 @@ pub mod slowdown;
 pub use adaptive::{execute_adaptive, AdaptiveOutcome, ReplanEvent};
 pub use admission::SchedulerConfig;
 pub use context::{BenchmarkContext, ColumnStorageSize, EstimatorKind, TableStorageSize};
-pub use options::{SessionOptions, DEFAULT_CACHE_FENCE, DEFAULT_REGRESSION_RATIO};
+pub use options::{AdaptiveOptions, SessionOptions, DEFAULT_CACHE_FENCE, DEFAULT_REGRESSION_RATIO};
 pub use qob_obs::CacheOutcome;
 pub use report::{
     ExecutionReport, OperatorReport, QueryReport, ScriptOutcome, SessionError, TraceReport,

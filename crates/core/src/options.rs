@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use qob_exec::{AdaptiveOptions, ExecutionOptions};
+use qob_exec::ExecutionOptions;
 
 use crate::context::EstimatorKind;
 #[cfg(doc)]
@@ -58,6 +58,27 @@ pub struct SessionOptions {
     /// `regression_ratio ×` the median of the preceding baseline window.
     /// `0` disables detection; values in `(0, 1]` force it (useful in CI).
     pub regression_ratio: f64,
+}
+
+/// Adaptive mid-execution re-optimization knobs for [`crate::execute_adaptive`]:
+/// when enabled, an intermediate whose observed cardinality diverges from its
+/// estimate by more than `divergence_threshold` re-plans the remainder.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AdaptiveOptions {
+    /// Whether mid-execution re-optimization runs at all.
+    pub enabled: bool,
+    /// Re-plan when `q_error(estimate, observed)` exceeds this factor.
+    pub divergence_threshold: f64,
+    /// Upper bound on re-planning rounds per statement (re-planning is
+    /// cheap next to a disastrous join order, but unbounded rounds would
+    /// let a pathological estimator thrash).
+    pub max_replans: usize,
+}
+
+impl Default for AdaptiveOptions {
+    fn default() -> Self {
+        AdaptiveOptions { enabled: false, divergence_threshold: 10.0, max_replans: 3 }
+    }
 }
 
 /// The default plan-cache reuse fence (q-error factor).
@@ -149,7 +170,6 @@ impl SessionOptions {
     pub fn execution_options(&self) -> ExecutionOptions {
         let mut options = ExecutionOptions::with_threads(self.threads).with_timeout(self.timeout);
         options.morsel_size = self.morsel_size.max(1);
-        options.adaptive = self.adaptive;
         if self.mem_budget > 0 {
             options.max_intermediate_slots = self.mem_budget;
         }

@@ -48,13 +48,15 @@ use std::time::{Duration, Instant};
 
 use qob_cache::{fingerprint_query, CachedVariant, Lookup};
 use qob_cardest::q_error;
-use qob_enumerate::PlannerConfig;
+use qob_cost::SimpleCostModel;
+use qob_enumerate::{Planner, PlannerConfig};
 use qob_exec::OperatorTiming;
 use qob_obs::{CacheOutcome, Event};
-use qob_plan::{QuerySpec, RelSet};
+use qob_plan::{PhysicalPlan, QuerySpec, RelSet};
 use qob_sql::{ParamValue, ScriptStatement, SelectStatement};
 use qob_workload::{parse_script, ParsedStatement};
 
+use crate::adaptive::execute_adaptive;
 use crate::context::BenchmarkContext;
 use crate::options::SessionOptions;
 use crate::report::{
@@ -256,17 +258,16 @@ impl Session {
             .ok_or_else(|| SessionError::Sql(format!("no prepared statement named `{name}`")))
     }
 
-    /// Picks the plan for `query`: through the shared plan cache when the
+    /// Picks the statement's plan: through the shared plan cache when the
     /// session has it enabled (fingerprint probe → fence → reuse or
     /// re-optimize-and-install), otherwise a plain cold optimization.
     fn choose_plan(
         &self,
-        query: &QuerySpec,
-        estimator: &dyn qob_cardest::CardinalityEstimator,
-    ) -> Result<(qob_plan::PhysicalPlan, f64, CacheOutcome), SessionError> {
-        let ctx = self.context();
+        planner: &Planner<'_>,
+    ) -> Result<(PhysicalPlan, f64, CacheOutcome), SessionError> {
+        let query = planner.query;
         let optimize = || {
-            ctx.optimize(query, estimator, PlannerConfig::default())
+            qob_enumerate::dpccp::optimize_bushy(planner)
                 .map_err(|e| SessionError::Optimize(e.to_string()))
         };
         if !self.options.plan_cache {
@@ -276,16 +277,10 @@ impl Session {
         // The estimator profile is part of the key: plans optimized under
         // different estimate sources are not interchangeable.
         let key = fingerprint_query(query).mix(self.options.estimator as u64);
-        // Memoize fresh estimates per subplan set: variants of one
-        // fingerprint overlap heavily in their subplans, and the probe
-        // below runs under the shared cache lock — each set is estimated
-        // at most once, keeping the critical section to a handful of
-        // histogram lookups.  (The optimize step itself always runs
-        // outside the lock.)
-        let memo = std::cell::RefCell::new(HashMap::<qob_plan::RelSet, f64>::new());
-        let estimate = |set: qob_plan::RelSet| {
-            *memo.borrow_mut().entry(set).or_insert_with(|| estimator.estimate(query, set))
-        };
+        // The probe runs under the shared cache lock; the planner estimates
+        // each set once, so the critical section stays a handful of
+        // histogram lookups, which the optimize step below then reuses.
+        let estimate = |set: RelSet| planner.rows(set);
         let probe = {
             let mut cache = self.server.shared.plan_cache.lock();
             cache.lookup(key, self.options.cache_fence, &estimate)
@@ -350,19 +345,36 @@ impl Session {
         out
     }
 
-    /// Plans, executes per `mode`, feeds the metrics registry and event
-    /// log, and attaches trace spans when the mode asks for them.
+    /// Builds the statement's one [`Planner`] — the only door to the
+    /// session's estimator for this statement — and answers through it.
     fn answer_query(
         &self,
         query: &QuerySpec,
         mode: RunMode,
         spans: PhaseSpans,
     ) -> Result<QueryReport, SessionError> {
-        let shared = &self.server.shared;
         let ctx = self.context();
         let estimator = ctx.estimator(self.options.estimator);
+        let model = SimpleCostModel::new();
+        let config = PlannerConfig::default();
+        let planner = Planner::new(ctx.db(), query, &model, estimator.as_ref(), config);
+        self.answer_planned(&planner, mode, spans)
+    }
+
+    /// Plans, executes per `mode`, feeds the metrics registry and event
+    /// log, and attaches trace spans when the mode asks for them.  Every
+    /// estimate comes from `planner`, so each relation set is estimated once.
+    fn answer_planned(
+        &self,
+        planner: &Planner<'_>,
+        mode: RunMode,
+        spans: PhaseSpans,
+    ) -> Result<QueryReport, SessionError> {
+        let shared = &self.server.shared;
+        let ctx = self.context();
+        let query = planner.query;
         let optimize_started = Instant::now();
-        let (plan, cost, cache_status) = self.choose_plan(query, estimator.as_ref())?;
+        let (mut plan, cost, cache_status) = self.choose_plan(planner)?;
         let optimize_elapsed = optimize_started.elapsed();
         shared.metrics.optimize_latency.record(optimize_elapsed);
 
@@ -371,7 +383,7 @@ impl Session {
             relations: query.rel_count(),
             join_predicates: query.join_predicate_count(),
             selections: query.base_predicate_count(),
-            estimator: estimator.name().to_owned(),
+            estimator: planner.cards.name().to_owned(),
             cost,
             threads: self.options.threads.max(1),
             plan: plan.render(query),
@@ -416,16 +428,10 @@ impl Session {
                 }
             };
             let execute_started = Instant::now();
-            let (result, replans) = if self.options.adaptive.enabled {
-                let outcome = crate::adaptive::execute_adaptive(
-                    ctx,
-                    query,
-                    &plan,
-                    estimator.as_ref(),
-                    &exec_options,
-                    PlannerConfig::default(),
-                )
-                .map_err(|e| self.execution_error(&query.name, e))?;
+            let adaptive = self.options.adaptive;
+            let (result, replans) = if adaptive.enabled {
+                let outcome = execute_adaptive(planner, &plan, adaptive, &exec_options)
+                    .map_err(|e| self.execution_error(&query.name, e))?;
                 shared.metrics.replans_total.add(outcome.replans.len() as u64);
                 for replan in &outcome.replans {
                     shared.events.emit(
@@ -436,10 +442,12 @@ impl Session {
                             .num("changed", replan.changed as u64),
                     );
                 }
+                // `EXPLAIN ANALYZE` annotates the plan execution finished on.
+                plan = outcome.final_plan;
                 (outcome.result, outcome.replans)
             } else {
                 let result = ctx
-                    .execute(query, &plan, estimator.as_ref(), &exec_options)
+                    .execute(query, &plan, planner, &exec_options)
                     .map_err(|e| self.execution_error(&query.name, e))?;
                 (result, Vec::new())
             };
@@ -453,7 +461,7 @@ impl Session {
                 .operator_cardinalities
                 .iter()
                 .map(|(set, true_rows)| {
-                    let estimated = estimator.estimate(query, *set);
+                    let estimated = planner.rows(*set);
                     let qerr = q_error(estimated, *true_rows as f64);
                     worst = worst.max(qerr);
                     let timing = timings.get(set);
@@ -470,7 +478,7 @@ impl Session {
             if mode.annotate {
                 let cards: HashMap<RelSet, u64> =
                     result.operator_cardinalities.iter().copied().collect();
-                report.plan = render_analyzed(query, &plan, estimator.as_ref(), &cards, &timings);
+                report.plan = render_analyzed(query, &plan, planner, &cards, &timings);
             }
             let threshold = self.options.slow_query_ms;
             if threshold > 0 && result.elapsed >= Duration::from_millis(threshold) {
@@ -598,4 +606,85 @@ impl PhaseSpans {
 /// Saturating `Duration` → whole microseconds.
 fn micros(d: Duration) -> u64 {
     d.as_micros().min(u64::MAX as u128) as u64
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::collections::HashSet;
+
+    use qob_cardest::CardinalityEstimator;
+    use qob_datagen::Scale;
+    use qob_storage::IndexConfig;
+
+    use super::*;
+    use crate::context::EstimatorKind;
+
+    /// Records every raw estimate the wrapped profile is asked for.
+    struct Counting<'a> {
+        profile: Box<dyn CardinalityEstimator + 'a>,
+        asked: RefCell<Vec<RelSet>>,
+    }
+
+    impl CardinalityEstimator for Counting<'_> {
+        fn name(&self) -> &str {
+            self.profile.name()
+        }
+        fn estimate(&self, query: &QuerySpec, set: RelSet) -> f64 {
+            self.asked.borrow_mut().push(set);
+            self.profile.estimate(query, set)
+        }
+    }
+
+    /// Cache probe and capture, optimizer, hash sizing, operator report,
+    /// `EXPLAIN ANALYZE` annotation and adaptive re-planning all ask the
+    /// statement's planner: the profile sees each set once, and only the
+    /// sets the optimizer estimates.
+    #[test]
+    fn estimator_is_asked_once_per_set_per_statement() {
+        let ctx = BenchmarkContext::new(Scale::tiny(), IndexConfig::PrimaryAndForeignKey).unwrap();
+        let server = ServerContext::new(ctx);
+        let ctx = server.context();
+        let profile = ctx.estimator(EstimatorKind::Postgres);
+        let counting = Counting { profile, asked: RefCell::default() };
+        let model = SimpleCostModel::new();
+        let mode = RunMode { execute: true, tracing: true, annotate: true };
+        for plan_cache in ["false", "true"] {
+            let mut session = server.session();
+            for (name, value) in [
+                ("threads", "1"),
+                ("adaptive", "true"),
+                ("adaptive_threshold", "2.0"),
+                ("plan_cache", plan_cache),
+            ] {
+                session.options.set(name, value).unwrap();
+            }
+            let (mut asked, mut replans) = (0, 0);
+            for query in ctx.queries() {
+                let config = PlannerConfig::default();
+                let planner = Planner::new(ctx.db(), query, &model, &counting, config);
+                let report = session.answer_planned(&planner, mode, PhaseSpans::ZERO).unwrap();
+                let calls = counting.asked.take();
+                let sets: HashSet<RelSet> = calls.iter().copied().collect();
+                assert_eq!(calls.len(), sets.len(), "{}: a set was estimated twice", query.name);
+                let optimizer: HashSet<RelSet> =
+                    query.connected_subexpressions().into_iter().collect();
+                if report.plan_cache == CacheOutcome::Hit {
+                    assert!(
+                        sets.is_subset(&optimizer),
+                        "{}: a set the optimizer never sees",
+                        query.name
+                    );
+                } else {
+                    assert_eq!(sets, optimizer, "{}: the optimizer's sets, no others", query.name);
+                }
+                asked += calls.len();
+                replans += report.execution.expect("executed").replans.len();
+            }
+            assert!(replans > 0, "a 2x threshold re-plans somewhere in JOB");
+            if plan_cache == "false" {
+                assert_eq!(asked, 46_202, "one raw estimate per JOB connected subexpression");
+            }
+        }
+    }
 }

@@ -174,22 +174,13 @@ fn execution_options_follow_the_session_options() {
     assert_eq!((options.slow_query_ms, options.mem_budget), (0, 0));
     let engine_budget = options.execution_options().max_intermediate_slots;
 
-    for (name, value) in [
-        ("threads", "3"),
-        ("timeout_ms", "0"),
-        ("morsel_size", "128"),
-        ("adaptive", "true"),
-        ("adaptive_threshold", "2.5"),
-        ("max_replans", "7"),
-        ("mem_budget", "5000"),
-    ] {
+    for (name, value) in
+        [("threads", "3"), ("timeout_ms", "0"), ("morsel_size", "128"), ("mem_budget", "5000")]
+    {
         options.set(name, value).unwrap();
     }
     let exec = options.execution_options();
     assert_eq!((exec.threads, exec.timeout, exec.morsel_size), (3, None, 128));
-    assert!(exec.adaptive.enabled);
-    assert_eq!(exec.adaptive.divergence_threshold, 2.5);
-    assert_eq!(exec.adaptive.max_replans, 7);
     assert_eq!(exec.max_intermediate_slots, 5000);
     options.set("mem_budget", "0").unwrap();
     assert_eq!(options.execution_options().max_intermediate_slots, engine_budget);
@@ -359,6 +350,32 @@ fn explain_statements_report_plans_and_annotations() {
     let direct = query_reports(session.run_script(THREE_WAY).unwrap()).remove(0);
     assert_eq!(exec.rows, direct.execution.as_ref().unwrap().rows);
     assert!(direct.trace.is_none(), "forced tracing is statement-scoped");
+}
+
+/// Under adaptive execution `EXPLAIN ANALYZE` annotates the plan that ran:
+/// wherever a re-plan changed the plan, every join line carries its true
+/// count, because the annotated tree is the final, spliced plan.
+#[test]
+fn adaptive_explain_analyze_annotates_the_plan_that_ran() {
+    let server = server();
+    let mut session = server.session();
+    for (name, value) in [("threads", "1"), ("adaptive", "true"), ("adaptive_threshold", "1.5")] {
+        session.options.set(name, value).unwrap();
+    }
+    let job = include_str!("../../workload/sql/job.sql");
+    let script = job.replace("\nSELECT", "\nEXPLAIN ANALYZE SELECT");
+    let mut changed = 0;
+    for report in query_reports(session.run_script(&script).unwrap()) {
+        let exec = report.execution.as_ref().expect("EXPLAIN ANALYZE executes");
+        if !exec.replans.iter().any(|e| e.changed) {
+            continue;
+        }
+        changed += 1;
+        for line in report.plan.lines().filter(|l| !l.trim_start().starts_with("Scan")) {
+            assert!(line.contains("true="), "{}: `{line}` in\n{}", report.name, report.plan);
+        }
+    }
+    assert!(changed > 0, "a 1.5x threshold changes some JOB plan");
 }
 
 #[test]

@@ -142,8 +142,8 @@ pub struct Sub {
 }
 
 /// The shared planner: query, catalog, cost model, cardinality source and
-/// configuration.  One planner serves one `optimize` call (or several over
-/// the same query): it remembers every estimate it has fetched.
+/// configuration.  One planner serves one statement and remembers every
+/// estimate it has fetched, so all consumers of those estimates borrow it.
 pub struct Planner<'a> {
     /// Catalog.
     pub db: &'a Database,
@@ -305,6 +305,18 @@ impl<'a> Planner<'a> {
     }
 }
 
+/// As an estimator, the planner answers for its own query from its memo.
+impl CardinalityEstimator for Planner<'_> {
+    fn name(&self) -> &str {
+        self.cards.name()
+    }
+
+    fn estimate(&self, query: &QuerySpec, set: RelSet) -> f64 {
+        debug_assert!(std::ptr::eq(query, self.query) || *query == *self.query);
+        self.rows(set)
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod test_support {
     //! A small shared fixture used by the enumerator tests.
@@ -440,6 +452,9 @@ mod tests {
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
         crate::quickpick::quickpick_best(&p, 50, &mut rng).unwrap();
         crate::space::explore(&p, &Default::default(), &mut rng).unwrap();
+        for set in q.connected_subexpressions() {
+            assert_eq!(p.estimate(&q, set), p.rows(set));
+        }
         assert_eq!(counting.1.get(), connected, "the planner's memo answers every later request");
     }
 

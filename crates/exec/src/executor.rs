@@ -18,39 +18,6 @@ pub fn default_threads() -> usize {
 /// The default number of tuples per morsel.
 pub const DEFAULT_MORSEL_SIZE: usize = 16_384;
 
-/// Adaptive mid-execution re-optimization knobs.
-///
-/// The executor observes the true cardinality of every intermediate it
-/// materialises at a pipeline breaker.  When adaptivity is enabled and the
-/// observed count diverges from the estimate by more than
-/// `divergence_threshold` (as a q-error factor, in either direction), the
-/// adaptive driver (`qob-core`) feeds the truth back into the estimator,
-/// re-plans the not-yet-executed remainder and resumes on the spliced plan.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveOptions {
-    /// Whether mid-execution re-optimization runs at all.
-    pub enabled: bool,
-    /// Re-plan when `q_error(estimate, observed)` exceeds this factor.
-    pub divergence_threshold: f64,
-    /// Upper bound on re-planning rounds per statement (re-planning is
-    /// cheap next to a disastrous join order, but unbounded rounds would
-    /// let a pathological estimator thrash).
-    pub max_replans: usize,
-}
-
-impl Default for AdaptiveOptions {
-    fn default() -> Self {
-        AdaptiveOptions { enabled: false, divergence_threshold: 10.0, max_replans: 3 }
-    }
-}
-
-impl AdaptiveOptions {
-    /// Adaptivity enabled with the default threshold and re-plan budget.
-    pub fn on() -> Self {
-        AdaptiveOptions { enabled: true, ..Default::default() }
-    }
-}
-
 /// Runtime options of the execution engine.
 #[derive(Debug, Clone)]
 pub struct ExecutionOptions {
@@ -72,10 +39,6 @@ pub struct ExecutionOptions {
     /// source.  Smaller morsels spread uneven work better, larger ones
     /// amortise scheduling; the default suits cache-resident row-id tuples.
     pub morsel_size: usize,
-    /// Adaptive mid-execution re-optimization knobs, consumed by the
-    /// adaptive driver in `qob-core` (this crate only carries them so one
-    /// options struct travels the CLI → session → executor path).
-    pub adaptive: AdaptiveOptions,
     /// The shared server-wide worker pool (see [`crate::scheduler`]).  When
     /// set, parallel pipeline work is submitted to this pool so workers are
     /// shared *across* concurrent queries; when `None` each pipeline scopes
@@ -96,7 +59,6 @@ impl Default for ExecutionOptions {
             max_intermediate_slots: 200_000_000,
             threads: default_threads(),
             morsel_size: DEFAULT_MORSEL_SIZE,
-            adaptive: AdaptiveOptions::default(),
             pool: None,
             trace_tag: None,
         }

@@ -37,8 +37,8 @@ pub mod scheduler;
 pub mod truecard;
 
 pub use executor::{
-    default_threads, execute_plan, execute_plan_with, materialize_plan, AdaptiveOptions,
-    ExecutionError, ExecutionOptions, ExecutionResult, OperatorTiming, DEFAULT_MORSEL_SIZE,
+    default_threads, execute_plan, execute_plan_with, materialize_plan, ExecutionError,
+    ExecutionOptions, ExecutionResult, OperatorTiming, DEFAULT_MORSEL_SIZE,
 };
 pub use hashtable::ChainedHashTable;
 pub use intermediate::{Intermediate, Materialized};

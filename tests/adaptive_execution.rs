@@ -9,31 +9,22 @@
 //!   and every operator cardinality the spliced execution reports equals
 //!   the independently extracted ground truth.
 
-use qob_core::{execute_adaptive, BenchmarkContext, EstimatorKind};
+use qob_core::{execute_adaptive, AdaptiveOptions, BenchmarkContext, EstimatorKind};
 use qob_datagen::Scale;
-use qob_enumerate::PlannerConfig;
-use qob_exec::{AdaptiveOptions, ExecutionOptions};
+use qob_enumerate::{Planner, PlannerConfig};
+use qob_exec::ExecutionOptions;
 use qob_plan::RelSet;
 use qob_storage::IndexConfig;
 
 /// A small morsel so tiny-scale tables still schedule multi-morsel work.
 const TINY_MORSEL: usize = 64;
 
-fn non_adaptive() -> ExecutionOptions {
+fn exec_options() -> ExecutionOptions {
     ExecutionOptions { threads: 1, morsel_size: TINY_MORSEL, ..Default::default() }
 }
 
-fn adaptive(threshold: f64) -> ExecutionOptions {
-    ExecutionOptions {
-        threads: 1,
-        morsel_size: TINY_MORSEL,
-        adaptive: AdaptiveOptions {
-            enabled: true,
-            divergence_threshold: threshold,
-            max_replans: 3,
-        },
-        ..Default::default()
-    }
+fn adaptive(threshold: f64) -> AdaptiveOptions {
+    AdaptiveOptions { enabled: true, divergence_threshold: threshold, max_replans: 3 }
 }
 
 fn final_cardinality(cards: &[(RelSet, u64)], all: RelSet) -> Option<u64> {
@@ -45,34 +36,21 @@ fn adaptive_matches_non_adaptive_on_all_113_job_queries() {
     let ctx = BenchmarkContext::new(Scale::tiny(), IndexConfig::PrimaryAndForeignKey).unwrap();
     let pg = ctx.estimator(EstimatorKind::Postgres);
     let model = qob_cost::SimpleCostModel::new();
-    let (plain_opts, adaptive_opts) = (non_adaptive(), adaptive(2.0));
+    let options = exec_options();
     assert_eq!(ctx.queries().len(), 113);
     let mut total_replans = 0usize;
     let mut total_changed = 0usize;
     for query in ctx.queries() {
         // Greedy planning keeps the suite fast — and hands the adaptive
         // runtime plenty of imperfect plans to correct.
-        let planner = qob_enumerate::Planner::new(
-            ctx.db(),
-            query,
-            &model,
-            pg.as_ref(),
-            PlannerConfig::default(),
-        );
+        let planner = Planner::new(ctx.db(), query, &model, pg.as_ref(), PlannerConfig::default());
         let plan = qob_enumerate::goo::optimize_goo(&planner)
             .unwrap_or_else(|e| panic!("{}: planning failed: {e}", query.name));
         let plain = ctx
-            .execute(query, &plan.plan, pg.as_ref(), &plain_opts)
+            .execute(query, &plan.plan, pg.as_ref(), &options)
             .unwrap_or_else(|e| panic!("{}: non-adaptive execution failed: {e}", query.name));
-        let outcome = execute_adaptive(
-            &ctx,
-            query,
-            &plan.plan,
-            pg.as_ref(),
-            &adaptive_opts,
-            PlannerConfig::default(),
-        )
-        .unwrap_or_else(|e| panic!("{}: adaptive execution failed: {e}", query.name));
+        let outcome = execute_adaptive(&planner, &plan.plan, adaptive(2.0), &options)
+            .unwrap_or_else(|e| panic!("{}: adaptive execution failed: {e}", query.name));
         assert_eq!(plain.rows, outcome.result.rows, "{}: row counts diverge", query.name);
         let all = query.all_rels();
         assert_eq!(
@@ -105,17 +83,11 @@ fn misestimated_query_replans_and_reports_consistent_cardinalities() {
     let ctx = BenchmarkContext::new(Scale::tiny(), IndexConfig::PrimaryAndForeignKey).unwrap();
     let magic = ctx.estimator(EstimatorKind::DbmsC);
     let query = ctx.query("13b").unwrap();
-    let plan = ctx.optimize(&query, magic.as_ref(), PlannerConfig::default()).unwrap().plan;
+    let model = qob_cost::SimpleCostModel::new();
+    let planner = Planner::new(ctx.db(), &query, &model, magic.as_ref(), PlannerConfig::default());
+    let plan = qob_enumerate::dpccp::optimize_bushy(&planner).unwrap().plan;
 
-    let outcome = execute_adaptive(
-        &ctx,
-        &query,
-        &plan,
-        magic.as_ref(),
-        &adaptive(2.0),
-        PlannerConfig::default(),
-    )
-    .unwrap();
+    let outcome = execute_adaptive(&planner, &plan, adaptive(2.0), &exec_options()).unwrap();
     assert!(
         !outcome.replans.is_empty(),
         "DBMS C magic constants must diverge past 2x somewhere in 13b"
@@ -142,6 +114,6 @@ fn misestimated_query_replans_and_reports_consistent_cardinalities() {
     }
 
     // And the result row count matches a plain run of the original plan.
-    let plain = ctx.execute(&query, &plan, magic.as_ref(), &non_adaptive()).unwrap();
+    let plain = ctx.execute(&query, &plan, magic.as_ref(), &exec_options()).unwrap();
     assert_eq!(plain.rows, outcome.result.rows);
 }

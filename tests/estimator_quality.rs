@@ -4,8 +4,9 @@
 use qob_core::experiments::{
     base_table_quality, distinct_count_experiment, join_estimate_quality, tpch_contrast,
 };
-use qob_core::BenchmarkContext;
+use qob_core::{BenchmarkContext, EstimatorKind};
 use qob_datagen::Scale;
+use qob_storage::encoding::fnv1a64;
 use qob_storage::IndexConfig;
 
 fn ctx() -> BenchmarkContext {
@@ -106,4 +107,38 @@ fn figure5_true_distinct_counts_do_not_fix_underestimation() {
             );
         }
     }
+}
+
+/// Estimate identity, pinned: one FNV-1a digest over the bits of the
+/// estimate of every connected subexpression of the 113 JOB queries (46 202
+/// sets) under each of the six profiles.  Estimator performance work must
+/// leave it alone; only a change that *means* to estimate differently may
+/// re-pin it, and says so.
+#[test]
+fn estimate_digest_is_pinned() {
+    const EXPECTED: u64 = 0x015a561eaa359a6e;
+    let ctx = ctx();
+    let kinds = [
+        EstimatorKind::Postgres,
+        EstimatorKind::PostgresTrueDistinct,
+        EstimatorKind::HyPer,
+        EstimatorKind::DbmsA,
+        EstimatorKind::DbmsB,
+        EstimatorKind::DbmsC,
+    ];
+    let mut bits = Vec::new();
+    let mut sets = 0usize;
+    for kind in kinds {
+        let estimator = ctx.estimator(kind);
+        for query in ctx.queries() {
+            for set in query.connected_subexpressions() {
+                let estimate = estimator.estimate(query, set);
+                bits.extend_from_slice(&estimate.to_bits().to_le_bytes());
+                sets += 1;
+            }
+        }
+    }
+    assert_eq!(sets, 6 * 46_202);
+    let digest = fnv1a64(&bits);
+    assert_eq!(digest, EXPECTED, "estimates changed; the digest is now {digest:#018x}");
 }

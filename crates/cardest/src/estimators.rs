@@ -9,9 +9,86 @@
 use qob_plan::{QuerySpec, RelSet};
 
 use crate::model::{
-    independence_estimate, join_edge_selectivity, CardinalityEstimator, Damping, EstimatorContext,
+    bind_independence, independence_estimate, join_edge_selectivity, CardinalityEstimator, Damping,
+    EstimatorContext,
 };
 use crate::selectivity::{histogram_base_rows, MagicConstants};
+
+/// What one profile plugs into the shared skeleton
+/// ([`independence_estimate`]): its filtered rows per base relation and its
+/// selectivity per join edge, how it combines edge selectivities, and how
+/// much it shrinks per join beyond the first.
+trait Profile {
+    /// The display name ([`CardinalityEstimator::name`]).
+    fn label(&self) -> &str;
+
+    fn base_rows(&self, query: &QuerySpec, rel: usize) -> f64;
+
+    /// The selectivity of `query.joins[edge]`.
+    fn edge_selectivity(&self, query: &QuerySpec, edge: usize) -> f64;
+
+    fn damping(&self) -> Damping {
+        Damping::Independence
+    }
+
+    fn per_join_shrink(&self) -> f64 {
+        1.0
+    }
+}
+
+/// A profile's estimate of one set, every term computed for this call.
+fn estimate_set(profile: &impl Profile, query: &QuerySpec, set: RelSet) -> f64 {
+    independence_estimate(
+        query,
+        set,
+        |rel| profile.base_rows(query, rel),
+        |edge| profile.edge_selectivity(query, edge),
+        profile.damping(),
+        profile.per_join_shrink(),
+    )
+}
+
+/// A profile bound to one query: every term computed once.
+fn bind_profile<'s>(
+    profile: &'s impl Profile,
+    query: &'s QuerySpec,
+) -> Box<dyn Fn(RelSet) -> f64 + 's> {
+    bind_independence(
+        query,
+        |rel| profile.base_rows(query, rel),
+        |edge| profile.edge_selectivity(query, edge),
+        profile.damping(),
+        profile.per_join_shrink(),
+    )
+}
+
+/// Implements [`CardinalityEstimator`] for each [`Profile`]: `estimate`
+/// over [`estimate_set`], `bind` over [`bind_profile`].
+macro_rules! profile_estimators {
+    ($($profile:ident),*) => {$(
+        impl CardinalityEstimator for $profile<'_> {
+            fn name(&self) -> &str {
+                self.label()
+            }
+
+            fn estimate(&self, query: &QuerySpec, set: RelSet) -> f64 {
+                estimate_set(self, query, set)
+            }
+
+            fn bind<'s>(&'s self, query: &'s QuerySpec) -> Box<dyn Fn(RelSet) -> f64 + 's> {
+                bind_profile(self, query)
+            }
+        }
+    )*};
+}
+
+profile_estimators!(
+    PostgresEstimator,
+    SamplingEstimator,
+    DampedSamplingEstimator,
+    PessimisticEstimator,
+    MagicConstantEstimator
+);
 
 /// PostgreSQL-style estimator: per-attribute histograms and MCVs,
 /// independence everywhere, `1/max(dom)` join selectivity, magic constants
@@ -47,29 +124,18 @@ impl<'a> PostgresEstimator<'a> {
     }
 }
 
-impl CardinalityEstimator for PostgresEstimator<'_> {
-    fn name(&self) -> &str {
+impl Profile for PostgresEstimator<'_> {
+    fn label(&self) -> &str {
         self.name
     }
 
-    fn estimate(&self, query: &QuerySpec, set: RelSet) -> f64 {
-        independence_estimate(
-            query,
-            set,
-            |rel| {
-                histogram_base_rows(
-                    &self.ctx,
-                    query,
-                    rel,
-                    self.use_exact_distinct,
-                    &self.magic,
-                    Damping::Independence,
-                )
-            },
-            |edge| join_edge_selectivity(&self.ctx, query, edge, self.use_exact_distinct),
-            Damping::Independence,
-            1.0,
-        )
+    fn base_rows(&self, query: &QuerySpec, rel: usize) -> f64 {
+        let exact = self.use_exact_distinct;
+        histogram_base_rows(&self.ctx, query, rel, exact, &self.magic, Damping::Independence)
+    }
+
+    fn edge_selectivity(&self, query: &QuerySpec, edge: usize) -> f64 {
+        join_edge_selectivity(&self.ctx, query, &query.joins[edge], self.use_exact_distinct)
     }
 }
 
@@ -105,20 +171,17 @@ impl<'a> SamplingEstimator<'a> {
     }
 }
 
-impl CardinalityEstimator for SamplingEstimator<'_> {
-    fn name(&self) -> &str {
+impl Profile for SamplingEstimator<'_> {
+    fn label(&self) -> &str {
         self.name
     }
 
-    fn estimate(&self, query: &QuerySpec, set: RelSet) -> f64 {
-        independence_estimate(
-            query,
-            set,
-            |rel| self.sample_base_rows(query, rel),
-            |edge| join_edge_selectivity(&self.ctx, query, edge, false),
-            Damping::Independence,
-            1.0,
-        )
+    fn base_rows(&self, query: &QuerySpec, rel: usize) -> f64 {
+        self.sample_base_rows(query, rel)
+    }
+
+    fn edge_selectivity(&self, query: &QuerySpec, edge: usize) -> f64 {
+        join_edge_selectivity(&self.ctx, query, &query.joins[edge], false)
     }
 }
 
@@ -140,20 +203,21 @@ impl<'a> DampedSamplingEstimator<'a> {
     }
 }
 
-impl CardinalityEstimator for DampedSamplingEstimator<'_> {
-    fn name(&self) -> &str {
+impl Profile for DampedSamplingEstimator<'_> {
+    fn label(&self) -> &str {
         "DBMS A"
     }
 
-    fn estimate(&self, query: &QuerySpec, set: RelSet) -> f64 {
-        independence_estimate(
-            query,
-            set,
-            |rel| self.inner.sample_base_rows(query, rel),
-            |edge| join_edge_selectivity(&self.ctx, query, edge, false),
-            Damping::ExponentialBackoff,
-            1.0,
-        )
+    fn base_rows(&self, query: &QuerySpec, rel: usize) -> f64 {
+        self.inner.sample_base_rows(query, rel)
+    }
+
+    fn edge_selectivity(&self, query: &QuerySpec, edge: usize) -> f64 {
+        join_edge_selectivity(&self.ctx, query, &query.joins[edge], false)
+    }
+
+    fn damping(&self) -> Damping {
+        Damping::ExponentialBackoff
     }
 }
 
@@ -179,29 +243,21 @@ impl<'a> PessimisticEstimator<'a> {
     }
 }
 
-impl CardinalityEstimator for PessimisticEstimator<'_> {
-    fn name(&self) -> &str {
+impl Profile for PessimisticEstimator<'_> {
+    fn label(&self) -> &str {
         "DBMS B"
     }
 
-    fn estimate(&self, query: &QuerySpec, set: RelSet) -> f64 {
-        independence_estimate(
-            query,
-            set,
-            |rel| {
-                histogram_base_rows(
-                    &self.ctx,
-                    query,
-                    rel,
-                    false,
-                    &self.magic,
-                    Damping::Independence,
-                )
-            },
-            |edge| join_edge_selectivity(&self.ctx, query, edge, false),
-            Damping::Independence,
-            self.per_join_shrink,
-        )
+    fn base_rows(&self, query: &QuerySpec, rel: usize) -> f64 {
+        histogram_base_rows(&self.ctx, query, rel, false, &self.magic, Damping::Independence)
+    }
+
+    fn edge_selectivity(&self, query: &QuerySpec, edge: usize) -> f64 {
+        join_edge_selectivity(&self.ctx, query, &query.joins[edge], false)
+    }
+
+    fn per_join_shrink(&self) -> f64 {
+        self.per_join_shrink
     }
 }
 
@@ -245,6 +301,12 @@ impl<'a> MagicConstantEstimator<'a> {
             P::Not(p) => 1.0 - self.guess(p),
         }
     }
+}
+
+impl Profile for MagicConstantEstimator<'_> {
+    fn label(&self) -> &str {
+        "DBMS C"
+    }
 
     fn base_rows(&self, query: &QuerySpec, rel: usize) -> f64 {
         let relation = &query.relations[rel];
@@ -252,22 +314,9 @@ impl<'a> MagicConstantEstimator<'a> {
         let sel: f64 = relation.predicates.iter().map(|p| self.guess(p).clamp(0.0, 1.0)).product();
         rows * sel
     }
-}
 
-impl CardinalityEstimator for MagicConstantEstimator<'_> {
-    fn name(&self) -> &str {
-        "DBMS C"
-    }
-
-    fn estimate(&self, query: &QuerySpec, set: RelSet) -> f64 {
-        independence_estimate(
-            query,
-            set,
-            |rel| self.base_rows(query, rel),
-            |edge| join_edge_selectivity(&self.ctx, query, edge, false),
-            Damping::Independence,
-            1.0,
-        )
+    fn edge_selectivity(&self, query: &QuerySpec, edge: usize) -> f64 {
+        join_edge_selectivity(&self.ctx, query, &query.joins[edge], false)
     }
 }
 

@@ -20,6 +20,22 @@ pub trait CardinalityEstimator {
     fn estimate_base(&self, query: &QuerySpec, rel: usize) -> f64 {
         self.estimate(query, RelSet::single(rel))
     }
+
+    /// This estimator bound to one query: a function that returns, for any
+    /// relation set of `query`, exactly the bits [`Self::estimate`] would.
+    ///
+    /// A caller about to ask for many sets of one query binds once — the
+    /// statement's planner does, in its constructor — so that an estimator
+    /// can do its per-query work once instead of once per set.  The
+    /// default answers every set with [`Self::estimate`]; the five
+    /// profiles of [`crate::estimators`] override it to compute each
+    /// relation's base rows and each join edge's selectivity once
+    /// ([`bind_independence`]).  Wrappers that implement only `estimate`
+    /// (a counting or timing decorator) keep the per-set path, which is
+    /// what they observe.
+    fn bind<'s>(&'s self, query: &'s QuerySpec) -> Box<dyn Fn(RelSet) -> f64 + 's> {
+        Box::new(move |set| self.estimate(query, set))
+    }
 }
 
 impl<T: CardinalityEstimator + ?Sized> CardinalityEstimator for &T {
@@ -29,6 +45,9 @@ impl<T: CardinalityEstimator + ?Sized> CardinalityEstimator for &T {
     fn estimate(&self, query: &QuerySpec, set: RelSet) -> f64 {
         (**self).estimate(query, set)
     }
+    fn bind<'s>(&'s self, query: &'s QuerySpec) -> Box<dyn Fn(RelSet) -> f64 + 's> {
+        (**self).bind(query)
+    }
 }
 
 impl<T: CardinalityEstimator + ?Sized> CardinalityEstimator for Box<T> {
@@ -37,6 +56,9 @@ impl<T: CardinalityEstimator + ?Sized> CardinalityEstimator for Box<T> {
     }
     fn estimate(&self, query: &QuerySpec, set: RelSet) -> f64 {
         (**self).estimate(query, set)
+    }
+    fn bind<'s>(&'s self, query: &'s QuerySpec) -> Box<dyn Fn(RelSet) -> f64 + 's> {
+        (**self).bind(query)
     }
 }
 
@@ -124,13 +146,18 @@ pub fn join_edge_selectivity(
 /// ```
 ///
 /// clamped to at least 1 row (as PostgreSQL does, see footnote 6 of the
-/// paper).  The estimator profiles differ in `base_rows`, the damping and the
-/// extra shrink factor.
+/// paper).  `base_rows(rel)` is relation `rel`'s filtered rows and
+/// `edge_selectivity(i)` the selectivity of `query.joins[i]`.  The estimator
+/// profiles differ in `base_rows`, the damping and the extra shrink factor.
+///
+/// Base rows are multiplied in relation order, then the combined
+/// selectivities of the edges in `query.joins` order: the one formula
+/// behind both the per-set path and [`bind_independence`].
 pub fn independence_estimate(
     query: &QuerySpec,
     set: RelSet,
     base_rows: impl Fn(usize) -> f64,
-    edge_selectivity: impl Fn(&JoinEdge) -> f64,
+    edge_selectivity: impl Fn(usize) -> f64,
     damping: Damping,
     per_join_shrink: f64,
 ) -> f64 {
@@ -138,14 +165,36 @@ pub fn independence_estimate(
     for rel in set.iter() {
         card *= base_rows(rel).max(0.0);
     }
-    let within = query.joins.iter().filter(|e| set.contains(e.left) && set.contains(e.right));
-    let sels = within.clone().map(|e| edge_selectivity(e).clamp(0.0, 1.0));
+    let within = (0..query.joins.len()).filter(|&i| {
+        let edge = &query.joins[i];
+        set.contains(edge.left) && set.contains(edge.right)
+    });
+    let sels = within.clone().map(|i| edge_selectivity(i).clamp(0.0, 1.0));
     card *= combine_selectivities(sels, damping);
     if per_join_shrink < 1.0 {
         // One shrink per join beyond the first.
         card *= per_join_shrink.powi((within.count() as i32 - 1).max(0));
     }
     card.max(1.0)
+}
+
+/// [`independence_estimate`] bound to one query: `base_rows` runs once per
+/// relation and `edge_selectivity` once per join edge, here, and each set's
+/// estimate multiplies the stored terms in the same order — so it returns
+/// the per-set path's bits.  What a profile's
+/// [`CardinalityEstimator::bind`] returns.
+pub fn bind_independence<'q>(
+    query: &'q QuerySpec,
+    base_rows: impl Fn(usize) -> f64,
+    edge_selectivity: impl Fn(usize) -> f64,
+    damping: Damping,
+    per_join_shrink: f64,
+) -> Box<dyn Fn(RelSet) -> f64 + 'q> {
+    let rows: Vec<f64> = (0..query.rel_count()).map(base_rows).collect();
+    let sels: Vec<f64> = (0..query.joins.len()).map(edge_selectivity).collect();
+    Box::new(move |set| {
+        independence_estimate(query, set, |rel| rows[rel], |i| sels[i], damping, per_join_shrink)
+    })
 }
 
 #[cfg(test)]
@@ -242,6 +291,41 @@ mod tests {
         let a = independence_estimate(&q, sub, base, |_| 0.01, Damping::Independence, 1.0);
         let b = independence_estimate(&q, sub, base, |_| 0.01, Damping::Independence, 0.5);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn bound_estimates_equal_per_set_estimates_bit_for_bit() {
+        let q = two_rel_query();
+        let base = |r: usize| [123.4, 0.7, 9_876.5][r];
+        let sel = |i: usize| [1.0 / 3.0, 1.0 / 7.0][i];
+        for damping in [Damping::Independence, Damping::ExponentialBackoff] {
+            for shrink in [1.0, 0.25] {
+                let bound = bind_independence(&q, base, sel, damping, shrink);
+                for set in q.all_rels().subsets() {
+                    let per_set = independence_estimate(&q, set, base, sel, damping, shrink);
+                    assert_eq!(bound(set).to_bits(), per_set.to_bits(), "{set}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn default_binding_and_forwarding_answer_with_estimate() {
+        struct BySize;
+        impl CardinalityEstimator for BySize {
+            fn name(&self) -> &str {
+                "by size"
+            }
+            fn estimate(&self, _: &QuerySpec, set: RelSet) -> f64 {
+                set.len() as f64 * 10.0
+            }
+        }
+        let q = two_rel_query();
+        let by_ref = &BySize;
+        let boxed: Box<dyn CardinalityEstimator> = Box::new(BySize);
+        for bound in [BySize.bind(&q), CardinalityEstimator::bind(&by_ref, &q), boxed.bind(&q)] {
+            assert_eq!(bound(q.all_rels()), 30.0);
+        }
     }
 
     #[test]

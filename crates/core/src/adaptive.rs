@@ -90,9 +90,10 @@ impl AdaptiveOutcome {
 /// module docs).  With `adaptive.enabled == false` the divergence check never
 /// fires: plain breaker-by-breaker execution, same rows, same cardinalities.
 ///
-/// The planner's estimates seed both the feedback overlay and hash-table
-/// sizing (observed sets size exactly, everything else from the corrected
-/// estimate).
+/// The planner's estimates seed the feedback overlay of every re-plan.
+/// Hash tables are sized from the observed rows where a set has run (every
+/// build side after the first round is a breaker that ran) and from the
+/// planner's estimate otherwise.
 pub fn execute_adaptive(
     planner: &Planner<'_>,
     plan: &PhysicalPlan,
@@ -122,8 +123,8 @@ pub fn execute_adaptive(
         // Per-round budget: the statement timeout covers the whole adaptive
         // loop, not each round separately.
         let round_options = remaining_budget(options, started)?;
-        let overlay = FeedbackEstimator::new(&observed, planner);
-        let hint = |set: RelSet| overlay.estimate(query, set);
+        let hint =
+            |set: RelSet| observed.get(set).map_or_else(|| planner.rows(set), |t| t.max(1.0));
 
         let Some(breaker) = first_breaker(&current, &mat).cloned() else {
             // Only the top pipeline remains: run it over the stored

@@ -3,6 +3,8 @@
 //! the algorithm class the paper relies on for exhaustive enumeration
 //! ("exhaustive dynamic programming", citations [29, 12]).
 
+use std::collections::hash_map::Entry::{Occupied, Vacant};
+
 use qob_plan::{PhysicalPlan, QuerySpec, RelSet};
 
 use crate::planner::{Entry, EnumerationError, OptimizedPlan, PlanTable, Planner};
@@ -66,29 +68,37 @@ fn enumerate_cmp(
     let min = s1.min_rel().expect("non-empty csg");
     let x = RelSet::first_n(min + 1).union(s1);
     let neighbors = query.neighbors(s1, adjacency).minus(x);
-    let mut members: Vec<usize> = neighbors.iter().collect();
-    members.sort_unstable_by(|a, b| b.cmp(a));
-    for &vi in &members {
+    let mut rest = neighbors;
+    while let Some(vi) = rest.max_rel() {
         let v = RelSet::single(vi);
+        rest = rest.minus(v);
         emit(v);
         let below_vi = RelSet::first_n(vi + 1);
         enumerate_csg_rec(query, adjacency, v, x.union(below_vi.intersect(neighbors)), emit);
     }
 }
 
-/// All csg-cmp pairs of the query's join graph: each unordered pair of
-/// disjoint, connected, edge-connected subgraphs exactly once (in one
-/// orientation), in the one order every dynamic program processes them —
-/// increasing size of the union, then union bits, then left-side bits.  Both
-/// sides of a pair precede it, and all splits of one set are adjacent.
-pub fn ccp_pairs(query: &QuerySpec) -> Vec<(RelSet, RelSet)> {
+/// Calls `emit(A, B)` for every csg-cmp pair of the query's join graph:
+/// each unordered pair of disjoint, connected, edge-connected subgraphs
+/// exactly once, with `A` the side that holds the pair's lowest relation.
+///
+/// Pairs come in DPccp's own order (`EnumerateCsg`, and for each csg its
+/// `EnumerateCmp`), which is a valid dynamic-programming order: when a pair
+/// comes up, every pair whose union is `A` or `B` has already come up.
+pub fn for_each_ccp_pair(query: &QuerySpec, mut emit: impl FnMut(RelSet, RelSet)) {
     let adjacency = query.adjacency();
-    let mut csgs = Vec::new();
-    enumerate_csg(query, &adjacency, &mut |s| csgs.push(s));
+    enumerate_csg(query, &adjacency, &mut |s1| {
+        enumerate_cmp(query, &adjacency, s1, &mut |s2| emit(s1, s2));
+    });
+}
+
+/// All csg-cmp pairs of the query's join graph ([`for_each_ccp_pair`]),
+/// sorted by increasing size of the union, then union bits, then left-side
+/// bits: all splits of one set are adjacent, and every pair comes after the
+/// pairs that build its sides.  The plan-space module walks this list.
+pub fn ccp_pairs(query: &QuerySpec) -> Vec<(RelSet, RelSet)> {
     let mut pairs = Vec::new();
-    for &s1 in &csgs {
-        enumerate_cmp(query, &adjacency, s1, &mut |s2| pairs.push((s1, s2)));
-    }
+    for_each_ccp_pair(query, |s1, s2| pairs.push((s1, s2)));
     pairs.sort_unstable_by_key(|(a, b)| {
         let u = a.union(*b);
         (u.len(), u.bits(), a.bits())
@@ -98,8 +108,9 @@ pub fn ccp_pairs(query: &QuerySpec) -> Vec<(RelSet, RelSet)> {
 
 /// Exhaustive bushy dynamic programming over the csg-cmp pairs.
 ///
-/// Pairs are processed in increasing size of their union, which guarantees
-/// that both sides of every pair already carry their optimal subplan.
+/// Each pair is priced as DPccp emits it ([`for_each_ccp_pair`]), whose order
+/// guarantees that both sides of every pair already carry their optimal
+/// subplan.
 pub fn optimize_bushy(planner: &Planner<'_>) -> Result<OptimizedPlan, EnumerationError> {
     optimize_bushy_with_prefixes(planner, &[])
 }
@@ -136,7 +147,7 @@ pub fn optimize_bushy_table(
     // A single group (or a single-relation query) may already cover
     // everything: then nothing is left to enumerate.
     if !table.contains_key(&planner.query.all_rels()) {
-        fill_table(planner, &mut table, &ccp_pairs(planner.query));
+        for_each_ccp_pair(planner.query, |a, b| relax(planner, &mut table, a, b));
     }
     Ok(table)
 }
@@ -149,7 +160,7 @@ pub(crate) fn seed_table(
 ) -> Result<PlanTable, EnumerationError> {
     planner.check_query()?;
     let mut grouped = RelSet::empty();
-    let mut table = PlanTable::new();
+    let mut table = PlanTable::default();
     for group in groups {
         if !group.set.is_disjoint(grouped) {
             return Err(EnumerationError::OverlappingPrefixes);
@@ -164,29 +175,50 @@ pub(crate) fn seed_table(
     Ok(table)
 }
 
-/// The DP core over [`ccp_pairs`]: prices each pair whose two sides
-/// are in the table and keeps the cheapest entry per union; an earlier pair
-/// wins ties.
-pub(crate) fn fill_table(planner: &Planner<'_>, table: &mut PlanTable, pairs: &[(RelSet, RelSet)]) {
-    for splits in pairs.chunk_by(|p, q| p.0.union(p.1) == q.0.union(q.1)) {
-        let set = splits[0].0.union(splits[0].1);
-        let mut best: Option<Entry> = None;
-        // Estimated only once a split has both sides (under prefix groups
-        // some sets have none).
-        let mut rows = None;
-        for (s1, s2) in splits {
-            let (Some(left), Some(right)) = (table.get(s1), table.get(s2)) else {
-                continue;
+/// The DP over a list of csg-cmp pairs in any valid dynamic-programming
+/// order: each pair is priced if both its sides are in the table, and
+/// replaces the entry of its union on a lower cost, or on an equal cost and
+/// a smaller `bits(A)` (the step [`optimize_bushy_table`] takes as DPccp
+/// emits each pair).  The plan-space module runs it over the sorted
+/// [`ccp_pairs`]; it fills the same table as [`optimize_bushy_table`],
+/// entry for entry.
+pub fn fill_table(planner: &Planner<'_>, table: &mut PlanTable, pairs: &[(RelSet, RelSet)]) {
+    for &(a, b) in pairs {
+        relax(planner, table, a, b);
+    }
+}
+
+/// The one dynamic-programming step: prices the csg-cmp pair `(a, b)` if
+/// both sides are in the table (under prefix groups some are not) and keeps
+/// it for `a ∪ b` if it beats the incumbent.  `a` holds the set's lowest
+/// relation.  The candidate wins on a lower cost, or on an equal cost and a
+/// smaller `bits(a)` — so the winner of a set is the minimum by
+/// `(cost, bits(a))` whatever order its pairs arrive in, the same winner as
+/// "the earliest of the sorted pairs wins ties".  The union is estimated
+/// once, by its first pair.
+fn relax(planner: &Planner<'_>, table: &mut PlanTable, a: RelSet, b: RelSet) {
+    let (Some(&left), Some(&right)) = (table.get(&a), table.get(&b)) else {
+        return;
+    };
+    let set = a.union(b);
+    match table.entry(set) {
+        Occupied(mut incumbent) => {
+            // An atomic input (a leaf or a prefix group) is never split.
+            let Some((build, probe, _)) = incumbent.get().join else {
+                return;
             };
-            let rows = *rows.get_or_insert_with(|| planner.rows(set));
-            let candidate = planner.cheapest_join(left, right, rows);
-            match best {
-                Some(existing) if existing.cost <= candidate.cost => {}
-                _ => best = Some(candidate),
+            let lowest = set.min_rel().expect("a non-empty union");
+            let incumbent_a = if build.contains(lowest) { build } else { probe };
+            let incumbent_cost = incumbent.get().cost;
+            let candidate = planner.cheapest_join(&left, &right, incumbent.get().rows);
+            if candidate.cost < incumbent_cost
+                || (candidate.cost == incumbent_cost && a.bits() < incumbent_a.bits())
+            {
+                incumbent.insert(candidate);
             }
         }
-        if let Some(best) = best {
-            table.insert(set, best);
+        Vacant(slot) => {
+            slot.insert(planner.cheapest_join(&left, &right, planner.rows(set)));
         }
     }
 }

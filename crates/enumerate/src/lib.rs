@@ -32,7 +32,10 @@ pub mod quickpick;
 pub mod restricted;
 pub mod space;
 
-pub use dpccp::{ccp_pairs, optimize_bushy_table, optimize_bushy_with_prefixes, PrefixGroup};
+pub use dpccp::{
+    ccp_pairs, fill_table, for_each_ccp_pair, optimize_bushy_table, optimize_bushy_with_prefixes,
+    PrefixGroup,
+};
 pub use planner::{
     Entry, EnumerationError, OptimizedPlan, PlanTable, Planner, PlannerConfig, ShapeRestriction,
 };

@@ -2,12 +2,11 @@
 //! join selection.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 
 use qob_cardest::CardinalityEstimator;
 use qob_cost::{CostContext, CostModel, SubPlanInfo};
-use qob_plan::{JoinAlgorithm, JoinKey, PhysicalPlan, QuerySpec, RelSet};
+use qob_plan::{JoinAlgorithm, JoinKey, PhysicalPlan, QuerySpec, RelSet, RelSetMap};
 use qob_storage::Database;
 
 /// Which join-tree shapes the enumerator may produce (Section 6.2).
@@ -128,7 +127,7 @@ impl Entry {
 }
 
 /// The per-set memo of the dynamic programs.
-pub type PlanTable = HashMap<RelSet, Entry>;
+pub type PlanTable = RelSetMap<Entry>;
 
 /// A subplan that carries its operator tree — the forest/component element
 /// of the heuristics ([`crate::goo`], [`crate::quickpick`]), which build one
@@ -152,12 +151,19 @@ pub struct Planner<'a> {
     /// Cost model.
     pub cost_model: &'a dyn CostModel,
     /// Cardinality source (estimates or injected/true cardinalities).  Only
-    /// [`Planner::rows`] calls it.
+    /// [`Planner::rows`] asks it, through the binding made in
+    /// [`Planner::new`].
     pub cards: &'a dyn CardinalityEstimator,
     /// Configuration.
     pub config: PlannerConfig,
+    /// `cards` bound to `query` ([`CardinalityEstimator::bind`]).
+    estimate: Box<dyn Fn(RelSet) -> f64 + 'a>,
     /// Estimates fetched so far, clamped to at least one row.
-    estimates: RefCell<HashMap<RelSet, f64>>,
+    estimates: RefCell<RelSetMap<f64>>,
+    /// Per relation, its join edges in `query.joins` order as `(the other
+    /// endpoint, whether this endpoint's column is indexed)`: what an
+    /// index-nested-loop lookup into the relation could use.
+    lookups: Vec<Vec<(usize, bool)>>,
 }
 
 impl<'a> Planner<'a> {
@@ -169,7 +175,28 @@ impl<'a> Planner<'a> {
         cards: &'a dyn CardinalityEstimator,
         config: PlannerConfig,
     ) -> Self {
-        Planner { db, query, cost_model, cards, config, estimates: RefCell::default() }
+        let mut lookups = vec![Vec::new(); query.rel_count()];
+        for e in &query.joins {
+            for (inner, column, outer) in
+                [(e.left, e.left_column, e.right), (e.right, e.right_column, e.left)]
+            {
+                if let Some(edges) = lookups.get_mut(inner) {
+                    let indexed = db.has_index(query.relations[inner].table, column);
+                    edges.push((outer, indexed));
+                }
+            }
+        }
+        let estimate = cards.bind(query);
+        Planner {
+            db,
+            query,
+            cost_model,
+            cards,
+            config,
+            estimate,
+            estimates: RefCell::default(),
+            lookups,
+        }
     }
 
     /// Estimated output rows for a relation set (at least 1).  The single
@@ -179,7 +206,7 @@ impl<'a> Planner<'a> {
         if let Some(&rows) = self.estimates.borrow().get(&set) {
             return rows;
         }
-        let rows = self.cards.estimate(self.query, set).max(1.0);
+        let rows = (self.estimate)(set).max(1.0);
         self.estimates.borrow_mut().insert(set, rows);
         rows
     }
@@ -217,11 +244,8 @@ impl<'a> Planner<'a> {
     /// order — the first join key) drives the lookup, so its inner column
     /// must be indexed.
     fn index_lookup_available(&self, outer: RelSet, inner: usize) -> bool {
-        let edge = self.query.joins.iter().find(|e| e.connects(outer, RelSet::single(inner)));
-        edge.is_some_and(|e| {
-            let column = if e.right == inner { e.right_column } else { e.left_column };
-            self.db.has_index(self.query.relations[inner].table, column)
-        })
+        let edge = self.lookups[inner].iter().find(|(other, _)| outer.contains(*other));
+        edge.is_some_and(|&(_, indexed)| indexed)
     }
 
     /// The join of `left` (build/outer side) with `right` (probe/inner side)

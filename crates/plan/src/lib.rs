@@ -21,4 +21,4 @@ pub mod relset;
 
 pub use physical::{JoinAlgorithm, JoinKey, PhysicalPlan, PlanShape};
 pub use query::{BaseRelation, JoinEdge, QuerySpec, QueryValidationError};
-pub use relset::RelSet;
+pub use relset::{RelSet, RelSetHasher, RelSetMap};

@@ -3,9 +3,12 @@
 //! JOB queries join at most 17 relations, so a `u64` bitset suffices.  Every
 //! optimizer component keys its per-subexpression state (cardinality
 //! estimates, true cardinalities, dynamic-programming tables) on a
-//! [`RelSet`].
+//! [`RelSet`], and the hot per-statement maps ([`RelSetMap`]) hash it with
+//! [`RelSetHasher`].
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A set of base relations of one query, stored as a bitset.
 ///
@@ -129,6 +132,16 @@ impl RelSet {
         }
     }
 
+    /// The largest relation index in the set, if non-empty.
+    #[inline]
+    pub fn max_rel(self) -> Option<usize> {
+        if self.is_empty() {
+            None
+        } else {
+            Some(63 - self.0.leading_zeros() as usize)
+        }
+    }
+
     /// Iterates over the member relation indices in increasing order.
     pub fn iter(self) -> RelSetIter {
         RelSetIter(self.0)
@@ -169,6 +182,54 @@ impl fmt::Display for RelSet {
             write!(f, "{rel}")?;
         }
         write!(f, "}}")
+    }
+}
+
+/// A map keyed by relation set, hashed with [`RelSetHasher`]: the
+/// dynamic-programming tables and the planner's estimate memo, which probe
+/// it a few times per csg-cmp pair.
+pub type RelSetMap<V> = HashMap<RelSet, V, BuildHasherDefault<RelSetHasher>>;
+
+/// The hasher of [`RelSetMap`]: one 64×64→128-bit multiply of the set's
+/// bits by an odd constant, folded to 64 bits (high half xor low half), so
+/// every input bit reaches both the low bits that pick a bucket and the high
+/// bits the table's control bytes use.
+///
+/// It is a map hasher, not a checksum: it is fast on one `u64`, but neither
+/// stable across versions nor meant to be stored or compared across
+/// processes (that is FNV-1a's job, `qob_storage::encoding::fnv1a64`), and
+/// it is not keyed, so it is for keys a query builds, not for keys a client
+/// chooses.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RelSetHasher(u64);
+
+impl RelSetHasher {
+    const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * u128::from(Self::MULTIPLIER);
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
+impl Hasher for RelSetHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.mix(word);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -246,6 +307,27 @@ mod tests {
         assert!(a.minus(b).is_disjoint(b));
         assert_eq!(a.min_rel(), Some(0));
         assert_eq!(RelSet::empty().min_rel(), None);
+        assert_eq!(a.max_rel(), Some(5));
+        assert_eq!(RelSet::single(63).max_rel(), Some(63));
+        assert_eq!(RelSet::empty().max_rel(), None);
+    }
+
+    #[test]
+    fn relset_map_hashes_every_bit() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<RelSetHasher>::default();
+        // Single-relation sets differ in both the low (bucket) and the high
+        // (control byte) bits of their hashes.
+        let hashes: Vec<u64> = (0..64).map(|r| build.hash_one(RelSet::single(r))).collect();
+        let low: std::collections::HashSet<u64> = hashes.iter().map(|h| h & 0xff).collect();
+        let high: std::collections::HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+        assert!(low.len() >= 48, "{} distinct low bytes", low.len());
+        assert!(high.len() >= 40, "{} distinct top-7-bit tags", high.len());
+        let mut map: RelSetMap<usize> = RelSetMap::default();
+        for bits in 0..1024u64 {
+            map.insert(RelSet::from_bits(bits), bits as usize);
+        }
+        assert!((0..1024u64).all(|bits| map[&RelSet::from_bits(bits)] == bits as usize));
     }
 
     #[test]

@@ -5,9 +5,12 @@
 //! builds one operator tree at the end, so three things need pinning from
 //! outside the crate: every connected subexpression is estimated exactly
 //! once (a count, not a timing); the rebuilt tree is valid, complete, and
-//! re-costs to the table's cost; and fixed prefixes come back unchanged.
+//! re-costs to the table's cost; fixed prefixes come back unchanged; and
+//! pricing pairs in DPccp's emission order fills the same table as pricing
+//! them sorted.
 
 use std::cell::Cell;
+use std::collections::HashMap;
 
 use qob_cardest::CardinalityEstimator;
 use qob_core::{BenchmarkContext, EstimatorKind};
@@ -16,8 +19,8 @@ use qob_datagen::Scale;
 use qob_enumerate::dpccp::optimize_bushy;
 use qob_enumerate::goo::optimize_goo;
 use qob_enumerate::{
-    optimize_bushy_table, optimize_bushy_with_prefixes, EnumerationError, Planner, PlannerConfig,
-    PrefixGroup,
+    ccp_pairs, fill_table, for_each_ccp_pair, optimize_bushy_table, optimize_bushy_with_prefixes,
+    EnumerationError, PlanTable, Planner, PlannerConfig, PrefixGroup,
 };
 use qob_plan::{JoinEdge, PhysicalPlan, QuerySpec, RelSet};
 use qob_plangrid::{generate_many, GeneratorOptions};
@@ -112,6 +115,81 @@ fn close_a_cycle(query: &mut QuerySpec) -> bool {
     false
 }
 
+/// 200 generated queries over the fixture's FK graph; every other one that
+/// has room for it gets a cycle closed.
+fn generated_queries(ctx: &BenchmarkContext) -> Vec<QuerySpec> {
+    let options = GeneratorOptions { max_relations: 9, ..Default::default() };
+    let generated = generate_many(ctx.db(), &options, 200, 0x18, "g").unwrap();
+    let mut cyclic = 0usize;
+    let queries: Vec<QuerySpec> = generated
+        .into_iter()
+        .enumerate()
+        .map(|(i, generated)| {
+            let mut query = generated.spec;
+            // The generator walks the FK graph into a tree.
+            if i % 2 == 0 && close_a_cycle(&mut query) {
+                assert!(query.joins.len() >= query.rel_count(), "{}: not cyclic", query.name);
+                cyclic += 1;
+            }
+            query
+        })
+        .collect();
+    assert!(cyclic >= 30, "only {cyclic} of 200 generated queries could be made cyclic");
+    queries
+}
+
+/// DPccp prices each csg-cmp pair as it is emitted; `fill_table` over the
+/// sorted pair list is the reference.  Every emitted pair's sides must be
+/// final when it comes up (no later pair builds them), and the two tables
+/// must agree entry for entry, to the bit.
+fn check_emission_order(
+    ctx: &BenchmarkContext,
+    query: &QuerySpec,
+    estimator: &dyn CardinalityEstimator,
+) {
+    let mut emitted = Vec::new();
+    for_each_ccp_pair(query, |a, b| emitted.push((a, b)));
+    let last_built: HashMap<RelSet, usize> =
+        emitted.iter().enumerate().map(|(i, (a, b))| (a.union(*b), i)).collect();
+    for (i, (a, b)) in emitted.iter().enumerate() {
+        for side in [a, b] {
+            if let Some(&built) = last_built.get(side) {
+                assert!(
+                    built < i,
+                    "{}: pair {i} uses {side}, built again by pair {built}",
+                    query.name
+                );
+            }
+        }
+    }
+
+    // C_mm prices Hash and SortMerge alike and ignores orientation, so
+    // equally cheap splits are common: the tie rule is exercised.
+    let model = SimpleCostModel::new();
+    let planner = Planner::new(ctx.db(), query, &model, estimator, PlannerConfig::default());
+    let table = optimize_bushy_table(&planner, &[]).unwrap();
+    let mut reference: PlanTable =
+        (0..query.rel_count()).map(|rel| (RelSet::single(rel), planner.leaf(rel))).collect();
+    fill_table(&planner, &mut reference, &ccp_pairs(query));
+    assert_eq!(table.len(), reference.len(), "{}", query.name);
+    let bits = |set: &RelSet, table: &PlanTable| {
+        let entry = table.get(set).unwrap_or_else(|| panic!("{}: no entry for {set}", query.name));
+        (entry.cost.to_bits(), entry.rows.to_bits(), entry.join)
+    };
+    for set in reference.keys() {
+        assert_eq!(bits(set, &table), bits(set, &reference), "{}: {set}", query.name);
+    }
+}
+
+#[test]
+fn emission_order_fills_the_same_table_as_the_sorted_pairs() {
+    let ctx = BenchmarkContext::new(Scale::tiny(), IndexConfig::PrimaryAndForeignKey).unwrap();
+    let estimator = ctx.estimator(EstimatorKind::Postgres);
+    for query in ctx.queries().iter().chain(&generated_queries(&ctx)) {
+        check_emission_order(&ctx, query, estimator.as_ref());
+    }
+}
+
 #[test]
 fn dpccp_estimates_each_connected_subexpression_of_every_job_query_once() {
     let ctx = BenchmarkContext::new(Scale::tiny(), IndexConfig::PrimaryAndForeignKey).unwrap();
@@ -127,20 +205,9 @@ fn dpccp_estimates_each_connected_subexpression_of_every_job_query_once() {
 fn dpccp_does_exact_work_on_generated_queries_cyclic_ones_included() {
     let ctx = BenchmarkContext::new(Scale::tiny(), IndexConfig::PrimaryAndForeignKey).unwrap();
     let estimator = ctx.estimator(EstimatorKind::Postgres);
-    let options = GeneratorOptions { max_relations: 9, ..Default::default() };
-    let generated = generate_many(ctx.db(), &options, 200, 0x18, "g").unwrap();
-    let mut cyclic = 0usize;
-    for (i, generated) in generated.into_iter().enumerate() {
-        let mut query = generated.spec;
-        // The generator walks the FK graph into a tree; close a cycle in
-        // every other query that has room for one.
-        if i % 2 == 0 && close_a_cycle(&mut query) {
-            assert!(query.joins.len() >= query.rel_count(), "{}: not cyclic", query.name);
-            cyclic += 1;
-        }
+    for query in generated_queries(&ctx) {
         check_exact_work(&ctx, &query, estimator.as_ref());
     }
-    assert!(cyclic >= 30, "only {cyclic} of 200 generated queries could be made cyclic");
 }
 
 #[test]

@@ -113,7 +113,8 @@ fn figure5_true_distinct_counts_do_not_fix_underestimation() {
 /// estimate of every connected subexpression of the 113 JOB queries (46 202
 /// sets) under each of the six profiles.  Estimator performance work must
 /// leave it alone; only a change that *means* to estimate differently may
-/// re-pin it, and says so.
+/// re-pin it, and says so.  The per-query binding the planner uses
+/// (`CardinalityEstimator::bind`) must return the same bits for every set.
 #[test]
 fn estimate_digest_is_pinned() {
     const EXPECTED: u64 = 0x015a561eaa359a6e;
@@ -131,8 +132,16 @@ fn estimate_digest_is_pinned() {
     for kind in kinds {
         let estimator = ctx.estimator(kind);
         for query in ctx.queries() {
+            let bound = estimator.bind(query);
             for set in query.connected_subexpressions() {
                 let estimate = estimator.estimate(query, set);
+                assert_eq!(
+                    bound(set).to_bits(),
+                    estimate.to_bits(),
+                    "{} {}: the bound estimate of {set} differs",
+                    kind.label(),
+                    query.name
+                );
                 bits.extend_from_slice(&estimate.to_bits().to_le_bytes());
                 sets += 1;
             }

@@ -19,9 +19,6 @@ use crate::selectivity::{histogram_base_rows, MagicConstants};
 /// selectivity per join edge, how it combines edge selectivities, and how
 /// much it shrinks per join beyond the first.
 trait Profile {
-    /// The display name ([`CardinalityEstimator::name`]).
-    fn label(&self) -> &str;
-
     fn base_rows(&self, query: &QuerySpec, rel: usize) -> f64;
 
     /// The selectivity of `query.joins[edge]`.
@@ -62,34 +59,6 @@ fn bind_profile<'s>(
     )
 }
 
-/// Implements [`CardinalityEstimator`] for each [`Profile`]: `estimate`
-/// over [`estimate_set`], `bind` over [`bind_profile`].
-macro_rules! profile_estimators {
-    ($($profile:ident),*) => {$(
-        impl CardinalityEstimator for $profile<'_> {
-            fn name(&self) -> &str {
-                self.label()
-            }
-
-            fn estimate(&self, query: &QuerySpec, set: RelSet) -> f64 {
-                estimate_set(self, query, set)
-            }
-
-            fn bind<'s>(&'s self, query: &'s QuerySpec) -> Box<dyn Fn(RelSet) -> f64 + 's> {
-                bind_profile(self, query)
-            }
-        }
-    )*};
-}
-
-profile_estimators!(
-    PostgresEstimator,
-    SamplingEstimator,
-    DampedSamplingEstimator,
-    PessimisticEstimator,
-    MagicConstantEstimator
-);
-
 /// PostgreSQL-style estimator: per-attribute histograms and MCVs,
 /// independence everywhere, `1/max(dom)` join selectivity, magic constants
 /// for LIKE.
@@ -125,10 +94,6 @@ impl<'a> PostgresEstimator<'a> {
 }
 
 impl Profile for PostgresEstimator<'_> {
-    fn label(&self) -> &str {
-        self.name
-    }
-
     fn base_rows(&self, query: &QuerySpec, rel: usize) -> f64 {
         let exact = self.use_exact_distinct;
         histogram_base_rows(&self.ctx, query, rel, exact, &self.magic, Damping::Independence)
@@ -136,6 +101,20 @@ impl Profile for PostgresEstimator<'_> {
 
     fn edge_selectivity(&self, query: &QuerySpec, edge: usize) -> f64 {
         join_edge_selectivity(&self.ctx, query, &query.joins[edge], self.use_exact_distinct)
+    }
+}
+
+impl CardinalityEstimator for PostgresEstimator<'_> {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn estimate(&self, query: &QuerySpec, set: RelSet) -> f64 {
+        estimate_set(self, query, set)
+    }
+
+    fn bind<'s>(&'s self, query: &'s QuerySpec) -> Box<dyn Fn(RelSet) -> f64 + 's> {
+        bind_profile(self, query)
     }
 }
 
@@ -172,16 +151,26 @@ impl<'a> SamplingEstimator<'a> {
 }
 
 impl Profile for SamplingEstimator<'_> {
-    fn label(&self) -> &str {
-        self.name
-    }
-
     fn base_rows(&self, query: &QuerySpec, rel: usize) -> f64 {
         self.sample_base_rows(query, rel)
     }
 
     fn edge_selectivity(&self, query: &QuerySpec, edge: usize) -> f64 {
         join_edge_selectivity(&self.ctx, query, &query.joins[edge], false)
+    }
+}
+
+impl CardinalityEstimator for SamplingEstimator<'_> {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn estimate(&self, query: &QuerySpec, set: RelSet) -> f64 {
+        estimate_set(self, query, set)
+    }
+
+    fn bind<'s>(&'s self, query: &'s QuerySpec) -> Box<dyn Fn(RelSet) -> f64 + 's> {
+        bind_profile(self, query)
     }
 }
 
@@ -204,10 +193,6 @@ impl<'a> DampedSamplingEstimator<'a> {
 }
 
 impl Profile for DampedSamplingEstimator<'_> {
-    fn label(&self) -> &str {
-        "DBMS A"
-    }
-
     fn base_rows(&self, query: &QuerySpec, rel: usize) -> f64 {
         self.inner.sample_base_rows(query, rel)
     }
@@ -218,6 +203,20 @@ impl Profile for DampedSamplingEstimator<'_> {
 
     fn damping(&self) -> Damping {
         Damping::ExponentialBackoff
+    }
+}
+
+impl CardinalityEstimator for DampedSamplingEstimator<'_> {
+    fn name(&self) -> &str {
+        "DBMS A"
+    }
+
+    fn estimate(&self, query: &QuerySpec, set: RelSet) -> f64 {
+        estimate_set(self, query, set)
+    }
+
+    fn bind<'s>(&'s self, query: &'s QuerySpec) -> Box<dyn Fn(RelSet) -> f64 + 's> {
+        bind_profile(self, query)
     }
 }
 
@@ -244,10 +243,6 @@ impl<'a> PessimisticEstimator<'a> {
 }
 
 impl Profile for PessimisticEstimator<'_> {
-    fn label(&self) -> &str {
-        "DBMS B"
-    }
-
     fn base_rows(&self, query: &QuerySpec, rel: usize) -> f64 {
         histogram_base_rows(&self.ctx, query, rel, false, &self.magic, Damping::Independence)
     }
@@ -258,6 +253,20 @@ impl Profile for PessimisticEstimator<'_> {
 
     fn per_join_shrink(&self) -> f64 {
         self.per_join_shrink
+    }
+}
+
+impl CardinalityEstimator for PessimisticEstimator<'_> {
+    fn name(&self) -> &str {
+        "DBMS B"
+    }
+
+    fn estimate(&self, query: &QuerySpec, set: RelSet) -> f64 {
+        estimate_set(self, query, set)
+    }
+
+    fn bind<'s>(&'s self, query: &'s QuerySpec) -> Box<dyn Fn(RelSet) -> f64 + 's> {
+        bind_profile(self, query)
     }
 }
 
@@ -304,10 +313,6 @@ impl<'a> MagicConstantEstimator<'a> {
 }
 
 impl Profile for MagicConstantEstimator<'_> {
-    fn label(&self) -> &str {
-        "DBMS C"
-    }
-
     fn base_rows(&self, query: &QuerySpec, rel: usize) -> f64 {
         let relation = &query.relations[rel];
         let rows = self.ctx.stats.table(relation.table).row_count as f64;
@@ -317,6 +322,20 @@ impl Profile for MagicConstantEstimator<'_> {
 
     fn edge_selectivity(&self, query: &QuerySpec, edge: usize) -> f64 {
         join_edge_selectivity(&self.ctx, query, &query.joins[edge], false)
+    }
+}
+
+impl CardinalityEstimator for MagicConstantEstimator<'_> {
+    fn name(&self) -> &str {
+        "DBMS C"
+    }
+
+    fn estimate(&self, query: &QuerySpec, set: RelSet) -> f64 {
+        estimate_set(self, query, set)
+    }
+
+    fn bind<'s>(&'s self, query: &'s QuerySpec) -> Box<dyn Fn(RelSet) -> f64 + 's> {
+        bind_profile(self, query)
     }
 }
 

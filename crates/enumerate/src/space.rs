@@ -25,8 +25,9 @@
 //! A "plan" here is an unordered bushy join tree over connected
 //! subgraphs, with each join's orientation (build/probe) and algorithm
 //! chosen cost-minimally for its pair of input sets — the same physical
-//! selection DPccp applies, over the same sorted pair list and the same
-//! table, so the minimum of the enumerated space coincides with
+//! selection and the same DP step DPccp applies (over the sorted pair list
+//! here, in emission order there; both fill the same table), so the minimum
+//! of the enumerated space coincides with
 //! [`crate::dpccp::optimize_bushy`] (a differential test pins this on every
 //! small JOB query).
 

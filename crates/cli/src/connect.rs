@@ -226,9 +226,13 @@ fn write_result(out: &mut String, result: &Json) -> std::fmt::Result {
         f64_of(result, "selections")
     )?;
     let threads = u64_of(result, "threads");
+    let final_cost = match result.get("final_cost").and_then(Json::as_f64) {
+        Some(cost) => format!(", final plan cost {cost:.1}"),
+        None => String::new(),
+    };
     writeln!(
         out,
-        "plan chosen with {} estimates (cost {:.1}, {} thread{}):",
+        "plan chosen with {} estimates (cost {:.1}{final_cost}, {} thread{}):",
         str_of(result, "estimator"),
         f64_of(result, "cost"),
         threads,
@@ -357,6 +361,7 @@ mod tests {
                     changed: true,
                     resumed_plan: "HJ {cn,mc,t}\n  Scan cn\n  Materialized {mc,t}\n".to_owned(),
                 }],
+                final_cost: Some(980.24),
             }),
             trace: Some(TraceReport {
                 parse_us: 39,
@@ -377,7 +382,7 @@ mod tests {
         let expected = [
             "",
             "=== q7 — 3 relations, 2 join predicates, 1 selections ===",
-            "plan chosen with postgres estimates (cost 1234.6, 2 threads):",
+            "plan chosen with postgres estimates (cost 1234.6, final plan cost 980.2, 2 threads):",
             "plan cache: fence-reject",
             "HJ {cn,mc,t}",
             "  HJ {mc,t}",
@@ -413,6 +418,7 @@ mod tests {
         report.plan_cache = CacheOutcome::Off;
         let exec = report.execution.as_mut().unwrap();
         exec.replans[0].changed = false;
+        exec.final_cost = None;
         for op in &mut exec.operators {
             op.time_us = None;
             op.morsels = None;

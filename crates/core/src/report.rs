@@ -118,6 +118,10 @@ pub struct ExecutionReport {
     /// Adaptive re-planning rounds, in order (empty when adaptivity is off
     /// or nothing diverged).
     pub replans: Vec<ReplanEvent>,
+    /// The cost of the plan execution finished on, priced like
+    /// [`QueryReport::cost`] (the planner's cost model and estimates);
+    /// `Some` only when a re-plan changed the plan.
+    pub final_cost: Option<f64>,
 }
 
 /// Everything one answered statement reports: the chosen plan and, when the

@@ -429,7 +429,7 @@ impl Session {
             };
             let execute_started = Instant::now();
             let adaptive = self.options.adaptive;
-            let (result, replans) = if adaptive.enabled {
+            let (result, replans, final_cost) = if adaptive.enabled {
                 let outcome = execute_adaptive(planner, &plan, adaptive, &exec_options)
                     .map_err(|e| self.execution_error(&query.name, e))?;
                 shared.metrics.replans_total.add(outcome.replans.len() as u64);
@@ -442,14 +442,18 @@ impl Session {
                             .num("changed", replan.changed as u64),
                     );
                 }
-                // `EXPLAIN ANALYZE` annotates the plan execution finished on.
+                // `EXPLAIN ANALYZE` annotates the plan execution finished on,
+                // priced on the same basis as the chosen plan's `cost`.
+                let final_cost = (outcome.plans_changed() > 0).then(|| {
+                    ctx.plan_cost(query, &outcome.final_plan, planner.cost_model, planner)
+                });
                 plan = outcome.final_plan;
-                (outcome.result, outcome.replans)
+                (outcome.result, outcome.replans, final_cost)
             } else {
                 let result = ctx
                     .execute(query, &plan, planner, &exec_options)
                     .map_err(|e| self.execution_error(&query.name, e))?;
-                (result, Vec::new())
+                (result, Vec::new(), None)
             };
             execute_elapsed = execute_started.elapsed();
             shared.metrics.execute_latency.record(execute_elapsed);
@@ -497,6 +501,7 @@ impl Session {
                 operators,
                 worst_q_error: worst,
                 replans,
+                final_cost,
             });
             self.record_history(query, &report, optimize_elapsed, queue_wait, execute_elapsed);
         }

@@ -10,7 +10,9 @@ use qob_core::{
     BenchmarkContext, CacheOutcome, EstimatorKind, QueryReport, SchedulerConfig, ScriptOutcome,
     ServerContext, Session, SessionOptions, DEFAULT_CACHE_FENCE, DEFAULT_REGRESSION_RATIO,
 };
+use qob_cost::SimpleCostModel;
 use qob_datagen::Scale;
+use qob_enumerate::PlannerConfig;
 use qob_sql::ParamValue;
 use qob_storage::IndexConfig;
 use qob_workload::parse_script;
@@ -376,6 +378,37 @@ fn adaptive_explain_analyze_annotates_the_plan_that_ran() {
         }
     }
     assert!(changed > 0, "a 1.5x threshold changes some JOB plan");
+}
+
+/// The report prices the plan execution finished on next to the chosen
+/// one, on the same basis: JOB 13a re-plans at a 1.5x threshold, its
+/// `final_cost` differs from `cost`, and re-costing the chosen plan the same
+/// way reproduces `cost`.  Without a changed re-plan there is no
+/// `final_cost`.
+#[test]
+fn adaptive_reports_price_the_final_plan_like_the_chosen_one() {
+    let server = server();
+    let mut session = server.session();
+    for (name, value) in [("threads", "1"), ("adaptive", "true"), ("adaptive_threshold", "1.5")] {
+        session.options.set(name, value).unwrap();
+    }
+    let ctx = server.context();
+    let query = ctx.query("13a").unwrap();
+    let report = session.run_query(&query).unwrap();
+    let exec = report.execution.as_ref().unwrap();
+    assert!(exec.replans.iter().any(|e| e.changed), "13a re-plans at a 1.5x threshold");
+    let final_cost = exec.final_cost.expect("a changed re-plan reports the final plan's cost");
+    assert!(final_cost > 0.0 && final_cost != report.cost, "{final_cost} vs {}", report.cost);
+
+    let estimator = ctx.estimator(EstimatorKind::Postgres);
+    let chosen = ctx.optimize(&query, estimator.as_ref(), PlannerConfig::default()).unwrap();
+    let recosted = ctx.plan_cost(&query, &chosen.plan, &SimpleCostModel::new(), estimator.as_ref());
+    assert_eq!(chosen.cost, report.cost, "the session plans like the context");
+    assert!((recosted - report.cost).abs() <= 1e-9 * report.cost, "{recosted} vs {}", report.cost);
+
+    session.options.set("adaptive_threshold", "1000000").unwrap();
+    let calm = session.run_query(&query).unwrap();
+    assert_eq!(calm.execution.unwrap().final_cost, None, "no changed re-plan, no final cost");
 }
 
 #[test]

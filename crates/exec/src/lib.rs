@@ -12,7 +12,7 @@
 //!   estimate* of the build side — reproducing the PostgreSQL ≤ 9.4
 //!   behaviour — with optional runtime **rehashing** (the 9.5 fix studied in
 //!   Figure 6c),
-//! * **index-nested-loop joins** against the catalog's hash indexes,
+//! * **index-nested-loop joins** against the catalog's sorted key indexes,
 //! * plain (non-indexed) **nested-loop joins** — the risky algorithm the
 //!   paper disables in Section 4.1,
 //! * **sort-merge joins**.

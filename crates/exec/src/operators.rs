@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use qob_storage::{Database, EncodedColumn, HashIndex, Predicate, RowId, ScanFilter, Table};
+use qob_storage::{Database, EncodedColumn, KeyIndex, Predicate, RowId, ScanFilter, Table};
 
 use crate::executor::{ExecutionError, ExecutionOptions};
 use crate::hashtable::{bucket_count_for, bucket_for, ChainedHashTable};
@@ -381,11 +381,11 @@ pub struct HashProbeOp<'a> {
 }
 
 /// Index-nested-loop probe: each flowing (outer) tuple is looked up in the
-/// catalog hash index of the inner base relation, output is `flowing ++
+/// catalog key index of the inner base relation, output is `flowing ++
 /// [inner row]`.
 pub struct IndexProbeOp<'a> {
-    /// The inner relation's catalog hash index on the first join key.
-    pub index: &'a HashIndex,
+    /// The inner relation's catalog key index on the first join key.
+    pub index: &'a KeyIndex,
     /// The inner base table.
     pub inner_table: &'a Table,
     /// The inner relation's selection predicates, applied per index hit.

@@ -284,7 +284,7 @@ impl<'a> Engine<'a> {
                     let mut p = self.compile(left)?;
                     let inner_table_id = self.query.relations[inner_rel].table;
                     let inner_table = self.db.table(inner_table_id);
-                    let index = self.db.hash_index(inner_table_id, first.right_column).ok_or(
+                    let index = self.db.key_index(inner_table_id, first.right_column).ok_or(
                         ExecutionError::MissingIndex {
                             table: inner_table.name().to_owned(),
                             column: first.right_column,

@@ -317,6 +317,9 @@ pub fn report_to_json(report: &QueryReport) -> Json {
                 .collect();
             pairs.push(("replans", Json::Arr(replans)));
         }
+        if let Some(final_cost) = exec.final_cost {
+            pairs.push(("final_cost", Json::Num(final_cost)));
+        }
     }
     Json::obj(pairs)
 }

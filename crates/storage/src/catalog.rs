@@ -5,10 +5,11 @@
 //! selects one of these and [`Database::build_indexes`] materialises the
 //! corresponding access paths.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::error::StorageError;
-use crate::index::{HashIndex, IndexKind, OrderedIndex};
+use crate::index::KeyIndex;
 use crate::table::{ColumnId, Table};
 use crate::Result;
 
@@ -78,8 +79,7 @@ pub struct Database {
     by_name: HashMap<String, TableId>,
     keys: Vec<KeyInfo>,
     index_config: IndexConfig,
-    hash_indexes: HashMap<(TableId, ColumnId), HashIndex>,
-    ordered_indexes: HashMap<(TableId, ColumnId), OrderedIndex>,
+    indexes: HashMap<(TableId, ColumnId), KeyIndex>,
 }
 
 impl Database {
@@ -168,8 +168,7 @@ impl Database {
     /// (Re)builds all indexes for the given physical design, replacing any
     /// previously built indexes.
     pub fn build_indexes(&mut self, config: IndexConfig) -> Result<()> {
-        self.hash_indexes.clear();
-        self.ordered_indexes.clear();
+        self.indexes.clear();
         self.index_config = config;
         if config == IndexConfig::NoIndexes {
             return Ok(());
@@ -177,45 +176,30 @@ impl Database {
         for (idx, key_info) in self.keys.iter().enumerate() {
             let tid = TableId(idx as u32);
             let table = &self.tables[idx];
-            if let Some(pk) = key_info.primary_key {
-                let h = HashIndex::build(table, pk, IndexKind::PrimaryKey)?;
-                let o = OrderedIndex::build(table, pk)?;
-                self.hash_indexes.insert((tid, pk), h);
-                self.ordered_indexes.insert((tid, pk), o);
-            }
-            if config == IndexConfig::PrimaryAndForeignKey {
-                for fk in &key_info.foreign_keys {
-                    if self.hash_indexes.contains_key(&(tid, fk.column)) {
-                        continue;
-                    }
-                    let h = HashIndex::build(table, fk.column, IndexKind::ForeignKey)?;
-                    let o = OrderedIndex::build(table, fk.column)?;
-                    self.hash_indexes.insert((tid, fk.column), h);
-                    self.ordered_indexes.insert((tid, fk.column), o);
+            let fks = key_info.foreign_keys.iter().map(|fk| fk.column);
+            let fks = fks.filter(|_| config == IndexConfig::PrimaryAndForeignKey);
+            for column in key_info.primary_key.into_iter().chain(fks) {
+                if let Entry::Vacant(slot) = self.indexes.entry((tid, column)) {
+                    slot.insert(KeyIndex::build(table, column)?);
                 }
             }
         }
         Ok(())
     }
 
-    /// The hash index on `(table, column)` under the current physical design.
-    pub fn hash_index(&self, table: TableId, column: ColumnId) -> Option<&HashIndex> {
-        self.hash_indexes.get(&(table, column))
+    /// The index on `(table, column)` under the current physical design.
+    pub fn key_index(&self, table: TableId, column: ColumnId) -> Option<&KeyIndex> {
+        self.indexes.get(&(table, column))
     }
 
-    /// The ordered index on `(table, column)` under the current physical design.
-    pub fn ordered_index(&self, table: TableId, column: ColumnId) -> Option<&OrderedIndex> {
-        self.ordered_indexes.get(&(table, column))
-    }
-
-    /// True if an (equality) index exists on `(table, column)`.
+    /// True if an index exists on `(table, column)`.
     pub fn has_index(&self, table: TableId, column: ColumnId) -> bool {
-        self.hash_indexes.contains_key(&(table, column))
+        self.indexes.contains_key(&(table, column))
     }
 
     /// Number of materialised indexes.
     pub fn index_count(&self) -> usize {
-        self.hash_indexes.len()
+        self.indexes.len()
     }
 }
 
@@ -301,9 +285,7 @@ mod tests {
         db.build_indexes(IndexConfig::PrimaryAndForeignKey).unwrap();
         assert_eq!(db.index_count(), 3);
         assert!(db.has_index(mc, mc_movie_id));
-        let idx = db.hash_index(mc, mc_movie_id).unwrap();
-        assert_eq!(idx.lookup(3).len(), 3);
-        assert!(db.ordered_index(mc, mc_movie_id).is_some());
+        assert_eq!(db.key_index(mc, mc_movie_id).unwrap().lookup(3).len(), 3);
     }
 
     #[test]

@@ -3,107 +3,36 @@
 //! The paper's experiments hinge on the available *access paths*: only
 //! primary-key indexes, or primary plus foreign-key indexes.  Joins in JOB are
 //! always on integer surrogate keys, so indexes are built over integer
-//! columns only.  Two flavours are provided:
+//! columns only, and the one access they serve is the equality lookup of an
+//! index-nested-loop join.
 //!
-//! * [`HashIndex`] — equality lookups, used by index-nested-loop joins;
-//! * [`OrderedIndex`] — a sorted `(key, row)` vector supporting range scans,
-//!   the in-memory analogue of PostgreSQL's unclustered B+-trees.
+//! A [`KeyIndex`] is three flat vectors: the distinct non-NULL keys in
+//! ascending order, one offset per key into the row ids, and the row ids
+//! grouped by key (ascending within a key).  That is 4 bytes per indexed row
+//! plus 12 per distinct key — 16 bytes per entry on a primary key — with no
+//! per-key allocation.
 
-use std::collections::HashMap;
-
+use crate::encoding::PAGE_ROWS;
 use crate::error::StorageError;
 use crate::table::{ColumnId, RowId, Table};
 use crate::value::DataType;
 use crate::Result;
 
-/// The role an index plays in the physical design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IndexKind {
-    /// Index on a primary key column (unique).
-    PrimaryKey,
-    /// Index on a foreign key column (non-unique).
-    ForeignKey,
-}
-
 /// An equality index mapping key values to the row ids containing them.
-#[derive(Debug, Clone)]
-pub struct HashIndex {
-    column: ColumnId,
-    kind: IndexKind,
-    map: HashMap<i64, Vec<RowId>>,
-    entry_count: usize,
+#[derive(Debug)]
+pub struct KeyIndex {
+    /// Distinct non-NULL keys, ascending.
+    keys: Vec<i64>,
+    /// `keys.len() + 1` offsets: the rows of `keys[i]` are
+    /// `rows[starts[i]..starts[i + 1]]`.
+    starts: Vec<u32>,
+    /// Row ids grouped by key, ascending within each key.
+    rows: Vec<RowId>,
 }
 
-impl HashIndex {
-    /// Builds an index over the integer column `column` of `table`.
-    pub fn build(table: &Table, column: ColumnId, kind: IndexKind) -> Result<Self> {
-        let data = table.column(column);
-        if data.data_type() != DataType::Int {
-            return Err(StorageError::UnsupportedIndexColumn {
-                column: table.column_meta(column).name.clone(),
-            });
-        }
-        let mut map: HashMap<i64, Vec<RowId>> = HashMap::new();
-        let mut entry_count = 0usize;
-        for row in table.row_ids() {
-            if let Some(v) = data.int_at(row as usize) {
-                map.entry(v).or_default().push(row);
-                entry_count += 1;
-            }
-        }
-        Ok(HashIndex { column, kind, map, entry_count })
-    }
-
-    /// The indexed column.
-    pub fn column(&self) -> ColumnId {
-        self.column
-    }
-
-    /// Whether this is a primary- or foreign-key index.
-    pub fn kind(&self) -> IndexKind {
-        self.kind
-    }
-
-    /// Row ids whose key equals `key` (empty slice if none).
-    #[inline]
-    pub fn lookup(&self, key: i64) -> &[RowId] {
-        self.map.get(&key).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Number of indexed (non-null) entries.
-    pub fn entry_count(&self) -> usize {
-        self.entry_count
-    }
-
-    /// Average number of rows per key; 0.0 for an empty index.
-    pub fn avg_rows_per_key(&self) -> f64 {
-        if self.map.is_empty() {
-            0.0
-        } else {
-            self.entry_count as f64 / self.map.len() as f64
-        }
-    }
-
-    /// True if every key maps to exactly one row.
-    pub fn is_unique(&self) -> bool {
-        self.map.values().all(|rows| rows.len() == 1)
-    }
-}
-
-/// A sorted `(key, row)` index supporting range lookups.
-#[derive(Debug, Clone)]
-pub struct OrderedIndex {
-    column: ColumnId,
-    entries: Vec<(i64, RowId)>,
-}
-
-impl OrderedIndex {
-    /// Builds an ordered index over the integer column `column` of `table`.
+impl KeyIndex {
+    /// Builds an index over the integer column `column` of `table`, decoding
+    /// it a page at a time.
     pub fn build(table: &Table, column: ColumnId) -> Result<Self> {
         let data = table.column(column);
         if data.data_type() != DataType::Int {
@@ -111,42 +40,40 @@ impl OrderedIndex {
                 column: table.column_meta(column).name.clone(),
             });
         }
-        let mut entries: Vec<(i64, RowId)> =
-            table.row_ids().filter_map(|row| data.int_at(row as usize).map(|v| (v, row))).collect();
-        entries.sort_unstable();
-        Ok(OrderedIndex { column, entries })
-    }
-
-    /// The indexed column.
-    pub fn column(&self) -> ColumnId {
-        self.column
-    }
-
-    /// Number of indexed (non-null) entries.
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Row ids whose key lies in `[low, high]` (inclusive), in key order.
-    pub fn range(&self, low: i64, high: i64) -> Vec<RowId> {
-        if low > high {
-            return Vec::new();
+        let mut pairs: Vec<(i64, RowId)> = Vec::with_capacity(data.non_null_count());
+        let mut scratch = Vec::with_capacity(PAGE_ROWS.min(data.len()));
+        for p in 0..data.page_count() {
+            scratch.clear();
+            data.int_page(p).decode_into(&mut scratch);
+            let base = p * PAGE_ROWS;
+            for (i, &key) in scratch.iter().enumerate() {
+                if data.validity().get(base + i) {
+                    pairs.push((key, (base + i) as RowId));
+                }
+            }
         }
-        let start = self.entries.partition_point(|(k, _)| *k < low);
-        let end = self.entries.partition_point(|(k, _)| *k <= high);
-        self.entries[start..end].iter().map(|(_, r)| *r).collect()
+        pairs.sort_unstable();
+        let distinct = pairs.chunk_by(|a, b| a.0 == b.0).count();
+        let mut index = KeyIndex {
+            keys: Vec::with_capacity(distinct),
+            starts: Vec::with_capacity(distinct + 1),
+            rows: Vec::with_capacity(pairs.len()),
+        };
+        for group in pairs.chunk_by(|a, b| a.0 == b.0) {
+            index.keys.push(group[0].0);
+            index.starts.push(index.rows.len() as u32);
+            index.rows.extend(group.iter().map(|&(_, row)| row));
+        }
+        index.starts.push(index.rows.len() as u32);
+        Ok(index)
     }
 
-    /// Row ids whose key equals `key`.
-    pub fn lookup(&self, key: i64) -> Vec<RowId> {
-        self.range(key, key)
-    }
-
-    /// Smallest and largest key, if the index is non-empty.
-    pub fn key_bounds(&self) -> Option<(i64, i64)> {
-        match (self.entries.first(), self.entries.last()) {
-            (Some((lo, _)), Some((hi, _))) => Some((*lo, *hi)),
-            _ => None,
+    /// Row ids whose key equals `key`, ascending (empty slice if none).
+    #[inline]
+    pub fn lookup(&self, key: i64) -> &[RowId] {
+        match self.keys.binary_search(&key) {
+            Ok(i) => &self.rows[self.starts[i] as usize..self.starts[i + 1] as usize],
+            Err(_) => &[],
         }
     }
 }
@@ -180,67 +107,29 @@ mod tests {
     }
 
     #[test]
-    fn hash_index_lookup_and_stats() {
+    fn lookup_groups_rows_by_key() {
         let t = fk_table();
-        let col = t.column_id("movie_id").unwrap();
-        let idx = HashIndex::build(&t, col, IndexKind::ForeignKey).unwrap();
+        let idx = KeyIndex::build(&t, t.column_id("movie_id").unwrap()).unwrap();
         assert_eq!(idx.lookup(10), &[0, 1, 3]);
         assert_eq!(idx.lookup(20), &[2]);
+        assert!(idx.lookup(15).is_empty());
         assert!(idx.lookup(99).is_empty());
-        assert_eq!(idx.distinct_keys(), 2);
-        assert_eq!(idx.entry_count(), 4);
-        assert!(!idx.is_unique());
-        assert!((idx.avg_rows_per_key() - 2.0).abs() < 1e-9);
-        assert_eq!(idx.kind(), IndexKind::ForeignKey);
-        assert_eq!(idx.column(), col);
+        assert!(idx.lookup(i64::MIN).is_empty());
+        let pk = KeyIndex::build(&t, t.column_id("id").unwrap()).unwrap();
+        assert!((1..=5).all(|id| pk.lookup(id) == [id as RowId - 1]));
     }
 
     #[test]
-    fn hash_index_on_pk_is_unique() {
+    fn rejects_string_column() {
         let t = fk_table();
-        let col = t.column_id("id").unwrap();
-        let idx = HashIndex::build(&t, col, IndexKind::PrimaryKey).unwrap();
-        assert!(idx.is_unique());
-        assert_eq!(idx.distinct_keys(), 5);
-    }
-
-    #[test]
-    fn hash_index_rejects_string_column() {
-        let t = fk_table();
-        let col = t.column_id("note").unwrap();
-        let err = HashIndex::build(&t, col, IndexKind::ForeignKey).unwrap_err();
+        let err = KeyIndex::build(&t, t.column_id("note").unwrap()).unwrap_err();
         assert!(matches!(err, StorageError::UnsupportedIndexColumn { .. }));
     }
 
     #[test]
-    fn ordered_index_ranges() {
-        let t = fk_table();
-        let col = t.column_id("movie_id").unwrap();
-        let idx = OrderedIndex::build(&t, col).unwrap();
-        assert_eq!(idx.entry_count(), 4);
-        assert_eq!(idx.lookup(10), vec![0, 1, 3]);
-        assert_eq!(idx.range(10, 20), vec![0, 1, 3, 2]);
-        assert_eq!(idx.range(11, 19), Vec::<RowId>::new());
-        assert_eq!(idx.range(21, 5), Vec::<RowId>::new());
-        assert_eq!(idx.key_bounds(), Some((10, 20)));
-        assert_eq!(idx.column(), col);
-    }
-
-    #[test]
-    fn ordered_index_rejects_string_column() {
-        let t = fk_table();
-        let col = t.column_id("note").unwrap();
-        assert!(OrderedIndex::build(&t, col).is_err());
-    }
-
-    #[test]
-    fn empty_table_indexes() {
-        let b = TableBuilder::new("empty", vec![ColumnMeta::new("id", DataType::Int)]);
-        let t = b.finish();
-        let idx = HashIndex::build(&t, ColumnId(0), IndexKind::PrimaryKey).unwrap();
-        assert_eq!(idx.entry_count(), 0);
-        assert_eq!(idx.avg_rows_per_key(), 0.0);
-        let oidx = OrderedIndex::build(&t, ColumnId(0)).unwrap();
-        assert_eq!(oidx.key_bounds(), None);
+    fn empty_table_index() {
+        let t = TableBuilder::new("empty", vec![ColumnMeta::new("id", DataType::Int)]).finish();
+        let idx = KeyIndex::build(&t, ColumnId(0)).unwrap();
+        assert!(idx.lookup(0).is_empty());
     }
 }

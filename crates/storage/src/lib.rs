@@ -11,7 +11,7 @@
 //! * typed, compressed columnar tables ([`Table`], [`column::EncodedColumn`])
 //!   whose pages pick the cheapest of plain / frame-of-reference+bit-packed /
 //!   RLE encoding at build time ([`encoding`]),
-//! * unclustered hash and ordered indexes ([`index`]),
+//! * unclustered sorted key indexes for equality lookups ([`index`]),
 //! * a catalog of tables and indexes ([`Database`]),
 //! * a predicate language ([`predicate`]) and the one base-table scan that
 //!   evaluates it a page at a time ([`scan`]).
@@ -66,7 +66,7 @@ pub use catalog::{Database, IndexConfig, TableId};
 pub use column::{ColumnBuilder, EncodedColumn, StringDict};
 pub use encoding::{EncodingPolicy, PageData, PageStore, PAGE_ROWS};
 pub use error::StorageError;
-pub use index::{HashIndex, OrderedIndex};
+pub use index::KeyIndex;
 pub use ingest::{export_csv_dir, ingest_csv_dir, IngestReport, IngestTableReport, TableSchema};
 pub use predicate::{like_match, CmpOp, Predicate};
 pub use scan::ScanFilter;

@@ -876,7 +876,7 @@ mod tests {
         assert_eq!(lazy.index_count(), db.index_count());
         let mc = lazy.table_id("movie_companies").unwrap();
         let movie_id = lazy.table(mc).column_id("movie_id").unwrap();
-        assert_eq!(lazy.hash_index(mc, movie_id).unwrap().lookup(3).len(), 3);
+        assert_eq!(lazy.key_index(mc, movie_id).unwrap().lookup(3).len(), 3);
     }
 
     #[test]

@@ -4,8 +4,8 @@ use proptest::prelude::*;
 use qob_storage::encoding::{CodePage, IntPage};
 use qob_storage::predicate::like_match;
 use qob_storage::{
-    Bitmap, CmpOp, ColumnBuilder, ColumnId, ColumnMeta, DataType, EncodingPolicy, PageData,
-    Predicate, RowId, ScanFilter, Table, TableBuilder, Value, PAGE_ROWS,
+    Bitmap, CmpOp, ColumnBuilder, ColumnId, ColumnMeta, DataType, EncodingPolicy, KeyIndex,
+    PageData, Predicate, RowId, ScanFilter, Table, TableBuilder, Value, PAGE_ROWS,
 };
 
 /// Values likely to exercise every int encoding: negatives, dense ranges
@@ -208,6 +208,79 @@ proptest! {
         for (i, v) in values.iter().enumerate() {
             prop_assert_eq!(col.int_at(i), *v, "row {} diverges", i);
             prop_assert_eq!(col.is_null(i), v.is_none());
+        }
+    }
+
+    /// A key index answers every lookup with the ascending row ids whose
+    /// `int_at` is that key: over empty, one-page and multi-page columns
+    /// with NULL stretches and duplicates, under keys drawn from a dense
+    /// range, sparse keys and extreme keys, and for misses below, between
+    /// and above the keys.
+    #[test]
+    fn key_index_lookup_equals_row_wise_model(
+        shape in (any::<bool>(), 0usize..300, 0u8..3),
+        seed in any::<u64>(),
+        nulls in (0usize..PAGE_ROWS + 300, 0usize..5_000, 0u64..4),
+        policy in prop_oneof![Just(EncodingPolicy::Auto), Just(EncodingPolicy::Plain)],
+    ) {
+        let (multi_page, extra, mode) = shape;
+        let rows = if multi_page { PAGE_ROWS + extra } else { extra };
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let base = (next() % 2_001) as i64 - 1_000;
+        let dup = 1 + (next() % 3) as usize;
+        let (null_start, null_len, null_rate) = nulls;
+        let mut builder = ColumnBuilder::with_policy(DataType::Int, policy);
+        for row in 0..rows {
+            let key = match mode {
+                0 => base + (next() % (rows / dup + 1) as u64) as i64,
+                1 => base + (next() % (10 * rows as u64 + 1)) as i64,
+                _ => match next() % 6 {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    2 => i64::MIN + 1 + (next() % 3) as i64,
+                    3 => i64::MAX - 1 - (next() % 3) as i64,
+                    4 => (next() % 7) as i64 - 3,
+                    _ => next() as i64,
+                },
+            };
+            let null = (null_start..null_start + null_len).contains(&row)
+                || (null_rate > 0 && next() % 16 < null_rate);
+            builder.push(&if null { Value::Null } else { Value::Int(key) });
+        }
+        let column = builder.finish();
+        let table =
+            Table::from_parts("t", vec![ColumnMeta::new("k", DataType::Int)], vec![column]).unwrap();
+        let index = KeyIndex::build(&table, ColumnId(0)).unwrap();
+
+        let mut model: std::collections::BTreeMap<i64, Vec<RowId>> = Default::default();
+        for row in table.row_ids() {
+            if let Some(key) = table.column(ColumnId(0)).int_at(row as usize) {
+                model.entry(key).or_default().push(row);
+            }
+        }
+        for (key, want) in &model {
+            prop_assert_eq!(index.lookup(*key), want.as_slice(), "key {}", key);
+        }
+        let keys: Vec<i64> = model.keys().copied().collect();
+        let mut misses = vec![i64::MIN, i64::MAX, 0, base - 1];
+        if let (Some(&low), Some(&high)) = (keys.first(), keys.last()) {
+            misses.extend([low.checked_sub(1), high.checked_add(1)].into_iter().flatten());
+        }
+        for pair in keys.windows(2) {
+            if pair[0] + 1 < pair[1] {
+                misses.extend([pair[0] + 1, pair[1] - 1]);
+            }
+        }
+        misses.extend((0..64).map(|_| base + (next() % (10 * rows as u64 + 2)) as i64));
+        for key in misses {
+            let want = model.get(&key).map_or(&[][..], Vec::as_slice);
+            prop_assert_eq!(index.lookup(key), want, "probe {}", key);
         }
     }
 }

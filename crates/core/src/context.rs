@@ -10,7 +10,7 @@ use qob_cardest::{
     CardinalityEstimator, DampedSamplingEstimator, EstimatorContext, MagicConstantEstimator,
     PessimisticEstimator, PostgresEstimator, SamplingEstimator, TrueCardinalities,
 };
-use qob_cost::{CostContext, CostModel, SimpleCostModel};
+use qob_cost::{CostModel, SimpleCostModel};
 use qob_datagen::{declare_imdb_keys, generate_imdb, imdb_schema, Scale};
 use qob_enumerate::{OptimizedPlan, Planner, PlannerConfig};
 use qob_exec::{ExecutionError, ExecutionOptions, ExecutionResult, TrueCardinalityOptions};
@@ -385,19 +385,6 @@ impl BenchmarkContext {
     ) -> Result<OptimizedPlan, qob_enumerate::EnumerationError> {
         let planner = Planner::new(&self.db, query, model, cards, config);
         qob_enumerate::dpccp::optimize_bushy(&planner)
-    }
-
-    /// Recomputes the cost of an existing plan under a cost model and a
-    /// (possibly different) cardinality source — the paper's Section 6
-    /// methodology of costing estimate-derived plans with true cardinalities.
-    pub fn plan_cost(
-        &self,
-        query: &QuerySpec,
-        plan: &PhysicalPlan,
-        model: &dyn CostModel,
-        cards: &dyn CardinalityEstimator,
-    ) -> f64 {
-        qob_cost::plan_cost(model, &CostContext::new(&self.db, query), plan, cards)
     }
 
     /// Executes a plan; hash-join sizing uses `sizing_cards` (the estimates

@@ -753,7 +753,7 @@ pub fn enumeration_experiment(
         let truth_planner =
             Planner::new(ctx.db(), query, &model, &injected, PlannerConfig::default());
         let Ok(optimal) = qob_enumerate::dpccp::optimize_bushy(&truth_planner) else { continue };
-        let optimal_cost = ctx.plan_cost(query, &optimal.plan, &model, &injected).max(1e-9);
+        let optimal_cost = optimal.cost.max(1e-9);
 
         for result in &mut results {
             let cards: &dyn CardinalityEstimator =
@@ -771,7 +771,7 @@ pub fn enumeration_experiment(
                 EnumerationAlgorithm::Goo => qob_enumerate::goo::optimize_goo(&planner).ok(),
             };
             if let Some(plan) = plan {
-                let true_cost = ctx.plan_cost(query, &plan.plan, &model, &injected);
+                let true_cost = truth_planner.cost_of(&plan.plan);
                 result.ratios.push((true_cost / optimal_cost).max(1.0));
             }
         }

@@ -444,9 +444,8 @@ impl Session {
                 }
                 // `EXPLAIN ANALYZE` annotates the plan execution finished on,
                 // priced on the same basis as the chosen plan's `cost`.
-                let final_cost = (outcome.plans_changed() > 0).then(|| {
-                    ctx.plan_cost(query, &outcome.final_plan, planner.cost_model, planner)
-                });
+                let final_cost =
+                    (outcome.plans_changed() > 0).then(|| planner.cost_of(&outcome.final_plan));
                 plan = outcome.final_plan;
                 (outcome.result, outcome.replans, final_cost)
             } else {

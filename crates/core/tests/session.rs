@@ -12,7 +12,7 @@ use qob_core::{
 };
 use qob_cost::SimpleCostModel;
 use qob_datagen::Scale;
-use qob_enumerate::PlannerConfig;
+use qob_enumerate::{Planner, PlannerConfig};
 use qob_sql::ParamValue;
 use qob_storage::IndexConfig;
 use qob_workload::parse_script;
@@ -402,9 +402,12 @@ fn adaptive_reports_price_the_final_plan_like_the_chosen_one() {
 
     let estimator = ctx.estimator(EstimatorKind::Postgres);
     let chosen = ctx.optimize(&query, estimator.as_ref(), PlannerConfig::default()).unwrap();
-    let recosted = ctx.plan_cost(&query, &chosen.plan, &SimpleCostModel::new(), estimator.as_ref());
+    let model = SimpleCostModel::new();
+    let planner =
+        Planner::new(ctx.db(), &query, &model, estimator.as_ref(), PlannerConfig::default());
+    let recosted = planner.cost_of(&chosen.plan);
     assert_eq!(chosen.cost, report.cost, "the session plans like the context");
-    assert!((recosted - report.cost).abs() <= 1e-9 * report.cost, "{recosted} vs {}", report.cost);
+    assert_eq!(recosted.to_bits(), report.cost.to_bits(), "{recosted} vs {}", report.cost);
 
     session.options.set("adaptive_threshold", "1000000").unwrap();
     let calm = session.run_query(&query).unwrap();

@@ -12,15 +12,18 @@
 //!   only counts tuples flowing through operators, with `τ = 0.2` discounting
 //!   scans and `λ = 2` penalising index lookups.
 //!
-//! Costs are computed over a [`qob_plan::PhysicalPlan`] using whatever
-//! cardinality source is supplied (estimates or injected true cardinalities),
-//! which is exactly how the paper isolates cost-model error from cardinality
-//! error.
+//! A model prices one operator at a time — a scan from its relation, a join
+//! from its algorithm, its inputs' rows and base-relation status, and its
+//! output rows — and never a whole plan.  The planner
+//! (`qob_enumerate::Planner`) supplies those rows from whatever cardinality
+//! source it holds (estimates or injected true cardinalities) and adds the
+//! prices up under one rule, which is how the paper isolates cost-model
+//! error from cardinality error.
 
 pub mod model;
 pub mod postgres;
 pub mod simple;
 
-pub use model::{plan_cost, CostContext, CostModel, SubPlanInfo};
+pub use model::{CostContext, CostModel, SubPlanInfo};
 pub use postgres::PostgresCostModel;
 pub use simple::SimpleCostModel;

@@ -1,7 +1,6 @@
-//! The cost-model trait and the generic plan costing driver.
+//! The cost-model trait: the price of one operator.
 
-use qob_cardest::CardinalityEstimator;
-use qob_plan::{JoinAlgorithm, PhysicalPlan, QuerySpec, RelSet};
+use qob_plan::{JoinAlgorithm, QuerySpec, RelSet};
 use qob_storage::Database;
 
 /// Summary of a subplan handed to [`CostModel::join_cost`].
@@ -13,13 +12,6 @@ pub struct SubPlanInfo {
     pub rels: RelSet,
     /// If the subplan is a single base-relation scan, that relation's index.
     pub base_rel: Option<usize>,
-}
-
-impl SubPlanInfo {
-    /// True if the subplan is a single base relation.
-    pub fn is_base(&self) -> bool {
-        self.base_rel.is_some()
-    }
 }
 
 /// Read-only context for cost computations.
@@ -53,8 +45,9 @@ impl<'a> CostContext<'a> {
     }
 }
 
-/// A cost model: assigns costs to scans and joins.  The total plan cost is
-/// the sum over all operators (computed by [`plan_cost`]).
+/// A cost model: prices one scan or one join, never a whole plan.  How
+/// operator prices add up to a plan's cost is the planner's rule
+/// (`qob_enumerate::Planner::cost_of`), shared by every enumerator.
 pub trait CostModel {
     /// Display name, e.g. `"PostgreSQL cost model"`.
     fn name(&self) -> &str;
@@ -74,190 +67,31 @@ pub trait CostModel {
     ) -> f64;
 }
 
-impl<T: CostModel + ?Sized> CostModel for &T {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-    fn scan_cost(&self, ctx: &CostContext<'_>, rel: usize, output_rows: f64) -> f64 {
-        (**self).scan_cost(ctx, rel, output_rows)
-    }
-    fn join_cost(
-        &self,
-        ctx: &CostContext<'_>,
-        algorithm: JoinAlgorithm,
-        left: &SubPlanInfo,
-        right: &SubPlanInfo,
-        output_rows: f64,
-    ) -> f64 {
-        (**self).join_cost(ctx, algorithm, left, right, output_rows)
-    }
-}
-
-/// Computes the total cost of a plan under a cost model, using `cards` for
-/// every subexpression cardinality.
-///
-/// Returns `(total_cost, output_rows_of_root)`.
-pub fn plan_cost(
-    model: &dyn CostModel,
-    ctx: &CostContext<'_>,
-    plan: &PhysicalPlan,
-    cards: &dyn CardinalityEstimator,
-) -> f64 {
-    fn rec(
-        model: &dyn CostModel,
-        ctx: &CostContext<'_>,
-        plan: &PhysicalPlan,
-        cards: &dyn CardinalityEstimator,
-    ) -> (f64, SubPlanInfo) {
-        match plan {
-            PhysicalPlan::Scan { rel } => {
-                let rows = cards.estimate(ctx.query, RelSet::single(*rel)).max(1.0);
-                let info = SubPlanInfo { rows, rels: RelSet::single(*rel), base_rel: Some(*rel) };
-                (model.scan_cost(ctx, *rel, rows), info)
-            }
-            PhysicalPlan::Join { algorithm, left, right, .. } => {
-                let (lc, li) = rec(model, ctx, left, cards);
-                let (rc, ri) = rec(model, ctx, right, cards);
-                let rels = li.rels.union(ri.rels);
-                let out = cards.estimate(ctx.query, rels).max(1.0);
-                let jc = model.join_cost(ctx, *algorithm, &li, &ri, out);
-                let cost = lc + rc + jc;
-                (cost, SubPlanInfo { rows: out, rels, base_rel: None })
-            }
-        }
-    }
-    rec(model, ctx, plan, cards).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qob_cardest::TrueCardinalities;
-    use qob_plan::{BaseRelation, JoinEdge, JoinKey};
-    use qob_storage::{ColumnId, ColumnMeta, DataType, TableBuilder, Value};
-
-    /// A toy cost model: scans cost their output, joins cost the product of
-    /// input rows (so plan costs are easy to verify by hand).
-    struct ToyModel;
-
-    impl CostModel for ToyModel {
-        fn name(&self) -> &str {
-            "toy"
-        }
-        fn scan_cost(&self, _ctx: &CostContext<'_>, _rel: usize, output_rows: f64) -> f64 {
-            output_rows
-        }
-        fn join_cost(
-            &self,
-            _ctx: &CostContext<'_>,
-            _algorithm: JoinAlgorithm,
-            left: &SubPlanInfo,
-            right: &SubPlanInfo,
-            _output_rows: f64,
-        ) -> f64 {
-            left.rows * right.rows
-        }
-    }
-
-    fn setup() -> (Database, QuerySpec, TrueCardinalities) {
-        let mut db = Database::new();
-        for name in ["a", "b", "c"] {
-            let mut t = TableBuilder::new(
-                name,
-                vec![ColumnMeta::new("id", DataType::Int), ColumnMeta::new("x", DataType::Int)],
-            );
-            for i in 0..10i64 {
-                t.push_row(vec![Value::Int(i), Value::Int(i % 3)]).unwrap();
-            }
-            db.add_table(t.finish()).unwrap();
-        }
-        let q = QuerySpec::new(
-            "q",
-            vec![
-                BaseRelation::unfiltered(db.table_id("a").unwrap(), "a"),
-                BaseRelation::unfiltered(db.table_id("b").unwrap(), "b"),
-                BaseRelation::unfiltered(db.table_id("c").unwrap(), "c"),
-            ],
-            vec![
-                JoinEdge { left: 0, left_column: ColumnId(0), right: 1, right_column: ColumnId(1) },
-                JoinEdge { left: 1, left_column: ColumnId(0), right: 2, right_column: ColumnId(1) },
-            ],
-        );
-        let mut cards = TrueCardinalities::new();
-        cards.insert(RelSet::single(0), 10.0);
-        cards.insert(RelSet::single(1), 20.0);
-        cards.insert(RelSet::single(2), 30.0);
-        cards.insert(RelSet::from_iter([0, 1]), 5.0);
-        cards.insert(RelSet::from_iter([1, 2]), 50.0);
-        cards.insert(RelSet::from_iter([0, 1, 2]), 8.0);
-        (db, q, cards)
-    }
-
-    fn key(l: usize, r: usize) -> JoinKey {
-        JoinKey { left_rel: l, left_column: ColumnId(0), right_rel: r, right_column: ColumnId(1) }
-    }
-
-    #[test]
-    fn plan_cost_sums_operators() {
-        let (db, q, cards) = setup();
-        let ctx = CostContext::new(&db, &q);
-        // ((a ⋈ b) ⋈ c): scans 10+20+30, join1 10*20=200, join2 5*30=150.
-        let plan = PhysicalPlan::join(
-            JoinAlgorithm::Hash,
-            PhysicalPlan::join(
-                JoinAlgorithm::Hash,
-                PhysicalPlan::scan(0),
-                PhysicalPlan::scan(1),
-                vec![key(0, 1)],
-            ),
-            PhysicalPlan::scan(2),
-            vec![key(1, 2)],
-        );
-        let cost = plan_cost(&ToyModel, &ctx, &plan, &cards);
-        assert!((cost - (60.0 + 200.0 + 150.0)).abs() < 1e-9, "got {cost}");
-    }
-
-    #[test]
-    fn different_join_orders_get_different_costs() {
-        let (db, q, cards) = setup();
-        let ctx = CostContext::new(&db, &q);
-        let ab_first = PhysicalPlan::join(
-            JoinAlgorithm::Hash,
-            PhysicalPlan::join(
-                JoinAlgorithm::Hash,
-                PhysicalPlan::scan(0),
-                PhysicalPlan::scan(1),
-                vec![key(0, 1)],
-            ),
-            PhysicalPlan::scan(2),
-            vec![key(1, 2)],
-        );
-        let bc_first = PhysicalPlan::join(
-            JoinAlgorithm::Hash,
-            PhysicalPlan::scan(0),
-            PhysicalPlan::join(
-                JoinAlgorithm::Hash,
-                PhysicalPlan::scan(1),
-                PhysicalPlan::scan(2),
-                vec![key(1, 2)],
-            ),
-            vec![key(0, 1)],
-        );
-        let c1 = plan_cost(&ToyModel, &ctx, &ab_first, &cards);
-        let c2 = plan_cost(&ToyModel, &ctx, &bc_first, &cards);
-        assert!(c1 < c2, "joining the selective pair first should be cheaper ({c1} vs {c2})");
-    }
+    use qob_plan::BaseRelation;
+    use qob_storage::{ColumnMeta, DataType, TableBuilder, Value};
 
     #[test]
     fn context_helpers() {
-        let (db, q, _) = setup();
+        let mut db = Database::new();
+        let mut t = TableBuilder::new(
+            "a",
+            vec![ColumnMeta::new("id", DataType::Int), ColumnMeta::new("x", DataType::Int)],
+        );
+        for i in 0..10i64 {
+            t.push_row(vec![Value::Int(i), Value::Int(i % 3)]).unwrap();
+        }
+        db.add_table(t.finish()).unwrap();
+        let q = QuerySpec::new(
+            "q",
+            vec![BaseRelation::unfiltered(db.table_id("a").unwrap(), "a")],
+            vec![],
+        );
         let ctx = CostContext::new(&db, &q);
         assert_eq!(ctx.base_table_rows(0), 10.0);
         assert!(ctx.base_table_width(0) >= 16.0);
         assert_eq!(ctx.predicate_count(0), 0);
-        let info = SubPlanInfo { rows: 5.0, rels: RelSet::single(0), base_rel: Some(0) };
-        assert!(info.is_base());
-        let info = SubPlanInfo { rows: 5.0, rels: RelSet::from_iter([0, 1]), base_rel: None };
-        assert!(!info.is_base());
     }
 }

@@ -14,9 +14,18 @@ use crate::model::{CostContext, CostModel, SubPlanInfo};
 /// ```
 ///
 /// with `τ = 0.2` (a scan is cheaper per tuple than a join) and `λ = 2` (an
-/// index lookup costs about twice a hash probe).  Children costs are added by
-/// the generic [`crate::plan_cost`] driver, so the methods below return only
-/// the per-operator term.
+/// index lookup costs about twice a hash probe).  The methods below return
+/// only the per-operator term; the planner adds the children's costs
+/// (`qob_enumerate::Planner::cost_of`).
+///
+/// **Deviation from the paper.**  The planner adds both inputs' costs under
+/// every join algorithm, so an index-nested-loop join is charged
+/// `C_mm(T1) + τ · |R| + λ · …`: the inner relation's full scan as well as
+/// its lookups, where the formula above charges only the lookups.  The
+/// lookup term is never below a hash join's `|T1 ⋈ R|`, so an index join
+/// never wins under `C_mm` here (0 of the 874 JOB joins).  Pricing the
+/// inner side by its lookups alone is ROADMAP item 4; this model does not
+/// do it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimpleCostModel {
     /// Scan discount factor τ.
@@ -93,11 +102,10 @@ impl CostModel for SimpleCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qob_cardest::{CardinalityEstimator, TrueCardinalities};
-    use qob_plan::{BaseRelation, JoinKey, PhysicalPlan, QuerySpec, RelSet};
+    use qob_plan::{BaseRelation, QuerySpec, RelSet};
     use qob_storage::{ColumnId, ColumnMeta, DataType, Database, TableBuilder, Value};
 
-    fn fixture() -> (Database, QuerySpec, TrueCardinalities) {
+    fn fixture() -> (Database, QuerySpec) {
         let mut db = Database::new();
         for (name, rows) in [("r", 1000usize), ("s", 100)] {
             let mut t = TableBuilder::new(
@@ -122,16 +130,12 @@ mod tests {
                 right_column: ColumnId(1),
             }],
         );
-        let mut cards = TrueCardinalities::new();
-        cards.insert(RelSet::single(0), 1000.0);
-        cards.insert(RelSet::single(1), 100.0);
-        cards.insert(RelSet::from_iter([0, 1]), 400.0);
-        (db, q, cards)
+        (db, q)
     }
 
     #[test]
     fn scan_cost_is_tau_times_table_rows() {
-        let (db, q, _) = fixture();
+        let (db, q) = fixture();
         let ctx = CostContext::new(&db, &q);
         let m = SimpleCostModel::new();
         assert!((m.scan_cost(&ctx, 0, 123.0) - 200.0).abs() < 1e-9, "0.2 × 1000");
@@ -140,29 +144,8 @@ mod tests {
     }
 
     #[test]
-    fn full_plan_cost_matches_formula() {
-        let (db, q, cards) = fixture();
-        let ctx = CostContext::new(&db, &q);
-        let m = SimpleCostModel::new();
-        let plan = PhysicalPlan::join(
-            qob_plan::JoinAlgorithm::Hash,
-            PhysicalPlan::scan(0),
-            PhysicalPlan::scan(1),
-            vec![JoinKey {
-                left_rel: 0,
-                left_column: ColumnId(0),
-                right_rel: 1,
-                right_column: ColumnId(1),
-            }],
-        );
-        let cost = crate::plan_cost(&m, &ctx, &plan, &cards);
-        // τ·1000 + τ·100 + |T1 ⋈ T2| = 200 + 20 + 400.
-        assert!((cost - 620.0).abs() < 1e-9, "got {cost}");
-    }
-
-    #[test]
     fn inl_cost_follows_lambda_formula() {
-        let (db, q, cards) = fixture();
+        let (db, q) = fixture();
         let ctx = CostContext::new(&db, &q);
         let m = SimpleCostModel::new();
         let outer = SubPlanInfo { rows: 50.0, rels: RelSet::single(0), base_rel: Some(0) };
@@ -173,12 +156,11 @@ mod tests {
         // Fewer matches than outer rows: the max(·, 1) floor applies => 2·50·1 = 100.
         let c = m.join_cost(&ctx, qob_plan::JoinAlgorithm::IndexNestedLoop, &outer, &inner, 10.0);
         assert!((c - 100.0).abs() < 1e-9, "got {c}");
-        let _ = cards;
     }
 
     #[test]
     fn filtered_inner_scales_lookup_cost_up() {
-        let (db, q, _) = fixture();
+        let (db, q) = fixture();
         let ctx = CostContext::new(&db, &q);
         let m = SimpleCostModel::new();
         let outer = SubPlanInfo { rows: 50.0, rels: RelSet::single(0), base_rel: Some(0) };
@@ -201,7 +183,7 @@ mod tests {
 
     #[test]
     fn nested_loop_is_prohibitively_expensive() {
-        let (db, q, _) = fixture();
+        let (db, q) = fixture();
         let ctx = CostContext::new(&db, &q);
         let m = SimpleCostModel::new();
         let l = SubPlanInfo { rows: 1000.0, rels: RelSet::single(0), base_rel: Some(0) };
@@ -209,38 +191,5 @@ mod tests {
         let nl = m.join_cost(&ctx, qob_plan::JoinAlgorithm::NestedLoop, &l, &r, 400.0);
         let hj = m.join_cost(&ctx, qob_plan::JoinAlgorithm::Hash, &l, &r, 400.0);
         assert!(nl > hj * 100.0);
-    }
-
-    #[test]
-    fn cardinality_source_matters_more_than_parameters() {
-        // The same plan costed with misestimated vs true cardinalities moves
-        // more than reasonable parameter changes do — the paper's Section 5
-        // conclusion in miniature.
-        let (db, q, truth) = fixture();
-        let ctx = CostContext::new(&db, &q);
-        let plan = PhysicalPlan::join(
-            qob_plan::JoinAlgorithm::Hash,
-            PhysicalPlan::scan(0),
-            PhysicalPlan::scan(1),
-            vec![JoinKey {
-                left_rel: 0,
-                left_column: ColumnId(0),
-                right_rel: 1,
-                right_column: ColumnId(1),
-            }],
-        );
-        let mut bad = TrueCardinalities::with_name("bad estimates");
-        bad.insert(RelSet::single(0), 1000.0);
-        bad.insert(RelSet::single(1), 100.0);
-        bad.insert(RelSet::from_iter([0, 1]), 40_000.0); // 100× overestimate
-        let m1 = SimpleCostModel::new();
-        let m2 = SimpleCostModel { tau: 0.4, lambda: 3.0 };
-        let true_m1 = crate::plan_cost(&m1, &ctx, &plan, &truth);
-        let true_m2 = crate::plan_cost(&m2, &ctx, &plan, &truth);
-        let bad_m1 = crate::plan_cost(&m1, &ctx, &plan, &bad);
-        let param_shift = (true_m2 - true_m1).abs();
-        let card_shift = (bad_m1 - true_m1).abs();
-        assert!(card_shift > param_shift * 10.0);
-        let _: f64 = bad.estimate(&q, RelSet::from_iter([0, 1]));
     }
 }

@@ -365,7 +365,7 @@ mod tests {
         )
         .unwrap();
         assert!(
-            bushy.cost <= left_deep.cost + 1e-9,
+            bushy.cost <= left_deep.cost,
             "bushy DP ({}) must not lose to the left-deep optimum ({})",
             bushy.cost,
             left_deep.cost

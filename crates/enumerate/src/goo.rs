@@ -67,7 +67,7 @@ mod tests {
         let planner = Planner::new(&db, &q, &model, &cards, PlannerConfig::default());
         let dp = optimize_bushy(&planner).unwrap();
         let goo = optimize_goo(&planner).unwrap();
-        assert!(goo.cost + 1e-9 >= dp.cost, "goo={} dp={}", goo.cost, dp.cost);
+        assert!(goo.cost >= dp.cost, "goo={} dp={}", goo.cost, dp.cost);
     }
 
     #[test]

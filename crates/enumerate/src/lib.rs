@@ -20,10 +20,14 @@
 //! indexes — so the same machinery answers "optimal plan under true
 //! cardinalities" and "plan the optimizer would pick from system X's
 //! estimates".  [`Planner::rows`] is the only caller of the cardinality
-//! source and estimates each relation set once; [`Planner::join`] is the only
-//! place a join is priced, from relation sets and row counts alone.  The
-//! dynamic programs therefore keep `{cost, rows, winning split}` per set and
-//! build one operator tree, top-down, at the end.
+//! source and estimates each relation set once; [`Planner::join`] prices the
+//! enumerators' joins from relation sets and row counts alone.  The dynamic
+//! programs therefore keep `{cost, rows, winning split}` per set and build
+//! one operator tree, top-down, at the end.  [`Planner::cost_of`] re-costs
+//! any fixed tree — a plan chosen from estimates, under a planner over true
+//! cardinalities — and one private function, `planner::compose`, adds costs
+//! for it, for [`Planner::join`] and for [`space`], so all three agree to
+//! the bit.
 
 pub mod dpccp;
 pub mod goo;

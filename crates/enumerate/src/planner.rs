@@ -126,6 +126,15 @@ impl Entry {
     }
 }
 
+/// What a subtree costs: its two inputs and the join on top, added in this
+/// order.  The one place costs are added — [`Planner::join`],
+/// [`Planner::cost_of`] and [`crate::space`]'s cross sums all call it, so
+/// the plan an enumerator picks, the same tree re-costed, and the plan space
+/// it is ranked in agree to the bit.
+pub(crate) fn compose(left: f64, right: f64, join: f64) -> f64 {
+    left + right + join
+}
+
 /// The per-set memo of the dynamic programs.
 pub type PlanTable = RelSetMap<Entry>;
 
@@ -253,7 +262,8 @@ impl<'a> Planner<'a> {
     /// `rows` is the estimate for the union.  The two sides must be disjoint
     /// and share a join edge (every csg-cmp pair does).
     ///
-    /// This is the only place a join is priced.  Every cost model prices a
+    /// The enumerators price every join here, and [`Planner::cost_of`]
+    /// prices a fixed tree's joins the same way.  Every cost model prices a
     /// join from the row counts and base-relation status of its inputs,
     /// never from their internal shape, so entries need no operator tree and
     /// [`crate::space`] can cost whole families of trees without building
@@ -283,9 +293,41 @@ impl<'a> Planner<'a> {
         }
         Entry {
             set: left.set.union(right.set),
-            cost: left.cost + right.cost + best.1,
+            cost: compose(left.cost, right.cost, best.1),
             rows,
             join: Some((left.set, right.set, best.0)),
+        }
+    }
+
+    /// The total cost of a fixed operator tree: every scan priced as
+    /// [`Planner::leaf`], every join under the tree's own algorithm from
+    /// [`Planner::rows`], added up by `compose` — the rule the
+    /// enumerators build their trees under.  Re-costing a plan chosen from
+    /// estimates under a planner over true cardinalities is the paper's
+    /// measure of plan quality, and a plan an enumerator of this planner
+    /// built re-costs to its own cost, to the bit.
+    pub fn cost_of(&self, plan: &PhysicalPlan) -> f64 {
+        self.entry_of(plan).cost
+    }
+
+    /// [`Planner::cost_of`] as the entry the tree's root would have.
+    fn entry_of(&self, plan: &PhysicalPlan) -> Entry {
+        match plan {
+            PhysicalPlan::Scan { rel } => self.leaf(*rel),
+            PhysicalPlan::Join { algorithm, left, right, .. } => {
+                let (left, right) = (self.entry_of(left), self.entry_of(right));
+                let set = left.set.union(right.set);
+                let rows = self.rows(set);
+                let ctx = CostContext::new(self.db, self.query);
+                let join =
+                    self.cost_model.join_cost(&ctx, *algorithm, &left.info(), &right.info(), rows);
+                Entry {
+                    set,
+                    cost: compose(left.cost, right.cost, join),
+                    rows,
+                    join: Some((left.set, right.set, *algorithm)),
+                }
+            }
         }
     }
 
@@ -430,8 +472,10 @@ pub(crate) mod test_support {
 mod tests {
     use super::test_support::star_fixture;
     use super::*;
+    use qob_cardest::TrueCardinalities;
     use qob_cost::SimpleCostModel;
-    use qob_storage::IndexConfig;
+    use qob_plan::{BaseRelation, JoinEdge};
+    use qob_storage::{ColumnId, ColumnMeta, DataType, IndexConfig, TableBuilder, Value};
 
     #[test]
     fn leaf_and_rows() {
@@ -575,6 +619,170 @@ mod tests {
         assert_eq!(joined.plan.rels(), joined.entry.set);
         let rows = p.rows(joined.entry.set);
         assert_eq!(joined.entry, p.cheapest_join(&p.leaf(3), &p.leaf(0), rows));
+    }
+
+    /// Tables `name` of `rows` rows and two integer columns, `id` and `x`,
+    /// joined in a chain `t[i-1].id = t[i].x`.
+    fn chain(sizes: &[(&str, usize)]) -> (Database, QuerySpec) {
+        let mut db = Database::new();
+        for &(name, rows) in sizes {
+            let columns =
+                vec![ColumnMeta::new("id", DataType::Int), ColumnMeta::new("x", DataType::Int)];
+            let mut t = TableBuilder::new(name, columns);
+            for i in 0..rows as i64 {
+                t.push_row(vec![Value::Int(i), Value::Int(i % 3)]).unwrap();
+            }
+            db.add_table(t.finish()).unwrap();
+        }
+        let relations = sizes
+            .iter()
+            .map(|&(name, _)| BaseRelation::unfiltered(db.table_id(name).unwrap(), name))
+            .collect();
+        let joins = (1..sizes.len())
+            .map(|i| JoinEdge {
+                left: i - 1,
+                left_column: ColumnId(0),
+                right: i,
+                right_column: ColumnId(1),
+            })
+            .collect();
+        (db, QuerySpec::new("q", relations, joins))
+    }
+
+    fn truths(rows: &[(&[usize], f64)]) -> TrueCardinalities {
+        let mut cards = TrueCardinalities::new();
+        for &(rels, rows) in rows {
+            cards.insert(RelSet::from_iter(rels.iter().copied()), rows);
+        }
+        cards
+    }
+
+    fn hash_join(left: PhysicalPlan, right: PhysicalPlan) -> PhysicalPlan {
+        let key = JoinKey {
+            left_rel: left.rels().max_rel().unwrap(),
+            left_column: ColumnId(0),
+            right_rel: right.rels().min_rel().unwrap(),
+            right_column: ColumnId(1),
+        };
+        PhysicalPlan::join(JoinAlgorithm::Hash, left, right, vec![key])
+    }
+
+    /// Scans cost their output, joins the product of their input rows, so
+    /// plan costs are easy to verify by hand.
+    struct ToyModel;
+
+    impl CostModel for ToyModel {
+        fn name(&self) -> &str {
+            "toy"
+        }
+        fn scan_cost(&self, _: &CostContext<'_>, _: usize, rows: f64) -> f64 {
+            rows
+        }
+        fn join_cost(
+            &self,
+            _: &CostContext<'_>,
+            _: JoinAlgorithm,
+            left: &SubPlanInfo,
+            right: &SubPlanInfo,
+            _: f64,
+        ) -> f64 {
+            left.rows * right.rows
+        }
+    }
+
+    fn toy_fixture() -> (Database, QuerySpec, TrueCardinalities) {
+        let (db, q) = chain(&[("a", 10), ("b", 10), ("c", 10)]);
+        let cards = truths(&[
+            (&[0], 10.0),
+            (&[1], 20.0),
+            (&[2], 30.0),
+            (&[0, 1], 5.0),
+            (&[1, 2], 50.0),
+            (&[0, 1, 2], 8.0),
+        ]);
+        (db, q, cards)
+    }
+
+    #[test]
+    fn plan_cost_sums_operators() {
+        let (db, q, cards) = toy_fixture();
+        let p = Planner::new(&db, &q, &ToyModel, &cards, PlannerConfig::default());
+        // ((a ⋈ b) ⋈ c): scans 10+20+30, join1 10*20=200, join2 5*30=150.
+        let plan = hash_join(
+            hash_join(PhysicalPlan::scan(0), PhysicalPlan::scan(1)),
+            PhysicalPlan::scan(2),
+        );
+        assert_eq!(p.cost_of(&plan), 60.0 + 200.0 + 150.0);
+    }
+
+    #[test]
+    fn different_join_orders_get_different_costs() {
+        let (db, q, cards) = toy_fixture();
+        let p = Planner::new(&db, &q, &ToyModel, &cards, PlannerConfig::default());
+        let ab_first = hash_join(
+            hash_join(PhysicalPlan::scan(0), PhysicalPlan::scan(1)),
+            PhysicalPlan::scan(2),
+        );
+        let bc_first = hash_join(
+            PhysicalPlan::scan(0),
+            hash_join(PhysicalPlan::scan(1), PhysicalPlan::scan(2)),
+        );
+        let (c1, c2) = (p.cost_of(&ab_first), p.cost_of(&bc_first));
+        assert!(c1 < c2, "joining the selective pair first should be cheaper ({c1} vs {c2})");
+    }
+
+    fn cmm_fixture() -> (Database, QuerySpec, TrueCardinalities, PhysicalPlan) {
+        let (db, q) = chain(&[("r", 1000), ("s", 100)]);
+        let cards = truths(&[(&[0], 1000.0), (&[1], 100.0), (&[0, 1], 400.0)]);
+        (db, q, cards, hash_join(PhysicalPlan::scan(0), PhysicalPlan::scan(1)))
+    }
+
+    #[test]
+    fn full_plan_cost_matches_formula() {
+        let (db, q, cards, plan) = cmm_fixture();
+        let m = SimpleCostModel::new();
+        let p = Planner::new(&db, &q, &m, &cards, PlannerConfig::default());
+        // τ·1000 + τ·100 + |T1 ⋈ T2| = 200 + 20 + 400.
+        assert_eq!(p.cost_of(&plan), 620.0);
+    }
+
+    #[test]
+    fn cardinality_source_matters_more_than_parameters() {
+        // The same plan costed with misestimated vs true cardinalities moves
+        // more than reasonable parameter changes do — the paper's Section 5
+        // conclusion in miniature.
+        let (db, q, truth, plan) = cmm_fixture();
+        let bad = truths(&[(&[0], 1000.0), (&[1], 100.0), (&[0, 1], 40_000.0)]); // 100× overestimate
+        let m1 = SimpleCostModel::new();
+        let m2 = SimpleCostModel { tau: 0.4, lambda: 3.0 };
+        let cost = |model: &dyn CostModel, cards: &TrueCardinalities| {
+            Planner::new(&db, &q, model, cards, PlannerConfig::default()).cost_of(&plan)
+        };
+        let true_m1 = cost(&m1, &truth);
+        let param_shift = (cost(&m2, &truth) - true_m1).abs();
+        let card_shift = (cost(&m1, &bad) - true_m1).abs();
+        assert!(card_shift > param_shift * 10.0);
+    }
+
+    #[test]
+    fn enumerated_plans_re_cost_to_their_own_cost() {
+        let (db, q, cards) = star_fixture(IndexConfig::PrimaryAndForeignKey);
+        let model = SimpleCostModel::new();
+        let p = Planner::new(&db, &q, &model, &cards, PlannerConfig::default());
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+        for chosen in [
+            crate::dpccp::optimize_bushy(&p).unwrap(),
+            crate::restricted::optimize_restricted(&p, ShapeRestriction::RightDeep).unwrap(),
+            crate::goo::optimize_goo(&p).unwrap(),
+            crate::quickpick::quickpick_best(&p, 10, &mut rng).unwrap(),
+        ] {
+            assert_eq!(
+                p.cost_of(&chosen.plan).to_bits(),
+                chosen.cost.to_bits(),
+                "{:?}",
+                chosen.plan
+            );
+        }
     }
 
     #[test]

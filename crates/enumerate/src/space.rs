@@ -11,10 +11,13 @@
 //! 1. **Join costs factor over sets.**  Every cost model prices a join from
 //!    the cardinalities and base-relation status of its two inputs — never
 //!    from their internal shape — so the cost of joining the subtrees over
-//!    sets `A` and `B` is a pure function of `(A, B)`
-//!    ([`Planner::cheapest_join`] of two zero-cost inputs).  The multiset of
-//!    tree costs over a set `S` therefore satisfies
-//!    `costs(S) = ⋃ over csg-cmp splits {A,B} of S: { a + b + jc(A,B) : a ∈ costs(A), b ∈ costs(B) }`,
+//!    sets `A` and `B` is a pure function `jc(A, B)`
+//!    ([`Planner::cheapest_join`] of two zero-cost inputs).  A tree then
+//!    costs `compose(a, b, jc(A, B))` for subtree costs `a` and `b`, the one
+//!    rule the DP and [`Planner::cost_of`] add costs with (`a + b + jc`;
+//!    rounded addition commutes, so which side builds does not change the
+//!    bits).  The multiset of tree costs over a set `S` therefore satisfies
+//!    `costs(S) = ⋃ over csg-cmp splits {A,B} of S: { compose(a, b, jc(A,B)) : a ∈ costs(A), b ∈ costs(B) }`,
 //!    which is a dynamic program over the same csg-cmp pairs DPccp uses —
 //!    costing all `T(S)` trees in `O(Σ |costs(A)|·|costs(B)|)` additions
 //!    instead of rebuilding each tree.
@@ -27,9 +30,10 @@
 //! chosen cost-minimally for its pair of input sets — the same physical
 //! selection and the same DP step DPccp applies (over the sorted pair list
 //! here, in emission order there; both fill the same table), so the minimum
-//! of the enumerated space coincides with
-//! [`crate::dpccp::optimize_bushy`] (a differential test pins this on every
-//! small JOB query).
+//! of the enumerated space is [`crate::dpccp::optimize_bushy`]'s cost to
+//! the bit, and the space holds exactly the costs [`Planner::cost_of`]
+//! gives its trees (a differential test pins both on the small JOB
+//! queries).
 
 use std::collections::HashMap;
 
@@ -37,7 +41,7 @@ use qob_plan::{QuerySpec, RelSet};
 use rand::Rng;
 
 use crate::dpccp::{ccp_pairs, fill_table, optimized_plan, seed_table};
-use crate::planner::{Entry, EnumerationError, OptimizedPlan, PlanTable, Planner};
+use crate::planner::{compose, Entry, EnumerationError, OptimizedPlan, PlanTable, Planner};
 
 /// Limits for [`explore`]: when the space is exhausted vs. sampled.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,9 +89,8 @@ pub struct PlanSpace {
 impl PlanSpace {
     /// The rank of a plan with total cost `cost` in the population, as the
     /// fraction of plans *strictly* cheaper than it (0.0 = optimal, values
-    /// near 1.0 = among the worst).  A relative tolerance absorbs the
-    /// floating-point noise between tree-walk costing and the DP's
-    /// accumulation order.
+    /// near 1.0 = among the worst).  Plans within a relative 1e-9 of `cost`
+    /// count as tied, not cheaper.
     pub fn rank_of(&self, cost: f64) -> f64 {
         if self.costs.is_empty() {
             return 0.0;
@@ -202,7 +205,7 @@ fn exhaustive_costs(
         let jc = pair_costs[&(a, b)];
         let sums: Vec<f64> = {
             let (Some(va), Some(vb)) = (costs.get(&a), costs.get(&b)) else { continue };
-            va.iter().flat_map(|&ca| vb.iter().map(move |&cb| ca + cb + jc)).collect()
+            va.iter().flat_map(|&ca| vb.iter().map(move |&cb| compose(ca, cb, jc))).collect()
         };
         costs.entry(a.union(b)).or_default().extend(sums);
     }
@@ -230,10 +233,11 @@ fn sample_tree_cost(
             .unwrap_or(0)
             .saturating_mul(counts.get(&b).copied().unwrap_or(0));
         if remaining < weight {
-            let jc = pair_costs[&(a, b)];
-            return sample_tree_cost(a, splits, counts, pair_costs, table, rng)
-                + sample_tree_cost(b, splits, counts, pair_costs, table, rng)
-                + jc;
+            return compose(
+                sample_tree_cost(a, splits, counts, pair_costs, table, rng),
+                sample_tree_cost(b, splits, counts, pair_costs, table, rng),
+                pair_costs[&(a, b)],
+            );
         }
         remaining -= weight;
     }
@@ -310,12 +314,8 @@ mod tests {
         assert_eq!(space.costs.len(), 6, "all plans materialised");
         let dp = optimize_bushy(&planner).unwrap();
         let min = space.min_cost().unwrap();
-        assert!(
-            (min - dp.cost).abs() <= 1e-9 * dp.cost.max(1.0),
-            "space min {min} vs dp {}",
-            dp.cost
-        );
-        assert!((space.optimum.cost - dp.cost).abs() <= 1e-9 * dp.cost.max(1.0));
+        assert_eq!(min.to_bits(), dp.cost.to_bits(), "space min {min} vs dp {}", dp.cost);
+        assert_eq!(space.optimum.cost.to_bits(), dp.cost.to_bits());
         // The optimum ranks at the very bottom of its own space.
         assert_eq!(space.rank_of(space.optimum.cost), 0.0);
         // The DP table carries every connected subexpression.

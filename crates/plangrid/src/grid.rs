@@ -37,9 +37,11 @@ use qob_storage::encoding::fnv1a64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Relative tolerance for "costs the same as the optimum": absorbs the
-/// floating-point noise between DP accumulation order and tree-walk
-/// re-costing of structurally identical plans.
+/// Relative tolerance for "costs the same as the optimum" in the
+/// optimal-plan and subplan-optimality metrics.  The DP and the re-costing
+/// share one cost rule, so the optimum itself compares exactly equal; the
+/// tolerance is part of the metrics' definition (plans within it of the
+/// optimum count as optimal), and the report's numbers depend on it.
 const COST_EPS: f64 = 1e-9;
 
 /// The enumerators the grid exercises, in reporting order.
@@ -249,9 +251,7 @@ pub fn run_grid(
                 plan_count: space.plan_count,
                 explored: space.costs.len(),
             });
-            // Re-cost the optimum the same way chosen plans are costed, so
-            // identical plans compare exactly equal.
-            let opt_cost = ctx.plan_cost(query, &space.optimum.plan, model.as_ref(), &truth_est);
+            let opt_cost = space.optimum.cost;
 
             let mut estimators: Vec<(&'static str, &dyn CardinalityEstimator)> =
                 vec![("true", &truth_est)];
@@ -279,7 +279,7 @@ pub fn run_grid(
                         }
                     }
                     .map_err(|error| GridError::Enumeration { query: query.name.clone(), error })?;
-                    let true_cost = ctx.plan_cost(query, &chosen.plan, model.as_ref(), &truth_est);
+                    let true_cost = truth_planner.cost_of(&chosen.plan);
                     let cost_ratio = if opt_cost > 0.0 { true_cost / opt_cost } else { 1.0 };
                     per_query.push(QueryCell {
                         query: query.name.clone(),
@@ -289,11 +289,8 @@ pub fn run_grid(
                         cost_ratio,
                         rank: space.rank_of(true_cost),
                         subplan_optimality: subplan_optimality(
-                            ctx,
-                            query,
+                            &truth_planner,
                             &chosen.plan,
-                            model.as_ref(),
-                            &truth_est,
                             &space.table,
                         ),
                         optimal: true_cost <= opt_cost * (1.0 + COST_EPS),
@@ -306,16 +303,10 @@ pub fn run_grid(
     Ok(GridReport { cells: aggregate(&per_query), per_query, spaces })
 }
 
-/// Fraction of `plan`'s join subtrees whose true cost matches the optimal
-/// cost of their relation set (1.0 for a plan with no joins).
-fn subplan_optimality(
-    ctx: &BenchmarkContext,
-    query: &QuerySpec,
-    plan: &PhysicalPlan,
-    model: &dyn CostModel,
-    truth: &dyn CardinalityEstimator,
-    optimal: &PlanTable,
-) -> f64 {
+/// Fraction of `plan`'s join subtrees whose cost under `truth` (a planner
+/// over true cardinalities) matches the optimal cost of their relation set
+/// (1.0 for a plan with no joins).
+fn subplan_optimality(truth: &Planner<'_>, plan: &PhysicalPlan, optimal: &PlanTable) -> f64 {
     let sets = plan.join_rel_sets();
     if sets.is_empty() {
         return 1.0;
@@ -324,7 +315,7 @@ fn subplan_optimality(
         .iter()
         .filter(|&&set| {
             let sub = plan.subplan(set).expect("join sets come from the plan itself");
-            let cost = ctx.plan_cost(query, sub, model, truth);
+            let cost = truth.cost_of(sub);
             optimal.get(&set).is_some_and(|best| cost <= best.cost * (1.0 + COST_EPS))
         })
         .count();
@@ -397,12 +388,12 @@ mod tests {
                 assert_eq!(cell.median_rank, 0.0);
                 assert_eq!(cell.mean_subplan_optimality, 1.0);
             }
-            assert!(cell.geo_mean_cost_ratio >= 1.0 - COST_EPS, "ratios never beat the optimum");
+            assert!(cell.geo_mean_cost_ratio >= 1.0, "ratios never beat the optimum");
         }
         for cell in &report.per_query {
             assert!((0.0..=1.0).contains(&cell.rank));
             assert!((0.0..=1.0).contains(&cell.subplan_optimality));
-            assert!(cell.cost_ratio >= 1.0 - COST_EPS);
+            assert!(cell.cost_ratio >= 1.0);
         }
         // 7 estimators × 3 models × 4 enumerators, all present.
         assert_eq!(report.cells.len(), 7 * 3 * 4);

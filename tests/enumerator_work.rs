@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use qob_cardest::CardinalityEstimator;
 use qob_core::{BenchmarkContext, EstimatorKind};
-use qob_cost::{plan_cost, CostContext, SimpleCostModel};
+use qob_cost::SimpleCostModel;
 use qob_datagen::Scale;
 use qob_enumerate::dpccp::optimize_bushy;
 use qob_enumerate::goo::optimize_goo;
@@ -72,13 +72,15 @@ fn check_exact_work(
 
     chosen.plan.validate(query).unwrap_or_else(|e| panic!("{}: {e}", query.name));
     assert_eq!(chosen.plan.rels(), query.all_rels(), "{}", query.name);
-    let recosted = plan_cost(&model, &CostContext::new(ctx.db(), query), &chosen.plan, estimator);
-    assert!(
-        (recosted - chosen.cost).abs() <= 1e-9 * chosen.cost.abs().max(1.0),
+    let recosted = planner.cost_of(&chosen.plan);
+    assert_eq!(
+        recosted.to_bits(),
+        chosen.cost.to_bits(),
         "{}: the rebuilt plan costs {recosted}, the table said {}",
         query.name,
         chosen.cost
     );
+    assert_eq!(counting.calls.get(), calls, "{}: re-costing estimated again", query.name);
     calls
 }
 

@@ -177,8 +177,9 @@ impl BenchmarkContext {
     }
 
     /// Loads a context from a snapshot file written by
-    /// [`BenchmarkContext::save_snapshot`]: the database (indexes rebuilt at
-    /// its recorded physical design) plus the original generation scale.
+    /// [`BenchmarkContext::save_snapshot`]: the database (indexes declared at
+    /// its recorded physical design, each built on its first use) plus the
+    /// original generation scale.
     /// Statistics are re-analysed from the loaded data — deterministic, so
     /// estimates and q-errors match the generating run exactly.
     ///
@@ -203,7 +204,7 @@ impl BenchmarkContext {
         Ok(Self::from_database(db, scale))
     }
 
-    /// Rebuilds the indexes for a different physical design (statistics and
+    /// Switches the indexes to a different physical design (statistics and
     /// ground truth are unaffected by index changes).
     pub fn set_index_config(&mut self, index_config: IndexConfig) -> Result<(), StorageError> {
         self.db.build_indexes(index_config)

@@ -1,5 +1,6 @@
 //! The ANALYZE pipeline: computes per-table and per-column statistics.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
@@ -147,10 +148,6 @@ pub fn duj1_distinct(n: usize, big_n: usize, d: usize, f1: usize) -> f64 {
     estimate.clamp(d, big_n)
 }
 
-fn column_value(col: &EncodedColumn, row: usize) -> Value {
-    col.value_at(row)
-}
-
 fn analyze_column(
     col: &EncodedColumn,
     sample_rows: &[u32],
@@ -166,7 +163,7 @@ fn analyze_column(
             null_count += 1;
             continue;
         }
-        let v = column_value(col, r);
+        let v = col.value_at(r);
         if let Value::Int(i) = v {
             int_values.push(i);
         }
@@ -182,13 +179,13 @@ fn analyze_column(
     let non_null_total = ((1.0 - null_frac) * total_rows as f64).round() as usize;
     let distinct_sampled = duj1_distinct(non_null, non_null_total.max(non_null), d, f1);
 
-    // Most common values: keep values occurring at least twice in the sample.
-    let mut by_count: Vec<(Value, usize)> = freq.iter().map(|(v, c)| (v.clone(), *c)).collect();
-    by_count
-        .sort_by(|a, b| b.1.cmp(&a.1).then_with(|| format!("{}", a.0).cmp(&format!("{}", b.0))));
+    // Most common values: keep values occurring at least twice in the
+    // sample, most frequent first; equal counts order by display form
+    // (`10` before `9`), so truncation never depends on hash order.
+    let mut by_count: Vec<(Value, usize)> = freq.into_iter().filter(|&(_, c)| c >= 2).collect();
+    by_count.sort_by_cached_key(|(v, c)| (Reverse(*c), v.to_string()));
     let mcv: Vec<(Value, f64)> = by_count
         .into_iter()
-        .filter(|(_, c)| *c >= 2)
         .take(options.mcv_entries)
         .map(|(v, c)| (v, c as f64 / sample_n.max(1) as f64))
         .collect();
@@ -341,6 +338,23 @@ mod tests {
         assert_eq!(t.columns[0].max, Some(499));
         assert!(t.columns[2].histogram.is_none());
         assert!(t.columns[2].min.is_none());
+    }
+
+    #[test]
+    fn mcv_ties_break_by_display_form() {
+        // Twelve values twice each and `9` a third time: more equal-count
+        // candidates than `mcv_entries`, so the tie order decides which stay.
+        let mut b = TableBuilder::new("t", vec![ColumnMeta::new("v", DataType::Int)]);
+        for v in (1..=12).chain(1..=12).chain([9]) {
+            b.push_row(vec![Value::Int(v)]).unwrap();
+        }
+        let mut db = Database::new();
+        db.add_table(b.finish()).unwrap();
+        let stats = analyze_database(&db, &AnalyzeOptions::default());
+        let mcv: Vec<&Value> =
+            stats.table(TableId(0)).columns[0].mcv.iter().map(|(v, _)| v).collect();
+        let expected: Vec<Value> = [9, 1, 10, 11, 12, 2, 3, 4, 5, 6].map(Value::Int).into();
+        assert_eq!(mcv, expected.iter().collect::<Vec<_>>());
     }
 
     #[test]

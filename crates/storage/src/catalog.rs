@@ -2,11 +2,11 @@
 //!
 //! The paper studies three *physical designs*: no indexes, primary-key
 //! indexes only, and primary- plus foreign-key indexes.  [`IndexConfig`]
-//! selects one of these and [`Database::build_indexes`] materialises the
-//! corresponding access paths.
+//! selects one of these and [`Database::build_indexes`] declares the
+//! corresponding access paths; each index is built on its first use.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use crate::error::StorageError;
 use crate::index::KeyIndex;
@@ -79,7 +79,9 @@ pub struct Database {
     by_name: HashMap<String, TableId>,
     keys: Vec<KeyInfo>,
     index_config: IndexConfig,
-    indexes: HashMap<(TableId, ColumnId), KeyIndex>,
+    /// The declared indexes of the physical design, each built on its first
+    /// [`Database::key_index`] call.
+    indexes: HashMap<(TableId, ColumnId), OnceLock<KeyIndex>>,
 }
 
 impl Database {
@@ -165,8 +167,9 @@ impl Database {
         self.index_config
     }
 
-    /// (Re)builds all indexes for the given physical design, replacing any
-    /// previously built indexes.
+    /// Declares the indexes of the given physical design, replacing any
+    /// previous ones.  Each index column is checked here; the index itself is
+    /// built on its first [`Database::key_index`] call.
     pub fn build_indexes(&mut self, config: IndexConfig) -> Result<()> {
         self.indexes.clear();
         self.index_config = config;
@@ -179,17 +182,20 @@ impl Database {
             let fks = key_info.foreign_keys.iter().map(|fk| fk.column);
             let fks = fks.filter(|_| config == IndexConfig::PrimaryAndForeignKey);
             for column in key_info.primary_key.into_iter().chain(fks) {
-                if let Entry::Vacant(slot) = self.indexes.entry((tid, column)) {
-                    slot.insert(KeyIndex::build(table, column)?);
-                }
+                KeyIndex::check_column(table, column)?;
+                self.indexes.entry((tid, column)).or_default();
             }
         }
         Ok(())
     }
 
-    /// The index on `(table, column)` under the current physical design.
+    /// The index on `(table, column)` under the current physical design,
+    /// built on the first call (concurrent first calls build it once).
     pub fn key_index(&self, table: TableId, column: ColumnId) -> Option<&KeyIndex> {
-        self.indexes.get(&(table, column))
+        let cell = self.indexes.get(&(table, column))?;
+        Some(cell.get_or_init(|| {
+            KeyIndex::build(self.table(table), column).expect("index column checked when declared")
+        }))
     }
 
     /// True if an index exists on `(table, column)`.
@@ -197,7 +203,7 @@ impl Database {
         self.indexes.contains_key(&(table, column))
     }
 
-    /// Number of materialised indexes.
+    /// Number of indexes of the physical design, built or not.
     pub fn index_count(&self) -> usize {
         self.indexes.len()
     }
@@ -297,6 +303,53 @@ mod tests {
         assert_eq!(db.index_count(), 2);
         db.build_indexes(IndexConfig::NoIndexes).unwrap();
         assert_eq!(db.index_count(), 0);
+    }
+
+    fn built_indexes(db: &Database) -> usize {
+        db.indexes.values().filter(|cell| cell.get().is_some()).count()
+    }
+
+    #[test]
+    fn indexes_build_once_on_first_use() {
+        let mut db = small_db();
+        db.build_indexes(IndexConfig::PrimaryAndForeignKey).unwrap();
+        let path = std::env::temp_dir().join(format!("qob-lazy-index-{}.qob", std::process::id()));
+        crate::snapshot::save(&db, &[], &path).unwrap();
+        let (loaded, _) = crate::snapshot::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let mc = loaded.table_id("movie_companies").unwrap();
+        let movie_id = loaded.table(mc).column_id("movie_id").unwrap();
+        assert_eq!(loaded.index_count(), 3);
+        assert!(loaded.has_index(mc, movie_id));
+        assert_eq!(built_indexes(&loaded), 0, "load builds no index");
+
+        let start = std::sync::Barrier::new(4);
+        let first: Vec<&KeyIndex> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        loaded.key_index(mc, movie_id).unwrap()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(first.iter().all(|index| std::ptr::eq(*index, first[0])));
+        assert_eq!(built_indexes(&loaded), 1);
+        let eager = KeyIndex::build(loaded.table(mc), movie_id).unwrap();
+        for key in -1..12 {
+            assert_eq!(first[0].lookup(key), eager.lookup(key), "key {key}");
+        }
+    }
+
+    #[test]
+    fn an_index_on_a_string_column_fails_when_declared() {
+        let mut db = small_db();
+        let title = db.table_id("title").unwrap();
+        db.declare_primary_key(title, "title").unwrap();
+        let err = db.build_indexes(IndexConfig::PrimaryKeyOnly).unwrap_err();
+        assert!(matches!(err, StorageError::UnsupportedIndexColumn { .. }), "{err}");
     }
 
     #[test]

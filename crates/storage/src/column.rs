@@ -421,11 +421,12 @@ impl EncodedColumn {
     }
 
     /// Exact number of distinct non-null values, computed in one decode pass
-    /// over the pages.
+    /// over the pages without hashing: integers are sorted and deduplicated,
+    /// dictionary codes are marked in a bitmap over the dense code space.
     pub fn distinct_count_exact(&self) -> usize {
         match self.dtype {
             DataType::Int => {
-                let mut set = std::collections::HashSet::new();
+                let mut values = Vec::with_capacity(self.non_null_count());
                 let mut scratch = Vec::with_capacity(PAGE_ROWS.min(self.len));
                 for p in 0..self.page_count() {
                     scratch.clear();
@@ -433,14 +434,17 @@ impl EncodedColumn {
                     let base = p * PAGE_ROWS;
                     for (i, &v) in scratch.iter().enumerate() {
                         if self.validity.get(base + i) {
-                            set.insert(v);
+                            values.push(v);
                         }
                     }
                 }
-                set.len()
+                values.sort_unstable();
+                values.dedup();
+                values.len()
             }
             DataType::Str => {
-                let mut set = std::collections::HashSet::new();
+                let mut seen =
+                    Bitmap::with_value(self.dict.as_ref().map_or(0, StringDict::len), false);
                 let mut scratch = Vec::with_capacity(PAGE_ROWS.min(self.len));
                 for p in 0..self.page_count() {
                     scratch.clear();
@@ -448,11 +452,11 @@ impl EncodedColumn {
                     let base = p * PAGE_ROWS;
                     for (i, &c) in scratch.iter().enumerate() {
                         if self.validity.get(base + i) {
-                            set.insert(c);
+                            seen.set(c as usize, true);
                         }
                     }
                 }
-                set.len()
+                seen.count_ones()
             }
         }
     }

@@ -34,12 +34,8 @@ impl KeyIndex {
     /// Builds an index over the integer column `column` of `table`, decoding
     /// it a page at a time.
     pub fn build(table: &Table, column: ColumnId) -> Result<Self> {
+        Self::check_column(table, column)?;
         let data = table.column(column);
-        if data.data_type() != DataType::Int {
-            return Err(StorageError::UnsupportedIndexColumn {
-                column: table.column_meta(column).name.clone(),
-            });
-        }
         let mut pairs: Vec<(i64, RowId)> = Vec::with_capacity(data.non_null_count());
         let mut scratch = Vec::with_capacity(PAGE_ROWS.min(data.len()));
         for p in 0..data.page_count() {
@@ -66,6 +62,17 @@ impl KeyIndex {
         }
         index.starts.push(index.rows.len() as u32);
         Ok(index)
+    }
+
+    /// Fails unless `column` of `table` can carry an index (is an integer
+    /// column).
+    pub(crate) fn check_column(table: &Table, column: ColumnId) -> Result<()> {
+        if table.column(column).data_type() != DataType::Int {
+            return Err(StorageError::UnsupportedIndexColumn {
+                column: table.column_meta(column).name.clone(),
+            });
+        }
+        Ok(())
     }
 
     /// Row ids whose key equals `key`, ascending (empty slice if none).

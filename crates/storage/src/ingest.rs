@@ -6,11 +6,15 @@
 //! 1. records are read **streaming** with a quote-state-aware splitter
 //!    (quoted fields may contain embedded newlines, `""` and `\"` escaped
 //!    quotes, and `\\` escaped backslashes, matching the IMDB CSV export);
-//! 2. each batch of records is **field-parsed in parallel** across worker
-//!    threads;
-//! 3. rows are appended in order through [`TableBuilder`], which encodes a
-//!    page and drops its raw buffer every [`crate::encoding::PAGE_ROWS`]
-//!    rows and interns dictionary strings incrementally (O(1) amortized).
+//! 2. each record is split, parsed and appended in file order through
+//!    [`TableBuilder`], which encodes a page and drops its raw buffer every
+//!    [`crate::encoding::PAGE_ROWS`] rows and interns dictionary strings
+//!    incrementally (O(1) amortized), so one table holds at most one raw
+//!    record plus one pending page per column;
+//! 3. [`ingest_csv_dir`] ingests **whole tables in parallel**, up to
+//!    `threads` at once, largest file first.  Each table is built by one
+//!    worker in record order, so dictionary codes, pages and snapshot bytes
+//!    do not depend on the thread count.
 //!
 //! An **empty unquoted field is NULL** (for both int and string columns);
 //! a quoted empty field (`""`) is the empty string.  Integer fields are
@@ -19,8 +23,10 @@
 //! [`export_csv_dir`] writes the inverse format, so a generated database can
 //! round-trip through CSV — the basis of the ingest smoke tests.
 
+use std::cmp::Reverse;
 use std::io::{BufRead, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::catalog::Database;
 use crate::encoding::EncodingPolicy;
@@ -28,11 +34,6 @@ use crate::error::StorageError;
 use crate::table::{ColumnMeta, Table, TableBuilder};
 use crate::value::{DataType, Value};
 use crate::Result;
-
-/// Records parsed per batch before the parallel field-parse runs.  Bounds
-/// ingestion memory to one batch of raw records plus one pending page per
-/// column.
-const BATCH_RECORDS: usize = 8192;
 
 /// The schema a CSV file is ingested under: the target table name and its
 /// columns in file order.
@@ -118,7 +119,6 @@ fn quotes_balanced(s: &str) -> bool {
 fn read_record(reader: &mut impl BufRead, buf: &mut String) -> std::io::Result<bool> {
     buf.clear();
     loop {
-        let before = buf.len();
         let n = reader.read_line(buf)?;
         if n == 0 {
             // EOF: a dangling unterminated quoted field still yields the
@@ -136,7 +136,6 @@ fn read_record(reader: &mut impl BufRead, buf: &mut String) -> std::io::Result<b
             return Ok(true);
         }
         // The newline was inside a quoted field: restore it and keep going.
-        let _ = before;
         buf.push('\n');
     }
 }
@@ -236,104 +235,30 @@ fn parse_record(
 // Ingestion
 // ---------------------------------------------------------------------------
 
-/// Ingests one CSV/TSV file into an encoded table.  `delim` is `,` for
-/// `.csv` and `\t` for `.tsv`; `threads` bounds the parallel field-parse
-/// fan-out per batch (1 = fully sequential).
+/// Ingests one CSV/TSV file into an encoded table, one record at a time in
+/// file order.  `delim` is `,` for `.csv` and `\t` for `.tsv`.
 pub fn ingest_csv_file(
     path: impl AsRef<Path>,
     schema: &TableSchema,
     delim: char,
     policy: EncodingPolicy,
-    threads: usize,
 ) -> Result<(Table, IngestTableReport)> {
     let path = path.as_ref();
     let file = std::fs::File::open(path)
         .map_err(|e| StorageError::Io(format!("opening `{}`: {e}", path.display())))?;
     let mut reader = std::io::BufReader::with_capacity(1 << 20, file);
     let mut builder = TableBuilder::with_policy(&schema.name, schema.columns.clone(), policy);
-
-    let mut batch: Vec<String> = Vec::with_capacity(BATCH_RECORDS);
     let mut record = String::new();
-    let mut line_base = 1usize;
-    loop {
-        batch.clear();
-        while batch.len() < BATCH_RECORDS {
-            match read_record(&mut reader, &mut record) {
-                Ok(true) => batch.push(std::mem::take(&mut record)),
-                Ok(false) => break,
-                Err(e) => {
-                    return Err(StorageError::Io(format!("reading `{}`: {e}", path.display())))
-                }
-            }
-        }
-        if batch.is_empty() {
-            break;
-        }
-        for values in parse_batch(&batch, delim, schema, line_base, threads)? {
-            builder.push_row(values?)?;
-        }
-        line_base += batch.len();
+    let mut line = 0usize;
+    while read_record(&mut reader, &mut record)
+        .map_err(|e| StorageError::Io(format!("reading `{}`: {e}", path.display())))?
+    {
+        line += 1;
+        builder.push_row(parse_record(&record, delim, &schema.name, line, &schema.columns)?)?;
     }
-
     let table = builder.finish();
     let report = table_report(&table);
     Ok((table, report))
-}
-
-/// Field-parses a batch of records, fanning out across `threads` scoped
-/// workers while keeping the results in record order.
-fn parse_batch<'a>(
-    batch: &'a [String],
-    delim: char,
-    schema: &'a TableSchema,
-    line_base: usize,
-    threads: usize,
-) -> Result<impl Iterator<Item = Result<Vec<Value>>> + 'a> {
-    let parse_one = move |(i, record): (usize, &String)| {
-        parse_record(record, delim, &schema.name, line_base + i, &schema.columns)
-    };
-    if threads <= 1 || batch.len() < 512 {
-        return Ok(Either::Seq(batch.iter().enumerate().map(parse_one)));
-    }
-    let chunk = batch.len().div_ceil(threads);
-    let mut parsed: Vec<Result<Vec<Value>>> = Vec::with_capacity(batch.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = batch
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, records)| {
-                scope.spawn(move || {
-                    records
-                        .iter()
-                        .enumerate()
-                        .map(|(i, r)| parse_one((ci * chunk + i, r)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            parsed.extend(handle.join().expect("ingest parse worker panicked"));
-        }
-    });
-    Ok(Either::Par(parsed.into_iter()))
-}
-
-/// Two iterator shapes with one return type (no boxing on the hot path).
-enum Either<A, B> {
-    /// Sequential in-place parse.
-    Seq(A),
-    /// Pre-collected parallel parse.
-    Par(B),
-}
-
-impl<T, A: Iterator<Item = T>, B: Iterator<Item = T>> Iterator for Either<A, B> {
-    type Item = T;
-    fn next(&mut self) -> Option<T> {
-        match self {
-            Either::Seq(a) => a.next(),
-            Either::Par(b) => b.next(),
-        }
-    }
 }
 
 fn table_report(table: &Table) -> IngestTableReport {
@@ -368,8 +293,19 @@ fn resolve_data_file(dir: &Path, name: &str) -> Result<(std::path::PathBuf, char
     )))
 }
 
+/// Workers [`ingest_csv_dir`] runs for `files` files under a `threads`
+/// bound: at least one, and never more than there are files.
+fn worker_count(threads: usize, files: usize) -> usize {
+    threads.clamp(1, files.max(1))
+}
+
 /// Ingests every schema's file from `dir`, returning the tables in schema
 /// order plus the report.
+///
+/// Up to `threads` scoped workers take whole files, largest first, from a
+/// shared cursor; each table is still built record by record, so the result
+/// does not depend on `threads`.  When files fail, the error returned is
+/// that of the first failing file in schema order.
 pub fn ingest_csv_dir(
     dir: impl AsRef<Path>,
     schemas: &[TableSchema],
@@ -377,11 +313,41 @@ pub fn ingest_csv_dir(
     threads: usize,
 ) -> Result<(Vec<Table>, IngestReport)> {
     let dir = dir.as_ref();
+    let file_len = |schema: &TableSchema| {
+        let path = resolve_data_file(dir, &schema.name).ok()?.0;
+        Some(std::fs::metadata(path).ok()?.len())
+    };
+    let mut order: Vec<usize> = (0..schemas.len()).collect();
+    order.sort_by_cached_key(|&i| Reverse(file_len(&schemas[i])));
+    let cursor = AtomicUsize::new(0);
+    let ingest_one = |i: usize| {
+        let (path, delim) = resolve_data_file(dir, &schemas[i].name)?;
+        ingest_csv_file(path, &schemas[i], delim, policy)
+    };
+    let mut results: Vec<Option<Result<(Table, IngestTableReport)>>> =
+        schemas.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..worker_count(threads, schemas.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        done.push((i, ingest_one(i)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (i, result) in worker.join().expect("ingest worker panicked") {
+                results[i] = Some(result);
+            }
+        }
+    });
     let mut tables = Vec::with_capacity(schemas.len());
     let mut report = IngestReport::default();
-    for schema in schemas {
-        let (path, delim) = resolve_data_file(dir, &schema.name)?;
-        let (table, table_report) = ingest_csv_file(path, schema, delim, policy, threads)?;
+    for result in results {
+        let (table, table_report) = result.expect("every file is taken by one worker")?;
         report.tables.push(table_report);
         tables.push(table);
     }
@@ -476,16 +442,16 @@ mod tests {
         )
     }
 
-    fn write_and_ingest(content: &str, threads: usize) -> Result<Table> {
+    fn write_and_ingest(content: &str) -> Result<Table> {
         let dir = std::env::temp_dir().join(format!(
-            "qob-ingest-test-{}-{threads}-{}",
+            "qob-ingest-test-{}-{}",
             std::process::id(),
             content.len()
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.csv");
         std::fs::write(&path, content).unwrap();
-        let result = ingest_csv_file(&path, &schema(), ',', EncodingPolicy::Auto, threads);
+        let result = ingest_csv_file(&path, &schema(), ',', EncodingPolicy::Auto);
         std::fs::remove_dir_all(&dir).ok();
         result.map(|(t, _)| t)
     }
@@ -513,7 +479,7 @@ mod tests {
     #[test]
     fn ingest_parses_types_nulls_and_embedded_newlines() {
         let content = "1,\"The Matrix\",1999\n2,\"Two\nLine Title\",\n3,,2003\n";
-        let t = write_and_ingest(content, 1).unwrap();
+        let t = write_and_ingest(content).unwrap();
         assert_eq!(t.row_count(), 3);
         assert_eq!(t.value(0, ColumnId(1)), Value::Str("The Matrix".into()));
         assert_eq!(t.value(1, ColumnId(1)), Value::Str("Two\nLine Title".into()));
@@ -524,39 +490,41 @@ mod tests {
 
     #[test]
     fn bad_integers_and_arity_are_reported_with_context() {
-        let err = write_and_ingest("1,x,notayear\n", 1).unwrap_err();
+        let err = write_and_ingest("1,x,notayear\n").unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("notayear") && msg.contains("year"), "{msg}");
-        let err = write_and_ingest("1,x\n", 1).unwrap_err();
+        let err = write_and_ingest("1,x\n").unwrap_err();
         assert!(err.to_string().contains("2 fields"), "{err}");
     }
 
     #[test]
-    fn parallel_parse_matches_sequential() {
-        let mut content = String::new();
-        for i in 0..20_000 {
-            use std::fmt::Write as _;
-            if i % 11 == 0 {
-                writeln!(content, "{i},,").unwrap();
-            } else {
-                writeln!(content, "{i},\"name, {}\",{}", i % 500, 1900 + i % 120).unwrap();
-            }
+    fn workers_are_bounded_by_the_file_count() {
+        assert_eq!(worker_count(0, 21), 1);
+        assert_eq!(worker_count(1, 21), 1);
+        assert_eq!(worker_count(4, 21), 4);
+        assert_eq!(worker_count(8192, 21), 21);
+        assert_eq!(worker_count(usize::MAX, 21), 21);
+        assert_eq!(worker_count(4, 1), 1);
+        assert_eq!(worker_count(4, 0), 1);
+    }
+
+    #[test]
+    fn the_first_failing_file_in_schema_order_wins_at_every_thread_count() {
+        let dir = std::env::temp_dir().join(format!("qob-ingest-errors-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let schemas: Vec<TableSchema> = ["a", "b", "c", "d"].map(schema_named).into();
+        std::fs::write(dir.join("a.csv"), "1,x,1999\n").unwrap();
+        std::fs::write(dir.join("b.csv"), "1,x,1999\n2,y,notayear\n").unwrap();
+        std::fs::write(dir.join("c.csv"), "1,x,1999\n").unwrap();
+        // The later bad file is the largest, so it is taken first.
+        let arity = "1,x,1999\n".repeat(1000) + "2,y\n";
+        std::fs::write(dir.join("d.csv"), arity).unwrap();
+        for threads in [1, 4] {
+            let err = ingest_csv_dir(&dir, &schemas, EncodingPolicy::Auto, threads).unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains("`b` record 2") && msg.contains("notayear"), "{threads}: {msg}");
         }
-        let seq = write_and_ingest(&content, 1).unwrap();
-        let par = write_and_ingest(&content, 4).unwrap();
-        assert_eq!(seq.row_count(), par.row_count());
-        for row in seq.row_ids() {
-            for c in 0..seq.column_count() as u32 {
-                assert_eq!(seq.value(row, ColumnId(c)), par.value(row, ColumnId(c)));
-            }
-        }
-        // Dictionary codes are identical too: append order is preserved.
-        for row in seq.row_ids() {
-            assert_eq!(
-                seq.column(ColumnId(1)).code_at(row as usize),
-                par.column(ColumnId(1)).code_at(row as usize)
-            );
-        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! to the pages blob), and the key declarations.  Pages are written
 //! contiguously and each carries its own checksum, because a lazily-opened
 //! snapshot can never verify a whole-file checksum without defeating the
-//! point of lazy loading.  Indexes are *not* stored — they are rebuilt from
-//! the recorded [`IndexConfig`] on load.
+//! point of lazy loading.  Indexes are *not* stored — loading declares them
+//! from the recorded [`IndexConfig`], and each is built on first use.
 //!
 //! Integers are fixed-width little-endian; strings are a `u64` byte length
 //! followed by UTF-8 bytes.  Every read validates lengths against the
@@ -415,7 +415,7 @@ fn assemble_database(
 // Eager decode
 // ---------------------------------------------------------------------------
 
-/// Parses snapshot bytes back into a database (indexes rebuilt) and the
+/// Parses snapshot bytes back into a database (indexes declared) and the
 /// caller metadata stored with it.  Every page is decoded and
 /// checksum-verified up front — the fully-validated path used by
 /// [`Database::load_snapshot`].

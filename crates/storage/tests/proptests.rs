@@ -458,3 +458,33 @@ fn scan_select_equals_row_wise_matches_across_pages() {
         }
     }
 }
+
+proptest! {
+    /// The exact distinct count of an int column equals a hash-set model.
+    /// Every column spans at least two pages (≥ 72 000 rows) and mixes NULL
+    /// runs, constant runs, runs of repeating near-neighbours and the
+    /// extremes, under both policies.
+    #[test]
+    fn int_distinct_count_equals_a_hash_set_model(
+        runs in prop::collection::vec((int_slot(), 12_000usize..20_000, 0u8..3), 6..9),
+        policy in prop_oneof![Just(EncodingPolicy::Auto), Just(EncodingPolicy::Plain)],
+    ) {
+        let mut builder = ColumnBuilder::with_policy(DataType::Int, policy);
+        let mut model = std::collections::HashSet::new();
+        for &(start, len, kind) in &runs {
+            for i in 0..len {
+                let value = match kind {
+                    0 => Value::Null,
+                    1 => Value::Int(start),
+                    _ => Value::Int(start.wrapping_add((i % 97) as i64)),
+                };
+                if let Value::Int(v) = value {
+                    model.insert(v);
+                }
+                prop_assert!(builder.push(&value));
+            }
+        }
+        let col = builder.finish();
+        prop_assert_eq!(col.distinct_count_exact(), model.len());
+    }
+}

@@ -3,8 +3,9 @@
 # `qob ingest`, then generate a tiny synthetic database, export it to CSV,
 # ingest it back with a snapshot leg, and assert the summary tells the
 # story docs/STORAGE.md claims: the encoded form is smaller than the plain
-# layout, the snapshot round-trips every row, and the lazy point query
-# faults in only a fraction of the snapshot file.
+# layout, the snapshot round-trips every row and is byte-identical at 1
+# and 4 ingest threads, and the lazy point query faults in only a fraction
+# of the snapshot file.
 #
 # CI runs this on every push; it checks behaviour, the measured numbers
 # are `stored_bytes_per_row` / `storage.lazy_read_share` in benchmark/.
@@ -22,6 +23,14 @@ OUT=${QOB_INGEST_OUT:-$WORK/ingest.json}
 "$QOB" ingest tests/fixtures/imdb_csv --output "$WORK/fixture.json"
 jq -e '.rows > 0 and (.tables | length) == 21' "$WORK/fixture.json"
 jq -e '[.tables[] | select(.table == "title")][0].rows == 6' "$WORK/fixture.json"
+
+# Tables ingest in parallel, each in record order: the snapshot must not
+# depend on the thread count.
+for threads in 1 4; do
+  "$QOB" ingest tests/fixtures/imdb_csv --threads "$threads" \
+    --snapshot "$WORK/fixture-$threads.qob" --output "$WORK/fixture-$threads.json"
+done
+cmp "$WORK/fixture-1.qob" "$WORK/fixture-4.qob"
 
 # The measured run: generate → export CSV → ingest → snapshot → lazy probe.
 "$QOB" ingest "$WORK/csv" --generate tiny \

@@ -4,7 +4,8 @@
 //! commas, escaped quotes, embedded newlines, backslash escapes, NULL vs.
 //! empty-string fields, and tab-separated files — survive a snapshot
 //! round-trip, and answer a 10-query JOB sample identically to the
-//! generated database it was exported from.
+//! generated database it was exported from.  Ingesting at 1 and at 4
+//! threads writes byte-identical snapshots.
 
 use qob_core::BenchmarkContext;
 use qob_datagen::Scale;
@@ -129,4 +130,34 @@ fn exported_datagen_database_answers_a_job_sample_identically() {
             query.name
         );
     }
+}
+
+/// Ingests `dir` at `threads` and returns the bytes `qob ingest --snapshot`
+/// would write.
+fn snapshot_bytes(dir: &std::path::Path, threads: usize, tag: &str) -> Vec<u8> {
+    let (ctx, _) = BenchmarkContext::ingest_csv_dir(dir, IndexConfig::PrimaryKeyOnly, threads)
+        .unwrap_or_else(|e| panic!("{tag} at {threads} threads: {e}"));
+    let path = std::env::temp_dir()
+        .join(format!("qob-ingest-determinism-{}-{tag}-{threads}.qob", std::process::id()));
+    ctx.save_snapshot(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    bytes
+}
+
+#[test]
+fn ingest_snapshots_are_byte_identical_at_1_and_4_threads() {
+    let exported = std::env::temp_dir().join(format!("qob-ingest-tiny-{}", std::process::id()));
+    BenchmarkContext::new(Scale::tiny(), IndexConfig::PrimaryKeyOnly)
+        .unwrap()
+        .export_csv_dir(&exported)
+        .unwrap();
+    for (tag, dir) in [("fixture", fixture_dir()), ("tiny", exported.clone())] {
+        let sequential = snapshot_bytes(&dir, 1, tag);
+        assert!(
+            sequential == snapshot_bytes(&dir, 4, tag),
+            "{tag}: the snapshot depends on the ingest thread count"
+        );
+    }
+    std::fs::remove_dir_all(&exported).ok();
 }

@@ -130,7 +130,7 @@ pub(crate) fn run(options: Options) -> Result<ExitCode, String> {
         ("bench", Json::str("ingest")),
         ("data_dir", Json::str(dir.to_owned())),
         ("indexes", Json::str(indexes.label())),
-        ("parse_threads", Json::Num(options.threads as f64)),
+        ("threads", Json::Num(options.threads as f64)),
         ("rows", Json::Num(rows as f64)),
         ("csv_bytes", Json::Num(csv_bytes as f64)),
         ("ingest_ms", Json::Num(round6(ingest_elapsed.as_secs_f64() * 1e3))),

@@ -5,14 +5,15 @@
 /// Server-wide execution scheduling: the shared worker pool and the
 /// admission limits in front of it.
 ///
-/// The default (`workers == 0`, `max_concurrent == 0`) is a context without
-/// a scheduler: every statement executes immediately on query-private
-/// scoped threads, as in one-shot runs.  `qob serve` always sets both.
+/// The default (`workers == 0`, `max_concurrent == 0`) is what one-shot runs
+/// use: a pool sized from the default session's `threads`, and every
+/// statement executes immediately.  `qob serve` always sets both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
-    /// Shared worker-pool size.  `0` disables the shared pool: each
-    /// statement spawns its own scoped workers, sized by the session's
-    /// `threads` option.
+    /// Shared worker-pool size.  `0` sizes the pool from the default
+    /// session's `threads` option: `threads − 1` workers, so a lone
+    /// statement still gets `threads` participants (its own thread is the
+    /// last).
     pub workers: usize,
     /// Statements allowed to execute concurrently.  `0` means unlimited
     /// (no admission control at all — statements never queue).

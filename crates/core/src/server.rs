@@ -20,9 +20,8 @@ use crate::session::Session;
 pub(crate) struct ServerShared {
     pub(crate) ctx: BenchmarkContext,
     pub(crate) defaults: SessionOptions,
-    /// The shared worker pool every statement's morsels execute on, or
-    /// `None` for per-query scoped pools.
-    pub(crate) exec_pool: Option<Arc<qob_exec::WorkerPool>>,
+    /// The shared worker pool every statement's morsels execute on.
+    pub(crate) exec_pool: Arc<qob_exec::WorkerPool>,
     /// Admission control in front of the execute phase, or `None` when the
     /// concurrency limit is off.
     pub(crate) admission: Option<AdmissionController>,
@@ -56,17 +55,18 @@ impl ServerContext {
         Self::with_defaults(ctx, SessionOptions::default())
     }
 
-    /// Wraps a context with explicit default options for new sessions and
-    /// no shared scheduler (query-private scoped workers, unlimited
-    /// concurrency — what one-shot runs use).
+    /// Wraps a context with explicit default options for new sessions, a
+    /// worker pool of `defaults.threads − 1` workers and unlimited
+    /// concurrency — what one-shot runs use.
     pub fn with_defaults(ctx: BenchmarkContext, defaults: SessionOptions) -> Self {
         Self::with_scheduler(ctx, defaults, SchedulerConfig::default())
     }
 
     /// Wraps a context with explicit session defaults *and* a server-wide
-    /// scheduler: a shared worker pool (`scheduler.workers > 0`) that every
-    /// statement's morsels execute on, and admission control
-    /// (`scheduler.max_concurrent > 0`) in front of the execute phase.
+    /// scheduler: the shared worker pool every statement's morsels execute
+    /// on (`scheduler.workers` workers, or `defaults.threads − 1` when that
+    /// is `0`), and admission control (`scheduler.max_concurrent > 0`) in
+    /// front of the execute phase.
     pub fn with_scheduler(
         ctx: BenchmarkContext,
         defaults: SessionOptions,
@@ -74,8 +74,11 @@ impl ServerContext {
     ) -> Self {
         let events = EventLog::new();
         events.set_enabled(defaults.slow_query_ms > 0);
-        let exec_pool =
-            (scheduler.workers > 0).then(|| Arc::new(qob_exec::WorkerPool::new(scheduler.workers)));
+        let workers = match scheduler.workers {
+            0 => defaults.threads.max(1) - 1,
+            n => n,
+        };
+        let exec_pool = Arc::new(qob_exec::WorkerPool::new(workers));
         let admission = (scheduler.max_concurrent > 0)
             .then(|| AdmissionController::new(scheduler.max_concurrent, scheduler.max_queued));
         ServerContext {
@@ -93,13 +96,10 @@ impl ServerContext {
         }
     }
 
-    /// Shared-pool gauges `(workers, busy, queued_tasks)`, all zero when
-    /// the context has no scheduler.
+    /// Shared-pool gauges `(workers, busy, queued_tasks)`.
     pub fn pool_gauges(&self) -> (usize, usize, usize) {
-        match &self.shared.exec_pool {
-            Some(pool) => (pool.workers(), pool.busy(), pool.queued()),
-            None => (0, 0, 0),
-        }
+        let pool = &self.shared.exec_pool;
+        (pool.workers(), pool.busy(), pool.queued())
     }
 
     /// Admission gauges `(executing, queued)`, both zero when the
@@ -166,17 +166,15 @@ impl ServerContext {
     }
 
     /// Per-worker busy/idle/steal accumulators of the shared execution
-    /// pool, one entry per worker — empty when the server runs per-query
-    /// pools (there are no long-lived workers to profile).
+    /// pool, one entry per worker.
     pub fn worker_timelines(&self) -> Vec<qob_exec::WorkerTimelineSnapshot> {
-        self.shared.exec_pool.as_ref().map(|p| p.timelines()).unwrap_or_default()
+        self.shared.exec_pool.timelines()
     }
 
     /// The shared pool's retained pipeline spans (most recent
-    /// [`qob_exec::SPAN_RING_CAPACITY`] participant stints), oldest first —
-    /// empty for a context without a scheduler.
+    /// [`qob_exec::SPAN_RING_CAPACITY`] participant stints), oldest first.
     pub fn pipeline_spans(&self) -> Vec<qob_exec::PipelineSpan> {
-        self.shared.exec_pool.as_ref().map(|p| p.spans()).unwrap_or_default()
+        self.shared.exec_pool.spans()
     }
 
     /// Renders the full Prometheus text exposition: the registry's counters
@@ -218,7 +216,7 @@ impl ServerContext {
                 "Queries with cached ground-truth cardinalities",
                 self.shared.ctx.truth_cache_len(),
             ),
-            ("qob_pool_workers", "Shared execution pool size (0 = no scheduler)", workers),
+            ("qob_pool_workers", "Worker threads in the shared execution pool", workers),
             ("qob_pool_busy", "Shared-pool workers currently running morsels", busy),
             ("qob_pool_queue_depth", "Tasks waiting in the shared-pool queue", queued_tasks),
             ("qob_admission_executing", "Statements holding an execution slot", executing),

@@ -398,7 +398,7 @@ impl Session {
             let exec_options = self
                 .options
                 .execution_options()
-                .with_pool(shared.exec_pool.clone())
+                .with_pool(Some(Arc::clone(&shared.exec_pool)))
                 .with_trace_tag(Some(Arc::from(query.name.as_str())));
             // Admission: hold an execution slot for the whole execute
             // phase.  Parse/bind/optimize never queue — a point query's

@@ -267,8 +267,9 @@ fn scheduler_context_executes_identically_and_reports_gauges() {
         SessionOptions::default(),
         SchedulerConfig { workers: 3, max_concurrent: 2, max_queued: 8 },
     );
-    assert_eq!(plain.pool_gauges(), (0, 0, 0), "defaults run without a scheduler");
-    assert_eq!(scheduled.pool_gauges().0, 3);
+    let threads = SessionOptions::default().threads;
+    assert_eq!(plain.pool_gauges(), (threads - 1, 0, 0), "defaults size the pool from threads");
+    assert_eq!(scheduled.pool_gauges(), (3, 0, 0));
 
     let a = query_reports(plain.session().run_script(THREE_WAY).unwrap());
     let b = query_reports(scheduled.session().run_script(THREE_WAY).unwrap());
@@ -287,6 +288,19 @@ fn scheduler_context_executes_identically_and_reports_gauges() {
     assert!(body.contains("qob_pool_workers 3"), "{body}");
     assert!(body.contains("qob_admission_executing 0"), "{body}");
     qob_obs::validate_exposition(&body).expect("exposition still validates");
+}
+
+#[test]
+fn default_context_statements_run_on_its_pool_and_leave_telemetry() {
+    let server = server_with(SessionOptions { threads: 2, ..SessionOptions::default() });
+    assert_eq!(server.pool_gauges(), (1, 0, 0));
+    assert!(server.pipeline_spans().is_empty());
+    let reports = query_reports(server.session().run_script(THREE_WAY).unwrap());
+    let spans = server.pipeline_spans();
+    assert!(!spans.is_empty(), "every pipeline records at least one span");
+    assert!(spans.iter().all(|s| s.name == reports[0].name), "{spans:?}");
+    assert_eq!(server.worker_timelines().len(), 1);
+    assert_eq!(server.pool_gauges(), (1, 0, 0), "the statement left nothing running or queued");
 }
 
 #[test]

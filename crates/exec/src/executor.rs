@@ -1,6 +1,7 @@
 //! The plan executor: options, errors, results and the pipeline driver.
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 use qob_plan::{PhysicalPlan, QuerySpec, RelSet};
@@ -8,6 +9,7 @@ use qob_storage::{ColumnId, Database};
 
 use crate::intermediate::{Intermediate, Materialized};
 use crate::operators::ExecGuard;
+use crate::scheduler::WorkerPool;
 
 /// The number of worker threads the engine uses by default: everything the
 /// machine offers.
@@ -31,7 +33,8 @@ pub struct ExecutionOptions {
     /// Abort when any operator's output exceeds this many row-id slots, a
     /// memory guard against exploding plans.
     pub max_intermediate_slots: usize,
-    /// Worker threads driving each pipeline.  `1` reproduces the historical
+    /// Participants driving each pipeline: the calling thread plus up to
+    /// `threads − 1` workers of the pool.  `1` reproduces the historical
     /// sequential interpreter exactly (same hash-table sizing, insert order
     /// and output order); the default saturates all cores.
     pub threads: usize,
@@ -39,16 +42,16 @@ pub struct ExecutionOptions {
     /// source.  Smaller morsels spread uneven work better, larger ones
     /// amortise scheduling; the default suits cache-resident row-id tuples.
     pub morsel_size: usize,
-    /// The shared server-wide worker pool (see [`crate::scheduler`]).  When
-    /// set, parallel pipeline work is submitted to this pool so workers are
-    /// shared *across* concurrent queries; when `None` each pipeline scopes
-    /// its own thread pool (the historical one-shot behaviour).
-    pub pool: Option<std::sync::Arc<crate::scheduler::WorkerPool>>,
-    /// Label stamped on the pipeline spans this execution records on the
-    /// shared pool (typically the query name, e.g. `"17e"`).  `None` falls
-    /// back to `"pipeline"`.  Purely cosmetic: spans are recorded either
-    /// way whenever a pool is attached.
-    pub trace_tag: Option<std::sync::Arc<str>>,
+    /// The worker pool every parallel loop of the execution runs on (see
+    /// [`crate::scheduler`]).  A shared pool lets concurrent queries share
+    /// its workers and keeps their spans and timelines; `None` means a pool
+    /// private to the call, with `threads − 1` workers, made once when the
+    /// execution starts and dropped when it ends.
+    pub pool: Option<Arc<WorkerPool>>,
+    /// Label stamped on the pipeline spans this execution records on its
+    /// pool (typically the query name, e.g. `"17e"`).  `None` falls back to
+    /// `"pipeline"`.  Purely cosmetic: spans are recorded either way.
+    pub trace_tag: Option<Arc<str>>,
 }
 
 impl Default for ExecutionOptions {
@@ -78,18 +81,24 @@ impl ExecutionOptions {
         self
     }
 
-    /// Returns a copy attached to a shared worker pool (the serve path; see
-    /// [`crate::scheduler::WorkerPool`]).
-    pub fn with_pool(mut self, pool: Option<std::sync::Arc<crate::scheduler::WorkerPool>>) -> Self {
+    /// Returns a copy attached to a shared worker pool (see
+    /// [`ExecutionOptions::pool`]).
+    pub fn with_pool(mut self, pool: Option<Arc<WorkerPool>>) -> Self {
         self.pool = pool;
         self
     }
 
-    /// Returns a copy whose shared-pool pipeline spans are stamped with
-    /// `tag` (typically the query name) in Chrome trace exports.
-    pub fn with_trace_tag(mut self, tag: Option<std::sync::Arc<str>>) -> Self {
+    /// Returns a copy whose pipeline spans are stamped with `tag`
+    /// (typically the query name) in Chrome trace exports.
+    pub fn with_trace_tag(mut self, tag: Option<Arc<str>>) -> Self {
         self.trace_tag = tag;
         self
+    }
+
+    /// The pool an execution runs on: the attached one, or a new pool with
+    /// `threads − 1` workers (the calling thread is the last participant).
+    pub(crate) fn pool_or_private(&self) -> Arc<WorkerPool> {
+        self.pool.clone().unwrap_or_else(|| Arc::new(WorkerPool::new(self.threads.max(1) - 1)))
     }
 }
 

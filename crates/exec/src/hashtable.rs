@@ -130,8 +130,7 @@ impl ChainedHashTable {
     }
 
     /// Builds the table from per-morsel partition runs with up to `threads`
-    /// concurrent partition-wise inserts — on the shared worker `pool` when
-    /// one is attached, on a scoped pool otherwise.
+    /// concurrent partition-wise inserts on `pool`.
     ///
     /// `bucket_count` and the partition count (`runs[m].len()`, equal for
     /// every morsel) must be powers of two with partitions ≤ `bucket_count`;
@@ -147,7 +146,7 @@ impl ChainedHashTable {
         rehash: bool,
         runs: &PartitionRuns,
         threads: usize,
-        pool: Option<&crate::scheduler::WorkerPool>,
+        pool: &crate::scheduler::WorkerPool,
     ) -> Self {
         let parts = runs.first().map_or(1, Vec::len);
         debug_assert!(bucket_count.is_power_of_two());
@@ -181,25 +180,19 @@ impl ChainedHashTable {
         }
 
         let workers = threads.min(work.len()).max(1);
-        if workers == 1 {
-            for w in work {
+        let queue: Vec<parking_lot::Mutex<Option<PartitionInsert<'_>>>> =
+            work.into_iter().map(|w| parking_lot::Mutex::new(Some(w))).collect();
+        let cursor = std::sync::atomic::AtomicUsize::new(0);
+        let panicked = pool.run_tasks(workers, &|_slot| loop {
+            let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let Some(slot) = queue.get(i) else { break };
+            if let Some(w) = slot.lock().take() {
                 w.run(bucket_count);
             }
-        } else {
-            let queue: Vec<parking_lot::Mutex<Option<PartitionInsert<'_>>>> =
-                work.into_iter().map(|w| parking_lot::Mutex::new(Some(w))).collect();
-            let cursor = std::sync::atomic::AtomicUsize::new(0);
-            let panicked = crate::scheduler::run_participants(pool, workers, &|_slot| loop {
-                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(slot) = queue.get(i) else { break };
-                if let Some(w) = slot.lock().take() {
-                    w.run(bucket_count);
-                }
-            });
-            // Partition inserts are pure slice writes and cannot fail for
-            // valid inputs; an incomplete table must never be served.
-            assert!(!panicked, "partition insert panicked");
-        }
+        });
+        // Partition inserts are pure slice writes and cannot fail for valid
+        // inputs; an incomplete table must never be served.
+        assert!(!panicked, "partition insert panicked");
         ChainedHashTable { buckets, entries, rehash, resize_count: 0 }
     }
 
@@ -408,6 +401,7 @@ mod tests {
             seq.insert(k, t);
         }
         let bucket_count = seq.bucket_count();
+        let pool = crate::scheduler::WorkerPool::new(3);
         for partition_count in [1usize, 4, 16] {
             let stride = bucket_count / partition_count;
             let mut partitions: Vec<Vec<(i64, u32)>> = vec![Vec::new(); partition_count];
@@ -415,7 +409,7 @@ mod tests {
                 partitions[bucket_for(k, bucket_count) / stride].push((k, t));
             }
             let par =
-                ChainedHashTable::from_partitions(bucket_count, false, &[partitions], 4, None);
+                ChainedHashTable::from_partitions(bucket_count, false, &[partitions], 4, &pool);
             assert_eq!(par.len(), seq.len());
             assert_eq!(par.bucket_count(), seq.bucket_count());
             for key in -310..320 {
@@ -483,6 +477,7 @@ mod tests {
             probes.extend([0, -1, 1, i64::MIN, i64::MAX, 7]);
 
             let mut tables = Vec::new();
+            let pool = crate::scheduler::WorkerPool::new(2);
             for rehash in [false, true] {
                 let mut seq = ChainedHashTable::with_estimate(estimate as f64, rehash);
                 for &(k, t) in &model {
@@ -492,7 +487,7 @@ mod tests {
                 tables.push((format!("insert rehash={rehash}"), seq));
                 for parts in [1usize, 2, 4, 8] {
                     let runs = morsel_runs(&model, morsel, parts, bucket_count);
-                    let par = ChainedHashTable::from_partitions(bucket_count, rehash, &runs, 3, None);
+                    let par = ChainedHashTable::from_partitions(bucket_count, rehash, &runs, 3, &pool);
                     tables.push((format!("partitions={parts} rehash={rehash}"), par));
                 }
             }

@@ -19,6 +19,7 @@ use qob_storage::{Database, EncodedColumn, KeyIndex, Predicate, RowId, ScanFilte
 use crate::executor::{ExecutionError, ExecutionOptions};
 use crate::hashtable::{bucket_count_for, bucket_for, ChainedHashTable};
 use crate::intermediate::Intermediate;
+use crate::scheduler::WorkerPool;
 
 /// Runtime guard shared by all operators — and all worker threads — of one
 /// execution: wall-clock timeout, intermediate-size limit and a one-shot
@@ -238,6 +239,7 @@ pub fn build_hash_table(
     key: ColReader<'_>,
     estimate: f64,
     options: &ExecutionOptions,
+    pool: &WorkerPool,
     guard: &ExecGuard,
 ) -> Result<ChainedHashTable, ExecutionError> {
     let n = build.len();
@@ -265,20 +267,14 @@ pub fn build_hash_table(
     let parts = partition_count(threads, bucket_count);
     let stride = bucket_count / parts;
     // Every morsel's pairs, split by bucket range: runs[m][p].
-    let runs = morsel_pairs(build, key, options, guard, &|pairs| {
+    let runs = morsel_pairs(build, key, options, pool, guard, &|pairs| {
         let mut split = vec![Vec::new(); parts];
         for (v, t) in pairs {
             split[bucket_for(v, bucket_count) / stride].push((v, t));
         }
         split
     })?;
-    Ok(ChainedHashTable::from_partitions(
-        bucket_count,
-        options.enable_rehash,
-        &runs,
-        threads,
-        options.pool.as_deref(),
-    ))
+    Ok(ChainedHashTable::from_partitions(bucket_count, options.enable_rehash, &runs, threads, pool))
 }
 
 /// Extracts the non-NULL `(key, tuple index)` pairs of `input`
@@ -288,11 +284,12 @@ fn morsel_pairs<T: Send + Sync>(
     input: &Intermediate,
     key: ColReader<'_>,
     options: &ExecutionOptions,
+    pool: &WorkerPool,
     guard: &ExecGuard,
     split: &(dyn Fn(Vec<(i64, u32)>) -> T + Sync),
 ) -> Result<Vec<T>, ExecutionError> {
     let morsel = options.morsel_size.max(1);
-    run_indexed(input.len().div_ceil(morsel), options, guard, &|m, ticker| {
+    run_indexed(input.len().div_ceil(morsel), options, pool, guard, &|m, ticker| {
         let range = m * morsel..((m + 1) * morsel).min(input.len());
         ticker.tick_n(range.len())?;
         let mut keys = Vec::with_capacity(range.len());
@@ -302,22 +299,20 @@ fn morsel_pairs<T: Send + Sync>(
 }
 
 /// Runs `task(i, ticker)` for every `i < count` on up to `options.threads`
-/// participants and returns the results in index order.  Each result lands
-/// in a slot of its own, so the order is fixed by `i`, never by scheduling;
-/// the first error or panic aborts the remaining tasks.
+/// participants on `pool` and returns the results in index order.  Each
+/// result lands in a slot of its own, so the order is fixed by `i`, never by
+/// scheduling; the first error or panic aborts the remaining tasks.
 fn run_indexed<T: Send + Sync>(
     count: usize,
     options: &ExecutionOptions,
+    pool: &WorkerPool,
     guard: &ExecGuard,
     task: &(dyn Fn(usize, &mut Ticker<'_>) -> Result<T, ExecutionError> + Sync),
 ) -> Result<Vec<T>, ExecutionError> {
     let slots: Vec<OnceLock<T>> = (0..count).map(|_| OnceLock::new()).collect();
     let workers = options.threads.min(count).max(1);
     let cursor = AtomicUsize::new(0);
-    // Participants run on the shared server pool when one is attached (so
-    // concurrent queries share the same N threads), on a query-private
-    // scoped pool otherwise.
-    let panicked = crate::scheduler::run_participants(options.pool.as_deref(), workers, &|_slot| {
+    let panicked = pool.run_tasks(workers, &|_slot| {
         let mut ticker = Ticker::new(guard);
         while !guard.is_aborted() {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -625,10 +620,11 @@ pub fn merge_join(
     rest: &[(ColReader<'_>, ColReader<'_>)],
     out_rels: Vec<usize>,
     options: &ExecutionOptions,
+    pool: &WorkerPool,
     guard: &ExecGuard,
 ) -> Result<Intermediate, ExecutionError> {
-    let mut lkeys = morsel_pairs(left, lkey, options, guard, &|pairs| pairs)?.concat();
-    let mut rkeys = morsel_pairs(right, rkey, options, guard, &|pairs| pairs)?.concat();
+    let mut lkeys = morsel_pairs(left, lkey, options, pool, guard, &|pairs| pairs)?.concat();
+    let mut rkeys = morsel_pairs(right, rkey, options, pool, guard, &|pairs| pairs)?.concat();
     lkeys.sort_unstable();
     rkeys.sort_unstable();
 
@@ -649,7 +645,7 @@ pub fn merge_join(
     bounds.push(lkeys.len());
 
     let produced = AtomicU64::new(0);
-    let chunks = run_indexed(bounds.len() - 1, options, guard, &|i, _| {
+    let chunks = run_indexed(bounds.len() - 1, options, pool, guard, &|i, _| {
         let lslice = &lkeys[bounds[i]..bounds[i + 1]];
         // The matching right range for this key interval.
         let rslice = right_window(&rkeys, lslice);

@@ -32,6 +32,7 @@ use crate::operators::{
     build_hash_table, merge_join, BuildSide, ColReader, ExecGuard, HashProbeOp, IndexProbeOp,
     NlProbeOp, PipelineOp, ProbeBatch, Ticker,
 };
+use crate::scheduler::WorkerPool;
 
 /// Where a pipeline's tuples come from.
 enum Source<'a> {
@@ -117,7 +118,9 @@ pub(crate) fn run_plan(
     let card_index: HashMap<RelSet, usize> =
         card_order.iter().enumerate().map(|(i, set)| (*set, i)).collect();
     let counters = OpCounters::new(card_order.len());
-    let engine = Engine { db, query, options, guard, hint, card_index, counters, premat };
+    let pool = options.pool_or_private();
+    let engine =
+        Engine { db, query, options, pool: &pool, guard, hint, card_index, counters, premat };
     let out = engine.exec_node(plan)?;
     let cards = card_order
         .iter()
@@ -154,6 +157,8 @@ struct Engine<'a> {
     db: &'a Database,
     query: &'a QuerySpec,
     options: &'a ExecutionOptions,
+    /// The pool every pipeline of the plan runs on.
+    pool: &'a WorkerPool,
     guard: &'a ExecGuard,
     hint: &'a dyn Fn(RelSet) -> f64,
     card_index: HashMap<RelSet, usize>,
@@ -168,7 +173,7 @@ impl<'a> Engine<'a> {
     fn exec_node(&self, plan: &'a PhysicalPlan) -> Result<Intermediate, ExecutionError> {
         self.guard.poll()?;
         let pipeline = self.compile(plan)?;
-        drive(pipeline, self.options, self.guard, &self.counters)
+        drive(pipeline, self.options, self.pool, self.guard, &self.counters)
     }
 
     /// A reader for `rel.column` against tuples with slot layout `layout`.
@@ -242,6 +247,7 @@ impl<'a> Engine<'a> {
                         build_key,
                         estimate,
                         self.options,
+                        self.pool,
                         self.guard,
                     )?;
                     self.counters.nanos[self.card_of(plan.rels())].fetch_add(
@@ -373,6 +379,7 @@ impl<'a> Engine<'a> {
                         &rest,
                         out_rels.clone(),
                         self.options,
+                        self.pool,
                         self.guard,
                     )?;
                     let idx = self.card_of(plan.rels());
@@ -385,12 +392,13 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Drives one pipeline to completion: workers pull fixed-size morsels from
-/// the source, push them through the probe chain, and the per-morsel outputs
-/// concatenate in morsel order.
+/// Drives one pipeline to completion: participants on `pool` pull
+/// fixed-size morsels from the source, push them through the probe chain,
+/// and the per-morsel outputs concatenate in morsel order.
 fn drive(
     pipeline: Pipeline<'_>,
     options: &ExecutionOptions,
+    pool: &WorkerPool,
     guard: &ExecGuard,
     counters: &OpCounters,
 ) -> Result<Intermediate, ExecutionError> {
@@ -408,57 +416,39 @@ fn drive(
     let morsel_count = n.div_ceil(morsel);
     let workers = options.threads.min(morsel_count).max(1);
     let cursor = AtomicUsize::new(0);
+    let tag = options.trace_tag.as_deref().unwrap_or("pipeline");
 
-    let mut chunks: Vec<(usize, Vec<RowId>)> = Vec::new();
-    if workers == 1 {
-        // Run on the caller's thread: no spawn cost, and the exact sequential
-        // behaviour for `threads: 1`.  A single-participant pipeline on a
-        // server with a shared pool still shows up in the trace ring —
-        // otherwise small queries would leave blank traces.
-        let stint_started = options.pool.as_ref().map(|_| std::time::Instant::now());
-        worker(&pipeline, options, guard, counters, &cursor, morsel_count, &mut chunks);
-        if let (Some(pool), Some(started)) = (options.pool.as_deref(), stint_started) {
-            pool.record_span(options.trace_tag.as_deref().unwrap_or("pipeline"), started);
+    // Each participant keeps its output keyed by morsel index and merges it
+    // into the shared sink, so the concatenation below is identical however
+    // many participants the pool granted.
+    let sink: parking_lot::Mutex<Vec<(usize, Vec<RowId>)>> = parking_lot::Mutex::new(Vec::new());
+    let panicked = pool.run_tasks(workers, &|_slot| {
+        // Test-only fault injection: a sentinel morsel size panics
+        // participants, giving the containment path
+        // (`ExecutionError::WorkerPanicked` instead of unwinding through a
+        // warm server) a deterministic test.
+        #[cfg(test)]
+        if options.morsel_size == TEST_PANIC_MORSEL_SIZE {
+            panic!("injected worker panic (test sentinel morsel size)");
         }
-    } else {
-        // Parallel participants — on the shared server pool when one is
-        // attached, on a query-private scoped pool otherwise.  Either way
-        // each participant keeps its output keyed by morsel index and merges
-        // it into the shared sink, so the concatenation below is identical.
-        let sink: parking_lot::Mutex<Vec<(usize, Vec<RowId>)>> = parking_lot::Mutex::new(chunks);
-        let panicked =
-            crate::scheduler::run_participants(options.pool.as_deref(), workers, &|_slot| {
-                // Test-only fault injection: a sentinel morsel size panics
-                // participants, giving the containment path
-                // (`ExecutionError::WorkerPanicked` instead of unwinding
-                // through a warm server) a deterministic test on both the
-                // scoped and the shared-pool schedulers.
-                #[cfg(test)]
-                if options.morsel_size == TEST_PANIC_MORSEL_SIZE {
-                    panic!("injected worker panic (test sentinel morsel size)");
-                }
-                // On the shared pool, each participant's stint becomes one
-                // pipeline span in the trace ring — recording happens after
-                // the work, off the morsel path, so it cannot perturb
-                // tuple-for-tuple determinism.
-                let stint_started = options.pool.as_ref().map(|_| std::time::Instant::now());
-                let mut local = Vec::new();
-                worker(&pipeline, options, guard, counters, &cursor, morsel_count, &mut local);
-                if !local.is_empty() {
-                    sink.lock().extend(local);
-                }
-                if let (Some(pool), Some(started)) = (options.pool.as_deref(), stint_started) {
-                    pool.record_span(options.trace_tag.as_deref().unwrap_or("pipeline"), started);
-                }
-            });
-        if panicked {
-            guard.abort(ExecutionError::WorkerPanicked);
+        // Each participant's stint becomes one pipeline span in the pool's
+        // trace ring — recorded after the work, off the morsel path, so it
+        // cannot perturb tuple-for-tuple determinism.
+        let started = std::time::Instant::now();
+        let mut local = Vec::new();
+        worker(&pipeline, options, guard, counters, &cursor, morsel_count, &mut local);
+        if !local.is_empty() {
+            sink.lock().extend(local);
         }
-        chunks = sink.into_inner();
+        pool.record_span(tag, started);
+    });
+    if panicked {
+        guard.abort(ExecutionError::WorkerPanicked);
     }
     if let Some(e) = guard.failure() {
         return Err(e);
     }
+    let mut chunks = sink.into_inner();
     chunks.sort_unstable_by_key(|(m, _)| *m);
     Ok(Intermediate::from_chunks(pipeline.out_rels, chunks.into_iter().map(|(_, c)| c).collect()))
 }
@@ -566,7 +556,7 @@ fn copy_tuples(
 ///
 /// Builds on `left` (sized from `build_estimate`), probes with `right`,
 /// producing `left ++ right` tuples exactly like the historical sequential
-/// operator.
+/// operator.  Runs on `options.pool`, or on a pool made for this call.
 #[allow(clippy::too_many_arguments)] // mirrors the historical operator ABI
 pub fn hash_join(
     db: &Database,
@@ -588,8 +578,9 @@ pub fn hash_join(
             db.table(query.relations[rel].table).column(column),
         ))
     };
+    let pool = options.pool_or_private();
     let build_key = reader(left.rels(), first.left_rel, first.left_column)?;
-    let table = build_hash_table(left, build_key, build_estimate, options, guard)?;
+    let table = build_hash_table(left, build_key, build_estimate, options, &pool, guard)?;
     let probe = reader(right.rels(), first.right_rel, first.right_column)?;
     let rest = keys[1..]
         .iter()
@@ -612,13 +603,13 @@ pub fn hash_join(
     });
     let counters = OpCounters::new(1);
     let pipeline = Pipeline { source: Source::MatRef(right), ops: vec![op], out_rels };
-    drive(pipeline, options, guard, &counters)
+    drive(pipeline, options, &pool, guard, &counters)
 }
 
-/// Sentinel `morsel_size` that makes spawned pipeline workers panic under
-/// `cfg(test)` — see the fault injection in [`drive`].  Small, so multi-
-/// morsel scheduling actually spawns workers; distinct from every value the
-/// crate's tests use for real runs.
+/// Sentinel `morsel_size` that makes pipeline participants panic under
+/// `cfg(test)` — see the fault injection in [`drive`].  Small, so pipelines
+/// have many morsels and several participants; distinct from every value
+/// the crate's tests use for real runs.
 #[cfg(test)]
 pub(crate) const TEST_PANIC_MORSEL_SIZE: usize = 7;
 
@@ -802,6 +793,7 @@ mod tests {
         let run = |threads: usize| {
             let options = opts(threads, true);
             let guard = ExecGuard::new(&options);
+            let pool = options.pool_or_private();
             merge_join(
                 &left,
                 &right,
@@ -810,6 +802,7 @@ mod tests {
                 &[],
                 vec![0, 1],
                 &options,
+                &pool,
                 &guard,
             )
             .unwrap()
@@ -821,9 +814,8 @@ mod tests {
     }
 
     /// The shared-pool scheduler must preserve the determinism contract: a
-    /// query on the server-wide [`crate::scheduler::WorkerPool`] is tuple for
-    /// tuple identical to the sequential engine and to the per-query scoped
-    /// pool, for all join algorithms.
+    /// query on a server-wide [`crate::scheduler::WorkerPool`] is tuple for
+    /// tuple identical to the sequential engine, for all join algorithms.
     #[test]
     fn shared_pool_execution_is_tuple_for_tuple_identical() {
         let (db, q) = setup();
@@ -913,17 +905,13 @@ mod tests {
         };
         let result = execute_plan(&db, &q, &plan, &|_| 100.0, &healthy).unwrap();
         assert_eq!(result.rows, 300);
-        // All workers drain back to idle (stale tickets clear in bounded
-        // time once the queries above have completed).
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while pool.busy() != 0 && std::time::Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        assert_eq!(pool.busy(), 0, "no worker leaked out of the pool");
+        // Every batch returned its workers and withdrew its tickets.
+        assert_eq!((pool.busy(), pool.queued()), (0, 0), "no worker leaked out of the pool");
     }
 
     /// A panicking worker must surface as `WorkerPanicked`, not unwind: one
-    /// poisoned statement cannot take down a warm `qob serve` process.
+    /// poisoned statement cannot take down a warm `qob serve` process.  With
+    /// no pool attached this runs on the execution's private pool.
     #[test]
     fn worker_panics_are_contained_as_execution_errors() {
         let (db, q) = setup();

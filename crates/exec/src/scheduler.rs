@@ -1,14 +1,15 @@
-//! The server-wide execution scheduler: one shared worker pool with a global
-//! task queue that every concurrent query feeds.
+//! The execution scheduler: a long-lived [`WorkerPool`] with a global task
+//! queue, on which every parallel loop of the engine runs.
 //!
-//! Historically each pipeline spun up its own `std::thread::scope` pool, so N
-//! concurrent clients meant N full-width pools oversubscribing the machine.
-//! A [`WorkerPool`] is created **once** (at `qob serve --workers N`) and
-//! attached to [`crate::ExecutionOptions`]; every pipeline then submits its
-//! parallel work as a batch of *participant slots* to the global queue, and
-//! the pool's workers pull slots across queries — a worker that finishes one
-//! query's morsels immediately picks up another query's, so the machine runs
-//! exactly N execution threads no matter how many queries are in flight.
+//! A server creates **one** pool (`qob serve --workers N`, or `threads − 1`
+//! workers for a context built from session defaults) and attaches it to
+//! [`crate::ExecutionOptions`]; every pipeline then submits its parallel
+//! work as a batch of *participant slots* to the global queue, and the
+//! pool's workers pull slots across queries — a worker that finishes one
+//! query's morsels immediately picks up another query's, so the machine
+//! runs exactly N execution threads no matter how many queries are in
+//! flight.  An execution with no pool attached makes a private one once,
+//! at its entry point, and runs every pipeline of the call on it.
 //!
 //! Scheduling model (the morsel paper's, at pipeline granularity):
 //!
@@ -18,7 +19,8 @@
 //!   even with every pool worker busy on someone else's 28-way join, a
 //!   point query still progresses on its own connection thread at
 //!   single-thread speed — it can only ever go *faster* when helpers are
-//!   free.
+//!   free.  A pool of zero workers therefore runs everything on the
+//!   submitting thread and spawns nothing.
 //! * The offer is elastic: at most `idle workers` tickets go on the queue
 //!   (never more than `slots - 1`).  A saturated pool hands out none, so
 //!   under heavy concurrency each query degrades to inline sequential
@@ -28,9 +30,10 @@
 //!   drains a shared morsel cursor, so any participant count produces the
 //!   same result.
 //! * Helpers that arrive after the work is gone (the submitter or other
-//!   helpers exhausted the morsel cursor) claim nothing and return to the
-//!   queue immediately; the submitter cancels unclaimed slots on its way
-//!   out rather than waiting for stragglers.
+//!   helpers exhausted the slots) claim nothing.  On its way out the
+//!   submitter withdraws its tickets still on the queue and waits for every
+//!   helper holding one to return it, so when `run_tasks` returns the
+//!   batch has left no trace in the `busy` and `queued` gauges.
 //! * Panics inside a slot are caught ([`std::panic::catch_unwind`]) and
 //!   reported to the submitter as a flag — the owning query surfaces
 //!   [`crate::ExecutionError::WorkerPanicked`] while the worker thread
@@ -38,7 +41,7 @@
 //!
 //! Determinism is unaffected: the pool changes *which threads* pull morsels,
 //! not how their outputs are keyed — per-morsel chunks still concatenate in
-//! morsel order, so a query on the shared pool stays tuple-identical to
+//! morsel order, so a query on any pool stays tuple-identical to
 //! `threads: 1`.
 
 use std::cell::Cell;
@@ -59,54 +62,50 @@ fn wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(g).unwrap_or_else(|e| e.into_inner())
 }
 
-/// Progress of one submitted task batch, all guarded by one mutex so claim,
-/// cancel and completion interleave without memory-ordering subtleties.
-#[derive(Default)]
-struct TaskState {
-    /// Slots handed out (to the submitter or pool workers).
-    started: usize,
-    /// Slots whose job invocation returned (or panicked).
-    finished: usize,
-    /// Set by the submitter on its way out: no further claims.
-    cancelled: bool,
-    /// A slot's job panicked (the panic itself was caught).
-    panicked: bool,
-}
-
 /// One submitted batch of participant slots sharing a borrowed job closure.
 struct TaskShared {
     /// The job, lifetime-erased.  Safety: [`WorkerPool::run_tasks`] does not
-    /// return until every started slot has finished, and slots are only
-    /// started while the submitter is still inside that call — so the
-    /// closure (and everything it borrows) outlives every dereference.
+    /// return while a ticket of this batch is queued or held by a worker,
+    /// and only ticket holders and the submitter run slots — so the closure
+    /// (and everything it borrows) outlives every dereference.
     job: &'static (dyn Fn(usize) + Sync),
     slots: usize,
-    state: Mutex<TaskState>,
-    done: Condvar,
+    /// The next unclaimed slot; claims past `slots` find the batch exhausted.
+    next: AtomicUsize,
+    /// A slot's job panicked (the panic itself was caught).  The submitter
+    /// reads it after every holder has released: the `holders` mutex orders
+    /// a helper's store before that read.
+    panicked: AtomicBool,
+    /// Workers that popped a ticket of this batch and have not yet lowered
+    /// the pool's `busy` gauge; the submitter waits for zero.
+    holders: Mutex<usize>,
+    released: Condvar,
 }
 
 impl TaskShared {
-    /// Claims the next unclaimed slot, or `None` when the batch is exhausted
-    /// or cancelled.
-    fn claim(&self) -> Option<usize> {
-        let mut st = lock(&self.state);
-        if st.cancelled || st.started >= self.slots {
-            return None;
+    /// Runs claimed slots until the batch is exhausted, containing panics.
+    /// Returns whether any slot was claimed.
+    fn drain(&self) -> bool {
+        let mut claimed = false;
+        loop {
+            let idx = self.next.fetch_add(1, Ordering::Relaxed);
+            if idx >= self.slots {
+                return claimed;
+            }
+            claimed = true;
+            if catch_unwind(AssertUnwindSafe(|| (self.job)(idx))).is_err() {
+                self.panicked.store(true, Ordering::Relaxed);
+            }
         }
-        let idx = st.started;
-        st.started += 1;
-        Some(idx)
     }
 
-    /// Runs the job for a claimed slot, containing panics.
-    fn run_slot(&self, idx: usize) {
-        let outcome = catch_unwind(AssertUnwindSafe(|| (self.job)(idx)));
-        let mut st = lock(&self.state);
-        st.finished += 1;
-        if outcome.is_err() {
-            st.panicked = true;
+    /// Called by a ticket holder once it has lowered `busy`.
+    fn release(&self) {
+        let mut holders = lock(&self.holders);
+        *holders -= 1;
+        if *holders == 0 {
+            self.released.notify_all();
         }
-        self.done.notify_all();
     }
 }
 
@@ -196,7 +195,7 @@ struct PoolShared {
     queue: Mutex<VecDeque<Arc<TaskShared>>>,
     wake: Condvar,
     shutdown: AtomicBool,
-    /// Workers currently executing task slots (a gauge for `metrics`).
+    /// Workers holding a helper ticket (a gauge for `metrics`).
     busy: AtomicUsize,
     /// One timeline per worker thread, indexed like `handles`.
     timelines: Vec<WorkerTimeline>,
@@ -224,9 +223,9 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns a pool of `workers` execution threads (clamped to at least 1).
+    /// Spawns a pool of `workers` execution threads.  `0` is a pool that
+    /// runs every batch on the submitting thread and spawns nothing.
     pub fn new(workers: usize) -> WorkerPool {
-        let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(VecDeque::new()),
             wake: Condvar::new(),
@@ -253,7 +252,8 @@ impl WorkerPool {
         self.handles.len()
     }
 
-    /// Workers currently executing task slots.
+    /// Workers holding a helper ticket, i.e. running (or about to run)
+    /// another thread's task slots.
     pub fn busy(&self) -> usize {
         self.shared.busy.load(Ordering::Relaxed)
     }
@@ -300,11 +300,13 @@ impl WorkerPool {
         ring.push_back(span);
     }
 
-    /// Runs `job(idx)` once for every slot `idx` in `0..slots`, spreading
-    /// slots across free pool workers while **always participating on the
-    /// calling thread**.  Blocks until every claimed slot has finished; slots
-    /// nobody claimed by then are cancelled.  Returns `true` if any slot's
-    /// job panicked (each panic is caught; worker threads survive).
+    /// Runs `job(idx)` once for each of between 1 and `slots` participant
+    /// slots `idx = 0, 1, …`: the calling thread **always participates**,
+    /// and up to `slots - 1` free pool workers join it.  Returns once every
+    /// slot has finished, the tickets no worker took are withdrawn from the
+    /// queue, and every worker that took one has lowered `busy` again.
+    /// Returns `true` if any slot's job panicked (each panic is caught;
+    /// worker threads survive).
     ///
     /// The helper offer is *elastic*: at most as many tickets go on the
     /// queue as the pool has idle workers right now.  A saturated pool gets
@@ -319,17 +321,19 @@ impl WorkerPool {
             return false;
         }
         // SAFETY: only the lifetime is erased.  The closure is dereferenced
-        // exclusively through started slots, and this function does not
-        // return before `finished == started` with no further claims
-        // possible — so no dereference outlives the borrow.
+        // only by the submitter and by workers holding a ticket, and this
+        // function does not return before its tickets are off the queue and
+        // every holder has released — so no dereference outlives the borrow.
         let job: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(job) };
         let idle = self.workers().saturating_sub(self.shared.busy.load(Ordering::Relaxed));
         let helpers = (slots - 1).min(idle);
         let task = Arc::new(TaskShared {
             job,
             slots: 1 + helpers,
-            state: Mutex::new(TaskState::default()),
-            done: Condvar::new(),
+            next: AtomicUsize::new(0),
+            panicked: AtomicBool::new(false),
+            holders: Mutex::new(0),
+            released: Condvar::new(),
         });
         if helpers > 0 {
             let mut q = lock(&self.shared.queue);
@@ -343,22 +347,29 @@ impl WorkerPool {
         }
         // Participate: the submitter claims slots like any worker, so the
         // batch completes even when every pool worker is busy elsewhere.
-        while let Some(idx) = task.claim() {
-            task.run_slot(idx);
+        task.drain();
+        if helpers > 0 {
+            // Withdraw the tickets nobody popped, then wait out the holders
+            // of the rest (a holder runs its claimed slots before releasing).
+            lock(&self.shared.queue).retain(|t| !Arc::ptr_eq(t, &task));
+            let mut holders = lock(&task.holders);
+            while *holders > 0 {
+                holders = wait(&task.released, holders);
+            }
         }
-        // Cancel unclaimed slots, then wait out the ones still running.
-        let mut st = lock(&task.state);
-        st.cancelled = true;
-        while st.finished < st.started {
-            st = wait(&task.done, st);
-        }
-        st.panicked
+        task.panicked.load(Ordering::Relaxed)
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        // Raise the flag under the queue lock: a worker that found it unset
+        // still holds the lock until it is parked on `wake`, so the notify
+        // below cannot fall between its check and its wait.
+        {
+            let _queue = lock(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::Relaxed);
+        }
         self.shared.wake.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -378,54 +389,26 @@ fn worker_main(shared: &PoolShared, index: usize) {
                     return;
                 }
                 if let Some(t) = q.pop_front() {
+                    // Become a holder before the queue lock drops, so a
+                    // submitter withdrawing its tickets either finds this
+                    // one still queued or waits for this worker to release.
+                    shared.busy.fetch_add(1, Ordering::Relaxed);
+                    *lock(&t.holders) += 1;
                     break t;
                 }
                 q = wait(&shared.wake, q);
             }
         };
         timeline.idle_nanos.fetch_add(idle_from.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        shared.busy.fetch_add(1, Ordering::Relaxed);
         let busy_from = Instant::now();
-        // Drain the ticket: keep claiming slots until the batch is exhausted
-        // (a stale ticket whose batch already finished claims nothing and
-        // costs one lock round-trip).
-        let mut claimed = false;
-        while let Some(idx) = task.claim() {
-            claimed = true;
-            task.run_slot(idx);
-        }
         // A drained ticket that still had work is one act of cross-query
         // help: this worker ran morsels some other thread submitted.
-        if claimed {
+        if task.drain() {
             timeline.steals.fetch_add(1, Ordering::Relaxed);
         }
         timeline.busy_nanos.fetch_add(busy_from.elapsed().as_nanos() as u64, Ordering::Relaxed);
         shared.busy.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Runs `count` parallel participants over `job`: on the shared pool when
-/// one is attached, otherwise on a query-private `std::thread::scope` pool
-/// (a context without a scheduler: one-shot runs, and the reference side of
-/// the pipeline and concurrent-execution differentials) whose participant 0
-/// is the calling thread itself.  Returns `true` if any participant
-/// panicked; panics never unwind past this call.
-pub(crate) fn run_participants(
-    pool: Option<&WorkerPool>,
-    count: usize,
-    job: &(dyn Fn(usize) + Sync),
-) -> bool {
-    match pool {
-        Some(pool) => pool.run_tasks(count, job),
-        None if count == 0 => false,
-        None => std::thread::scope(|s| {
-            let handles: Vec<_> = (1..count).map(|i| s.spawn(move || job(i))).collect();
-            let mut panicked = catch_unwind(AssertUnwindSafe(|| job(0))).is_err();
-            for h in handles {
-                panicked |= h.join().is_err();
-            }
-            panicked
-        }),
+        task.release();
     }
 }
 
@@ -433,19 +416,30 @@ pub(crate) fn run_participants(
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
+
+    /// Spins until `n` participants have called in, or gives up after ten
+    /// seconds: a participant that never comes fails the test instead of
+    /// hanging it.  Returns whether all `n` arrived.
+    fn rendezvous(arrived: &AtomicUsize, n: usize) -> bool {
+        arrived.fetch_add(1, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while arrived.load(Ordering::SeqCst) < n {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
 
     #[test]
     fn every_claimed_slot_runs_exactly_once() {
         // The submitter claims until the batch is exhausted, so on an idle
         // pool exactly `min(slots, workers + 1)` participants run — each
-        // precisely once.
+        // precisely once — and each batch leaves the gauges at zero.
         let pool = WorkerPool::new(4);
         for slots in [1usize, 2, 7, 64] {
-            // The elastic offer reads the busy gauge, so make sure every
-            // worker from the previous batch has fully returned to idle.
-            while pool.busy() > 0 || pool.queued() > 0 {
-                std::thread::yield_now();
-            }
             let hits: Vec<AtomicU64> = (0..slots).map(|_| AtomicU64::new(0)).collect();
             let panicked = pool.run_tasks(slots, &|i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
@@ -456,7 +450,55 @@ mod tests {
                 let want = u64::from(i < expected);
                 assert_eq!(h.load(Ordering::Relaxed), want, "slot {i} of {slots}");
             }
+            assert_eq!((pool.busy(), pool.queued()), (0, 0), "{slots} slots");
         }
+    }
+
+    #[test]
+    fn back_to_back_batches_each_get_the_idle_helper() {
+        // The second batch is submitted the moment the first returns: its
+        // elastic offer must already see the pool's one worker as idle.
+        let pool = WorkerPool::new(1);
+        for batch in 0..2 {
+            let arrived = AtomicUsize::new(0);
+            let met = AtomicUsize::new(0);
+            assert!(!pool.run_tasks(2, &|_| {
+                if rendezvous(&arrived, 2) {
+                    met.fetch_add(1, Ordering::SeqCst);
+                }
+            }));
+            assert_eq!(met.load(Ordering::SeqCst), 2, "batch {batch}: the helper joined");
+            assert_eq!((pool.busy(), pool.queued()), (0, 0), "batch {batch}");
+        }
+    }
+
+    #[test]
+    fn a_pool_without_workers_runs_every_batch_on_the_submitter() {
+        let pool = WorkerPool::new(0);
+        assert_eq!(pool.workers(), 0);
+        let tids = Mutex::new(Vec::new());
+        assert!(!pool.run_tasks(4, &|_| lock(&tids).push(trace_tid())));
+        assert_eq!(*lock(&tids), vec![trace_tid()], "one participant: the submitting thread");
+        assert!(pool.run_tasks(2, &|_| panic!("injected")), "panics are still contained");
+        assert_eq!((pool.busy(), pool.queued()), (0, 0));
+        assert!(pool.timelines().is_empty());
+    }
+
+    #[test]
+    fn dropping_a_pool_joins_its_workers() {
+        // Executions make and drop a private pool each, so a drop racing a
+        // worker on its way to park must not leave that worker asleep.
+        let (done, finished) = std::sync::mpsc::channel();
+        let cycles = std::thread::spawn(move || {
+            for _ in 0..300 {
+                let pool = WorkerPool::new(2);
+                pool.run_tasks(3, &|_| {});
+            }
+            done.send(()).unwrap();
+        });
+        let joined = finished.recv_timeout(Duration::from_secs(60));
+        assert!(joined.is_ok(), "a dropped pool never joined its workers");
+        cycles.join().unwrap();
     }
 
     #[test]
@@ -465,22 +507,26 @@ mod tests {
         // not block a new submitter: the submitter participates itself.
         let pool = Arc::new(WorkerPool::new(1));
         let release = Arc::new((Mutex::new(false), Condvar::new()));
-        let (r, blocker) = (Arc::clone(&release), Arc::clone(&pool));
+        let parked = Arc::new(AtomicUsize::new(0));
+        let (r, p, blocker) = (Arc::clone(&release), Arc::clone(&parked), Arc::clone(&pool));
         let hog = std::thread::spawn(move || {
             blocker.run_tasks(2, &|_| {
                 // Every participant parks: the hog's own thread on one slot,
                 // the pool's only worker on the other.
+                p.fetch_add(1, Ordering::SeqCst);
                 let mut go = lock(&r.0);
                 while !*go {
                     go = wait(&r.1, go);
                 }
             });
         });
-        // Wait until the pool worker has actually claimed the hog's helper
-        // slot and parked inside it.
-        while pool.busy() < 1 {
+        // Both of the hog's participants are inside their slots.
+        let waited = Instant::now();
+        while parked.load(Ordering::SeqCst) < 2 {
+            assert!(waited.elapsed() < Duration::from_secs(10), "the hog never parked");
             std::thread::yield_now();
         }
+        assert_eq!(pool.busy(), 1, "the only worker is parked in the hog's slot");
         let ran = AtomicU64::new(0);
         let panicked = pool.run_tasks(3, &|_| {
             ran.fetch_add(1, Ordering::Relaxed);
@@ -493,6 +539,7 @@ mod tests {
         *lock(&release.0) = true;
         release.1.notify_all();
         hog.join().unwrap();
+        assert_eq!((pool.busy(), pool.queued()), (0, 0));
     }
 
     #[test]
@@ -504,34 +551,30 @@ mod tests {
             }
         });
         assert!(panicked);
-        // The pool still works after the panic: the workers returned.
-        while pool.busy() > 0 || pool.queued() > 0 {
-            std::thread::yield_now();
-        }
-        let ran = AtomicU64::new(0);
+        // The workers returned to the pool, and it still works.
+        assert_eq!((pool.busy(), pool.queued()), (0, 0));
+        let arrived = AtomicUsize::new(0);
+        let met = AtomicUsize::new(0);
         let panicked = pool.run_tasks(4, &|_| {
-            ran.fetch_add(1, Ordering::Relaxed);
+            if rendezvous(&arrived, 3) {
+                met.fetch_add(1, Ordering::SeqCst);
+            }
         });
         assert!(!panicked);
-        assert_eq!(ran.load(Ordering::Relaxed), 3, "submitter plus both surviving workers");
+        assert_eq!(met.load(Ordering::SeqCst), 3, "submitter plus both surviving workers");
     }
 
     #[test]
     fn timelines_accumulate_busy_idle_and_steals() {
         let pool = WorkerPool::new(2);
         // Give the workers a moment parked on the queue so idle time lands.
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        std::thread::sleep(Duration::from_millis(5));
         for _ in 0..4 {
-            while pool.busy() > 0 || pool.queued() > 0 {
-                std::thread::yield_now();
-            }
             pool.run_tasks(3, &|_| {
-                std::thread::sleep(std::time::Duration::from_millis(2));
+                std::thread::sleep(Duration::from_millis(2));
             });
         }
-        while pool.busy() > 0 {
-            std::thread::yield_now();
-        }
+        assert_eq!(pool.busy(), 0);
         let timelines = pool.timelines();
         assert_eq!(timelines.len(), 2);
         assert!(
@@ -573,36 +616,20 @@ mod tests {
 
     #[test]
     fn pool_worker_trace_tids_are_their_index_plus_one() {
-        let pool = Arc::new(WorkerPool::new(2));
+        let pool = WorkerPool::new(2);
         let tids = Mutex::new(Vec::new());
         // Force both workers to participate by parking each claimed slot
         // until everyone has arrived.
         let arrived = AtomicUsize::new(0);
-        pool.run_tasks(3, &|_| {
+        let panicked = pool.run_tasks(3, &|_| {
             lock(&tids).push(trace_tid());
-            arrived.fetch_add(1, Ordering::Relaxed);
-            while arrived.load(Ordering::Relaxed) < 3 {
-                std::thread::yield_now();
-            }
+            assert!(rendezvous(&arrived, 3), "all three participants arrive");
         });
+        assert!(!panicked);
         let mut tids = lock(&tids).clone();
         tids.sort_unstable();
         assert_eq!(tids.len(), 3);
         assert_eq!(&tids[..2], &[1, 2], "pool workers are tids 1..=workers");
         assert!(tids[2] >= 100, "the submitter is a tid >= 100");
-    }
-
-    #[test]
-    fn scoped_fallback_matches_pool_contract() {
-        let hits: Vec<AtomicU64> = (0..8).map(|_| AtomicU64::new(0)).collect();
-        assert!(!run_participants(None, 8, &|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        }));
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        assert!(run_participants(None, 2, &|i| {
-            if i == 0 {
-                panic!("injected");
-            }
-        }));
     }
 }

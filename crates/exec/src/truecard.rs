@@ -6,6 +6,7 @@
 //! each intermediate to build the next larger ones.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use qob_plan::{QuerySpec, RelSet};
 use qob_storage::Database;
@@ -14,6 +15,7 @@ use crate::executor::{default_threads, ExecutionError, ExecutionOptions};
 use crate::intermediate::Intermediate;
 use crate::operators::{scan, ExecGuard};
 use crate::pipeline::hash_join;
+use crate::scheduler::WorkerPool;
 
 /// Options for ground-truth extraction.
 #[derive(Debug, Clone)]
@@ -50,11 +52,14 @@ pub fn true_cardinalities(
     query: &QuerySpec,
     options: &TrueCardinalityOptions,
 ) -> Result<HashMap<RelSet, u64>, ExecutionError> {
+    let threads = options.threads.max(1);
     let exec_options = ExecutionOptions {
         enable_rehash: true,
         timeout: options.timeout,
         max_intermediate_slots: options.max_intermediate_slots,
-        threads: options.threads.max(1),
+        threads,
+        // One pool for every join of the extraction, not one per join.
+        pool: Some(Arc::new(WorkerPool::new(threads - 1))),
         ..ExecutionOptions::default()
     };
     let guard = ExecGuard::new(&exec_options);
@@ -144,8 +149,9 @@ pub fn true_cardinalities(
 }
 
 /// Computes ground truth for many queries at once, spreading whole queries
-/// across `workers` threads — the natural parallelisation of the paper's
-/// `SELECT COUNT(*)` harvest, where per-query extraction cost dominates.
+/// across `workers` participants of a pool made for the batch — the natural
+/// parallelisation of the paper's `SELECT COUNT(*)` harvest, where
+/// per-query extraction cost dominates.
 ///
 /// Results come back in input order; each query carries its own
 /// success-or-failure so one timed-out query cannot poison the batch.
@@ -159,21 +165,15 @@ pub fn true_cardinalities_batch(
 ) -> Vec<Result<HashMap<RelSet, u64>, ExecutionError>> {
     type QueryTruth = Result<HashMap<RelSet, u64>, ExecutionError>;
     let workers = workers.min(queries.len()).max(1);
-    if workers == 1 {
-        return queries.iter().map(|q| true_cardinalities(db, q, options)).collect();
-    }
     let cursor = std::sync::atomic::AtomicUsize::new(0);
     let results: Vec<parking_lot::Mutex<Option<QueryTruth>>> =
         queries.iter().map(|_| parking_lot::Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(query) = queries.get(i) else { break };
-                *results[i].lock() = Some(true_cardinalities(db, query, options));
-            });
-        }
+    let panicked = WorkerPool::new(workers - 1).run_tasks(workers, &|_slot| loop {
+        let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let Some(query) = queries.get(i) else { break };
+        *results[i].lock() = Some(true_cardinalities(db, query, options));
     });
+    assert!(!panicked, "ground-truth extraction panicked");
     results.into_iter().map(|slot| slot.into_inner().expect("every query processed")).collect()
 }
 

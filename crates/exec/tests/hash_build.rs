@@ -5,7 +5,7 @@
 //! be optimised away by accident.
 
 use qob_exec::operators::{build_hash_table, ColReader, ExecGuard};
-use qob_exec::{ChainedHashTable, ExecutionOptions, Intermediate};
+use qob_exec::{ChainedHashTable, ExecutionOptions, Intermediate, WorkerPool};
 use qob_storage::{ColumnId, ColumnMeta, DataType, RowId, Table, TableBuilder, Value};
 
 /// Rows over two pages, each column NULL-heavy and duplicate-heavy: column 0
@@ -45,7 +45,8 @@ fn build(
     enable_rehash: bool,
 ) -> ChainedHashTable {
     let options = ExecutionOptions { threads, morsel_size, enable_rehash, ..Default::default() };
-    build_hash_table(side, key, estimate, &options, &ExecGuard::new(&options)).unwrap()
+    let pool = WorkerPool::new(threads - 1);
+    build_hash_table(side, key, estimate, &options, &pool, &ExecGuard::new(&options)).unwrap()
 }
 
 fn probes(table: &ChainedHashTable, keys: impl Iterator<Item = i64>) -> Vec<Vec<RowId>> {

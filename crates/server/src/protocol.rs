@@ -475,8 +475,8 @@ pub fn stats_response(
     ])
 }
 
-/// Renders the shared pool's per-worker busy/idle/steal accumulators (an
-/// empty array for a context without a scheduler).
+/// Renders the shared pool's per-worker busy/idle/steal accumulators, one
+/// entry per pool worker.
 fn worker_timelines_json(server: &ServerContext) -> Json {
     Json::Arr(
         server

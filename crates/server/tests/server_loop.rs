@@ -1,8 +1,6 @@
 //! End-to-end tests of the TCP server loop: one warm context, real
 //! sockets, the full request catalogue, and cooperative shutdown.
 
-use std::time::{Duration, Instant};
-
 use qob_core::{BenchmarkContext, SchedulerConfig, ServerContext, SessionOptions};
 use qob_datagen::Scale;
 use qob_server::{serve, Client, Request, ServerConfig};
@@ -528,9 +526,10 @@ fn three_way_answer(client: &mut Client) -> (u64, f64) {
 
 #[test]
 fn concurrent_clients_get_identical_answers() {
-    // A context without a scheduler, then a scheduled server with eight
-    // times more connections than admission slots: the surplus must queue
-    // (never be rejected), and every answer must equal the sequential one.
+    // A context built from session defaults, then a scheduled server with
+    // eight times more connections than admission slots: the surplus must
+    // queue (never be rejected), and every answer must equal the
+    // sequential one.
     for (scheduler, clients, requests) in [
         (SchedulerConfig::default(), 4, 1),
         (SchedulerConfig { workers: 2, max_concurrent: 2, max_queued: 256 }, 16, 4),
@@ -554,23 +553,15 @@ fn concurrent_clients_get_identical_answers() {
             }
         }
 
-        // Every statement has answered, so admission is exactly empty; a pool
-        // worker lowers `pool_busy` (and pops a drained ticket) just *after*
-        // reporting its last slot done, so those two are read until they settle.
+        // Every statement has answered, and a pipeline returns only once
+        // its helpers are back and its tickets are off the queue, so every
+        // gauge is exactly idle.
         let gauge = |stats: &qob_server::Json, name: &str| stats.get(name).unwrap().as_u64();
         let stats = control.request(&Request::Stats).unwrap();
-        assert_eq!(gauge(&stats, "rejected"), Some(0), "{scheduler:?}");
-        assert_eq!(gauge(&stats, "admission_executing"), Some(0), "{scheduler:?}");
-        assert_eq!(gauge(&stats, "admission_queued"), Some(0), "{scheduler:?}");
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let stats = control.request(&Request::Stats).unwrap();
-            if gauge(&stats, "pool_busy") == Some(0) && gauge(&stats, "pool_queue_depth") == Some(0)
-            {
-                break;
-            }
-            assert!(Instant::now() < deadline, "pool never drained ({scheduler:?}): {stats}");
-            std::thread::yield_now();
+        for name in
+            ["rejected", "admission_executing", "admission_queued", "pool_busy", "pool_queue_depth"]
+        {
+            assert_eq!(gauge(&stats, name), Some(0), "{name} ({scheduler:?}): {stats}");
         }
 
         handle.shutdown();

@@ -29,6 +29,7 @@ jq -e '[.tables[] | select(.table == "title")][0].rows == 6' "$WORK/fixture.json
 for threads in 1 4; do
   "$QOB" ingest tests/fixtures/imdb_csv --threads "$threads" \
     --snapshot "$WORK/fixture-$threads.qob" --output "$WORK/fixture-$threads.json"
+  jq -e --argjson t "$threads" '.threads == $t' "$WORK/fixture-$threads.json"
 done
 cmp "$WORK/fixture-1.qob" "$WORK/fixture-4.qob"
 

@@ -84,8 +84,8 @@ fn concurrent_sessions_on_the_shared_pool_match_sequential_on_all_113_job_querie
         worker.join().expect("no session panicked");
     }
     assert_eq!(mismatches.load(Ordering::SeqCst), 0, "shared-pool answers must be identical");
-    let (_, busy, _) = server.pool_gauges();
-    assert_eq!(busy, 0, "the pool drained");
+    let (_, busy, queued) = server.pool_gauges();
+    assert_eq!((busy, queued), (0, 0), "the pool drained");
 }
 
 #[test]

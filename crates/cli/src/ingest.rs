@@ -153,7 +153,7 @@ pub(crate) fn run(options: Options) -> Result<ExitCode, String> {
 }
 
 /// The `--snapshot` leg of `qob ingest`: save the ingested database, time
-/// an eager reload, then open the file *lazily* and run a single-table
+/// a full reload, then open the file *lazily* and run a single-table
 /// point query, reporting how few bytes it faulted in (the O(touched data)
 /// claim of docs/STORAGE.md, with real numbers).
 fn snapshot_bench(ctx: &BenchmarkContext, path: &str) -> Result<Json, String> {
@@ -194,7 +194,7 @@ fn snapshot_bench(ctx: &BenchmarkContext, path: &str) -> Result<Json, String> {
     let lazy_ms = started.elapsed().as_secs_f64() * 1e3;
     let touched = store.bytes_read();
     eprintln!(
-        "snapshot `{path}`: {file_bytes} bytes, save {save_ms:.1}ms, eager load {load_ms:.1}ms; \
+        "snapshot `{path}`: {file_bytes} bytes, save {save_ms:.1}ms, load {load_ms:.1}ms; \
          lazy point query on title touched {touched} bytes ({:.1}% of the file) in {lazy_ms:.1}ms",
         touched as f64 / file_bytes.max(1) as f64 * 100.0
     );

@@ -111,10 +111,11 @@ SERVE OPTIONS:
 
 INGEST OPTIONS:
         --indexes <i>        physical design: none | pk | pkfk     [default: pk]
-        --threads <n>        parse worker threads; 0 = all cores   [default: 0]
+        --threads <n>        tables ingested at once, at most one worker per
+                             file; 0 = all cores                   [default: 0]
         --snapshot <PATH>    also save the ingested database as a snapshot,
-                             then measure eager reload and lazy point-query
-                             cost against it
+                             then measure a full reload and a lazy
+                             point-query cost against it
         --generate <s>       first export a synthetic database at this scale
                              (tiny | small | benchmark) as CSV files into
                              <DIR>, then ingest them back

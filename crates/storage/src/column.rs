@@ -6,9 +6,9 @@
 //! dictionary mapping `u32` codes to distinct strings.  Columns are built
 //! through [`ColumnBuilder`], which buffers at most one page of raw values
 //! at a time — ingestion never holds a full-table `Vec<i64>` — and encodes
-//! each page as it fills.  Pages loaded from a snapshot may be **lazy**:
-//! the first access faults the page in through a [`PageStore`] so load cost
-//! is O(touched data).
+//! each page as it fills.  Pages opened from a snapshot start **lazy**: the
+//! first access faults the page in through a [`PageStore`] and checks it
+//! against its column, so open cost is O(touched data).
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -16,6 +16,7 @@ use std::sync::{Arc, OnceLock};
 use crate::bitmap::Bitmap;
 use crate::encoding::{fnv1a64, CodePage, EncodingPolicy, IntPage, PageData, PageStore, PAGE_ROWS};
 use crate::value::{DataType, Value};
+use crate::{Result, StorageError};
 
 /// A per-column string dictionary.
 ///
@@ -153,37 +154,12 @@ impl PageSlot {
         PageSlot { cell: OnceLock::new(), fetch: Some(fetch) }
     }
 
-    /// Returns the decoded page, faulting it in on first touch.
-    ///
-    /// # Panics
-    /// A lazy page that fails to read, checksum, or decode panics with
-    /// context: once a snapshot is opened lazily, a vanishing or corrupted
-    /// backing file mid-query is unrecoverable, exactly like a SIGBUS on an
-    /// mmap'ed region.  Eager loads ([`crate::catalog::Database::load_snapshot`])
-    /// verify everything up front and never take this path.
-    fn get(&self) -> &PageData {
-        self.cell.get_or_init(|| {
-            let fetch = self.fetch.as_ref().expect("page slot is ready or has a fetch recipe");
-            let bytes = fetch.store.read_at(fetch.offset, fetch.len as usize).unwrap_or_else(|e| {
-                panic!(
-                    "lazy snapshot page read failed ({} bytes at offset {}): {e}",
-                    fetch.len, fetch.offset
-                )
-            });
-            if fnv1a64(&bytes) != fetch.checksum {
-                panic!(
-                    "lazy snapshot page at offset {} failed its checksum — the snapshot file \
-                     changed or corrupted after open",
-                    fetch.offset
-                );
-            }
-            PageData::from_bytes(&bytes).unwrap_or_else(|e| {
-                panic!("lazy snapshot page at offset {} is malformed: {e}", fetch.offset)
-            })
-        })
+    fn fetch(&self) -> &PageFetch {
+        self.fetch.as_ref().expect("a page that is not resident has a fetch")
     }
 
     /// The page if it is already resident (never faults).
+    #[inline]
     fn resident(&self) -> Option<&PageData> {
         self.cell.get()
     }
@@ -216,27 +192,6 @@ impl EncodedColumn {
     /// Creates an empty column of the given type.
     pub fn empty(dtype: DataType) -> Self {
         ColumnBuilder::new(dtype).finish()
-    }
-
-    /// Assembles a column from already-encoded parts (the snapshot loader's
-    /// constructor).  `pages` pairs each page with its row count so `len`
-    /// can be validated against the directory.
-    pub(crate) fn from_encoded_parts(
-        dtype: DataType,
-        len: usize,
-        validity: Bitmap,
-        dict: Option<StringDict>,
-        pages: Vec<PageData>,
-        encoded_data_bytes: usize,
-    ) -> Self {
-        EncodedColumn {
-            dtype,
-            len,
-            validity,
-            dict,
-            pages: pages.into_iter().map(PageSlot::ready).collect(),
-            encoded_data_bytes,
-        }
     }
 
     /// Assembles a column whose pages fault in lazily from a snapshot file.
@@ -287,7 +242,95 @@ impl EncodedColumn {
     /// The decoded page `p` (faulting it in if lazy).
     #[inline]
     pub fn page(&self, p: usize) -> &PageData {
-        self.pages[p].get()
+        match self.pages[p].resident() {
+            Some(page) => page,
+            None => self.fault_in(p),
+        }
+    }
+
+    /// Faults lazy page `p` in; concurrent first readers wait for one fault.
+    ///
+    /// # Panics
+    /// A page that fails [`EncodedColumn::fault`] panics with its error:
+    /// once a snapshot is opened lazily, a vanishing or corrupted backing
+    /// file mid-query is unrecoverable, exactly like a SIGBUS on an mmap'ed
+    /// region.  [`crate::snapshot::load`] checks every page up front,
+    /// returns the same error instead, and never takes this path.
+    #[cold]
+    #[inline(never)]
+    fn fault_in(&self, p: usize) -> &PageData {
+        self.pages[p].cell.get_or_init(|| {
+            self.fault(p).unwrap_or_else(|e| panic!("lazy snapshot page fault failed: {e}"))
+        })
+    }
+
+    /// Reads lazy page `p` from the snapshot file and passes it through
+    /// [`EncodedColumn::check_page`]: the fallible fault behind
+    /// [`EncodedColumn::page`].
+    pub(crate) fn fault(&self, p: usize) -> Result<PageData> {
+        let fetch = self.pages[p].fetch();
+        let bytes = fetch.store.read_at(fetch.offset, fetch.len as usize).map_err(|e| {
+            StorageError::Io(format!(
+                "reading the {}-byte page at offset {}: {e}",
+                fetch.len, fetch.offset
+            ))
+        })?;
+        self.check_page(p, &bytes)
+    }
+
+    /// Makes every lazy page resident from `blob`, the snapshot file's bytes
+    /// from offset `blob_start` on, each passing
+    /// [`EncodedColumn::check_page`].  The column then no longer refers to
+    /// its file, and its encoded bytes count decoded pages, as a built
+    /// column's do.
+    pub(crate) fn make_resident(&mut self, blob: &[u8], blob_start: u64) -> Result<()> {
+        let mut encoded_data_bytes = 0;
+        for p in 0..self.pages.len() {
+            let fetch = self.pages[p].fetch();
+            let start = (fetch.offset - blob_start) as usize;
+            let page = self.check_page(p, &blob[start..][..fetch.len as usize])?;
+            encoded_data_bytes += page.encoded_bytes();
+            self.pages[p] = PageSlot::ready(page);
+        }
+        self.encoded_data_bytes = encoded_data_bytes;
+        Ok(())
+    }
+
+    /// Decodes `bytes` as lazy page `p` — the one check every page read from
+    /// a snapshot passes: its checksum, its decode, a page type that matches
+    /// the column, the row count of [`EncodedColumn::page_rows`], and every
+    /// non-NULL dictionary code inside the dictionary.
+    fn check_page(&self, p: usize, bytes: &[u8]) -> Result<PageData> {
+        let fetch = self.pages[p].fetch();
+        let corrupt = |what: String| {
+            StorageError::SnapshotCorrupt(format!("page at offset {} {what}", fetch.offset))
+        };
+        if fnv1a64(bytes) != fetch.checksum {
+            return Err(corrupt("failed its checksum".into()));
+        }
+        let page = PageData::from_bytes(bytes)?;
+        match (&page, self.dtype) {
+            (PageData::Int(_), DataType::Int) | (PageData::Code(_), DataType::Str) => {}
+            _ => return Err(corrupt("has the wrong column type".into())),
+        }
+        let rows = self.page_rows(p);
+        if page.len() != rows.len() {
+            return Err(corrupt(format!("holds {} rows, expected {}", page.len(), rows.len())));
+        }
+        if let (PageData::Code(codes), Some(dict)) = (&page, &self.dict) {
+            let mut slots = Vec::with_capacity(rows.len());
+            codes.decode_into(&mut slots);
+            let beyond = rows
+                .zip(slots)
+                .find(|&(row, code)| code as usize >= dict.len() && self.validity.get(row));
+            if let Some((row, code)) = beyond {
+                return Err(corrupt(format!(
+                    "holds code {code} at row {row}, beyond the {}-string dictionary",
+                    dict.len()
+                )));
+            }
+        }
+        Ok(page)
     }
 
     /// Page `p` as an integer page.
@@ -296,7 +339,7 @@ impl EncodedColumn {
     /// Panics if this is not an integer column.
     #[inline]
     pub fn int_page(&self, p: usize) -> &IntPage {
-        match self.pages[p].get() {
+        match self.page(p) {
             PageData::Int(page) => page,
             PageData::Code(_) => panic!("int_page on a string column"),
         }
@@ -308,7 +351,7 @@ impl EncodedColumn {
     /// Panics if this is not a string column.
     #[inline]
     pub fn code_page(&self, p: usize) -> &CodePage {
-        match self.pages[p].get() {
+        match self.page(p) {
             PageData::Code(page) => page,
             PageData::Int(_) => panic!("code_page on an int column"),
         }

@@ -415,16 +415,6 @@ fn export_table(table: &Table, path: &Path) -> std::io::Result<()> {
     out.flush()
 }
 
-/// Builds an [`crate::column::EncodedColumn`]-backed database from ingested tables — a thin
-/// helper so callers assemble catalog + keys themselves when needed.
-pub fn database_from_tables(tables: Vec<Table>) -> Result<Database> {
-    let mut db = Database::new();
-    for table in tables {
-        db.add_table(table)?;
-    }
-    Ok(db)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,8 +604,8 @@ mod tests {
         std::fs::write(dir.join("t.csv"), "1,a,2000\n2,b,2001\n").unwrap();
         let (tables, _) = ingest_csv_dir(&dir, &[schema()], EncodingPolicy::Auto, 1).unwrap();
         std::fs::remove_dir_all(&dir).ok();
-        let mut db = database_from_tables(tables).unwrap();
-        let tid = db.table_id("t").unwrap();
+        let mut db = Database::new();
+        let tid = db.add_table(tables.into_iter().next().unwrap()).unwrap();
         db.declare_primary_key(tid, "id").unwrap();
         db.build_indexes(IndexConfig::PrimaryKeyOnly).unwrap();
         assert_eq!(db.index_count(), 1);

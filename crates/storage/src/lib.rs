@@ -24,14 +24,14 @@
 //! evaluation.
 //!
 //! Databases persist to disk as versioned, checksummed binary **snapshots**
-//! ([`snapshot`]): [`Database::save_snapshot`] / [`Database::load_snapshot`]
-//! let repeated runs (and the `qob serve` server) skip data generation
-//! entirely.
+//! ([`snapshot`]): [`snapshot::save`] / [`snapshot::load`] let repeated
+//! runs (and the `qob serve` server) skip data generation entirely, and
+//! [`snapshot::open_lazy`] opens one without reading its pages.
 //!
 //! # Examples
 //!
 //! ```no_run
-//! use qob_storage::{ColumnMeta, Database, DataType, IndexConfig, TableBuilder, Value};
+//! use qob_storage::{snapshot, ColumnMeta, Database, DataType, IndexConfig, TableBuilder, Value};
 //!
 //! let mut builder = TableBuilder::new("title", vec![ColumnMeta::new("id", DataType::Int)]);
 //! builder.push_row(vec![Value::Int(1)]).unwrap();
@@ -41,8 +41,8 @@
 //! db.build_indexes(IndexConfig::PrimaryKeyOnly).unwrap();
 //!
 //! // Persist and reload without regenerating.
-//! db.save_snapshot("db.qob").unwrap();
-//! let reloaded = Database::load_snapshot("db.qob").unwrap();
+//! snapshot::save(&db, &[], "db.qob").unwrap();
+//! let (reloaded, _meta) = snapshot::load("db.qob").unwrap();
 //! assert_eq!(reloaded.total_rows(), db.total_rows());
 //! ```
 

@@ -5,10 +5,11 @@
 //! cost of every one-shot run, so the serve path (and `qob --snapshot`)
 //! persists the database once and reloads it in milliseconds.  Format v2
 //! stores column data as the **encoded pages** of
-//! [`crate::column::EncodedColumn`] behind a per-column page directory, so a
-//! snapshot can be opened *lazily* ([`open_lazy`]): only the metadata section
-//! is read up front and each page is faulted in on first touch — load cost is
-//! O(touched data), not O(database).
+//! [`crate::column::EncodedColumn`] behind a per-column page directory.
+//! There is one reader: [`open_lazy`] reads only the header and the
+//! metadata section up front, and each page faults in on first touch —
+//! open cost is O(touched data), not O(database).  [`load`] is that open
+//! with every page read and checked before it returns.
 //!
 //! ```text
 //! offset       size   field
@@ -32,8 +33,10 @@
 //!
 //! Integers are fixed-width little-endian; strings are a `u64` byte length
 //! followed by UTF-8 bytes.  Every read validates lengths against the
-//! remaining input, so a truncated or bit-flipped file fails with
-//! [`StorageError::SnapshotCorrupt`] (or a checksum mismatch) instead of
+//! remaining input, and every page read, lazily or by [`load`], passes one
+//! check — its checksum, its decode, its type, its row count and its
+//! dictionary codes against the column it belongs to — so a truncated or
+//! bit-flipped file fails with [`StorageError::SnapshotCorrupt`] instead of
 //! producing a silently wrong database.
 //!
 //! A version-1 snapshot (the pre-encoding eager format) is rejected with an
@@ -43,11 +46,11 @@
 //! # Examples
 //!
 //! ```no_run
-//! use qob_storage::Database;
+//! use qob_storage::{snapshot, Database};
 //!
 //! let db = Database::new();
-//! db.save_snapshot("db.qob").unwrap();
-//! let reloaded = Database::load_snapshot("db.qob").unwrap();
+//! snapshot::save(&db, &[], "db.qob").unwrap();
+//! let (reloaded, _meta) = snapshot::load("db.qob").unwrap();
 //! assert_eq!(reloaded.table_count(), db.table_count());
 //! ```
 
@@ -56,7 +59,7 @@ use std::sync::Arc;
 
 use crate::catalog::{Database, IndexConfig};
 use crate::column::{EncodedColumn, PageFetch};
-use crate::encoding::{fnv1a64, PageData, PageStore, PAGE_ROWS};
+use crate::encoding::{fnv1a64, PageStore, PAGE_ROWS};
 use crate::error::StorageError;
 use crate::table::{ColumnMeta, Table};
 use crate::value::DataType;
@@ -179,8 +182,26 @@ fn encode_table_meta(out: &mut Vec<u8>, table: &Table, table_dirs: &[Vec<DirEntr
     }
 }
 
+/// Writes `db` and `meta` to `path` in the snapshot format.
+///
+/// The write goes to a sibling temporary file first and is renamed into
+/// place, so a crash mid-save can never leave a half-written snapshot at
+/// `path` (which would hard-fail every later `--snapshot` run).
+pub fn save(db: &Database, meta: &[(String, i64)], path: impl AsRef<Path>) -> Result<()> {
+    let path = path.as_ref();
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}", std::process::id()));
+    let tmp = std::path::PathBuf::from(tmp);
+    std::fs::write(&tmp, encode(db, meta))
+        .map_err(|e| StorageError::Io(format!("writing `{}`: {e}", tmp.display())))?;
+    std::fs::rename(&tmp, path).map_err(|e| {
+        std::fs::remove_file(&tmp).ok();
+        StorageError::Io(format!("renaming `{}` into place: {e}", path.display()))
+    })
+}
+
 // ---------------------------------------------------------------------------
-// Metadata parsing (shared by eager decode and lazy open)
+// Reading
 // ---------------------------------------------------------------------------
 
 struct ParsedColumn {
@@ -208,41 +229,6 @@ struct ParsedSnapshot {
     keys: Vec<ParsedKeys>,
     /// Total bytes of the pages blob implied by the directories.
     blob_len: u64,
-}
-
-/// Validates the header and returns `(version-checked metadata section,
-/// pages blob)` for eager decoding.
-fn split_file(bytes: &[u8]) -> Result<(&[u8], &[u8])> {
-    if bytes.len() < HEADER_LEN + 8 {
-        return Err(StorageError::SnapshotCorrupt(format!(
-            "file too short ({} bytes) to hold a snapshot header",
-            bytes.len()
-        )));
-    }
-    if bytes[..8] != SNAPSHOT_MAGIC {
-        return Err(StorageError::SnapshotCorrupt("bad magic (not a qob snapshot)".into()));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != SNAPSHOT_VERSION {
-        return Err(StorageError::SnapshotVersion { found: version, supported: SNAPSHOT_VERSION });
-    }
-    let meta_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    let rest = (bytes.len() - HEADER_LEN - 8) as u64;
-    if meta_len > rest {
-        return Err(StorageError::SnapshotCorrupt(format!(
-            "metadata section claims {meta_len} bytes, {rest} available"
-        )));
-    }
-    let meta_end = HEADER_LEN + meta_len as usize;
-    let payload = &bytes[HEADER_LEN..meta_end];
-    let stored = u64::from_le_bytes(bytes[meta_end..meta_end + 8].try_into().expect("8 bytes"));
-    let actual = fnv1a64(payload);
-    if stored != actual {
-        return Err(StorageError::SnapshotCorrupt(format!(
-            "metadata checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
-        )));
-    }
-    Ok((payload, &bytes[meta_end + 8..]))
 }
 
 fn parse_meta(payload: &[u8]) -> Result<ParsedSnapshot> {
@@ -368,28 +354,117 @@ fn parse_table_meta(cur: &mut Cursor<'_>, next_offset: &mut u64) -> Result<Parse
     Ok(ParsedTable { name, metas, row_count, columns })
 }
 
-fn assemble_database(
-    parsed: ParsedSnapshot,
-    mut make_column: impl FnMut(
-        DataType,
-        usize,
-        Bitmap,
-        Option<StringDict>,
-        Vec<DirEntry>,
-    ) -> Result<EncodedColumn>,
-) -> Result<(Database, SnapshotMeta)> {
+/// Opens a snapshot **lazily**: only the header and the metadata section
+/// are read up front; each column page faults in through the returned
+/// [`PageStore`] on first access.  Index building touches the key columns
+/// it scans, nothing else — so opening plus a point query reads O(touched
+/// pages), not the whole file.  The store's [`PageStore::bytes_read`]
+/// counter exposes exactly how much was touched.
+///
+/// A fault passes the same per-page check as [`load`]; a page that later
+/// fails it panics (the mmap-SIGBUS analogue).  Use [`load`] when a bad
+/// page must be an error.
+pub fn open_lazy(path: impl AsRef<Path>) -> Result<(Database, SnapshotMeta, Arc<PageStore>)> {
+    open(path.as_ref(), false)
+}
+
+/// Loads a database (and its caller metadata) from a snapshot file: the
+/// open of [`open_lazy`] with every page read and passed through the lazy
+/// fault's check before it returns, so a damaged page is a
+/// [`StorageError`] here rather than a panic later, and the loaded database
+/// no longer refers to the file.
+pub fn load(path: impl AsRef<Path>) -> Result<(Database, SnapshotMeta)> {
+    open(path.as_ref(), true).map(|(db, meta, _)| (db, meta))
+}
+
+/// The one reader of the header, the metadata and the pages.  Columns are
+/// built lazy; `resident` makes every page of each resident as it is built.
+fn open(path: &Path, resident: bool) -> Result<(Database, SnapshotMeta, Arc<PageStore>)> {
+    use std::os::unix::fs::FileExt;
+    let io = |what: &str, e: std::io::Error| {
+        StorageError::Io(format!("{what} `{}`: {e}", path.display()))
+    };
+    let file = std::fs::File::open(path).map_err(|e| io("opening", e))?;
+    let file_len = file.metadata().map_err(|e| io("stat", e))?.len();
+    // Bytes left for the metadata section once the header and the
+    // metadata checksum are accounted for.
+    let Some(rest) = file_len.checked_sub(HEADER_LEN as u64 + 8) else {
+        return Err(StorageError::SnapshotCorrupt(format!(
+            "file too short ({file_len} bytes) to hold a snapshot header"
+        )));
+    };
+    let mut header = [0u8; HEADER_LEN];
+    file.read_exact_at(&mut header, 0).map_err(|e| io("reading", e))?;
+    if header[..8] != SNAPSHOT_MAGIC {
+        return Err(StorageError::SnapshotCorrupt("bad magic (not a qob snapshot)".into()));
+    }
+    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
+    if version != SNAPSHOT_VERSION {
+        return Err(StorageError::SnapshotVersion { found: version, supported: SNAPSHOT_VERSION });
+    }
+    let meta_len = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
+    if meta_len > rest {
+        return Err(StorageError::SnapshotCorrupt(format!(
+            "metadata section claims {meta_len} bytes, {rest} available"
+        )));
+    }
+    // The lazy open reads the metadata section and its checksum; `load`
+    // reads the pages blob in the same read, checks every page against that
+    // buffer and frees it.  (Freeing one buffer the size of the file also
+    // raises glibc's dynamic mmap threshold, which the executor's
+    // per-statement buffers lean on: with one read per page instead,
+    // `job_exec` took 5.8x the minor page faults and ran ~9 % slower.)
+    let read_len = if resident { rest } else { meta_len } + 8;
+    let mut bytes = vec![0u8; read_len as usize];
+    file.read_exact_at(&mut bytes, HEADER_LEN as u64).map_err(|e| io("reading", e))?;
+    let (payload, tail) = bytes.split_at(meta_len as usize);
+    let (stored, blob) = tail.split_at(8);
+    let stored = u64::from_le_bytes(stored.try_into().expect("8 bytes"));
+    let actual = fnv1a64(payload);
+    if stored != actual {
+        return Err(StorageError::SnapshotCorrupt(format!(
+            "metadata checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
+        )));
+    }
+    let parsed = parse_meta(payload)?;
+    // At most `file_len`, so neither this sum nor any page's file offset
+    // below can overflow.
+    let pages_start = HEADER_LEN as u64 + meta_len + 8;
+    if parsed.blob_len != file_len - pages_start {
+        return Err(StorageError::SnapshotCorrupt(format!(
+            "pages blob is {} bytes, directory expects {}",
+            file_len - pages_start,
+            parsed.blob_len
+        )));
+    }
+    let store = Arc::new(PageStore::new(file));
     let mut db = Database::new();
-    let table_count = parsed.tables.len();
     for t in parsed.tables {
         let mut columns = Vec::with_capacity(t.columns.len());
         for (meta, col) in t.metas.iter().zip(t.columns) {
-            columns.push(make_column(
+            let encoded_bytes = col.directory.iter().map(|e| e.len as usize).sum();
+            let fetches = col
+                .directory
+                .into_iter()
+                .map(|e| PageFetch {
+                    store: Arc::clone(&store),
+                    offset: pages_start + e.offset,
+                    len: e.len,
+                    checksum: e.checksum,
+                })
+                .collect();
+            let mut column = EncodedColumn::from_lazy_parts(
                 meta.dtype,
                 t.row_count,
                 col.validity,
                 col.dict,
-                col.directory,
-            )?);
+                fetches,
+                encoded_bytes,
+            );
+            if resident {
+                column.make_resident(blob, pages_start)?;
+            }
+            columns.push(column);
         }
         db.add_table(Table::from_parts(t.name, t.metas, columns)?)?;
     }
@@ -399,223 +474,11 @@ fn assemble_database(
             db.declare_primary_key(tid, &pk)?;
         }
         for (column, references) in fks {
-            if references as usize >= table_count {
-                return Err(StorageError::SnapshotCorrupt(format!(
-                    "foreign key references table {references} of {table_count}"
-                )));
-            }
             db.declare_foreign_key(tid, &column, crate::TableId(references))?;
         }
     }
     db.build_indexes(parsed.index_config)?;
-    Ok((db, parsed.meta))
-}
-
-// ---------------------------------------------------------------------------
-// Eager decode
-// ---------------------------------------------------------------------------
-
-/// Parses snapshot bytes back into a database (indexes declared) and the
-/// caller metadata stored with it.  Every page is decoded and
-/// checksum-verified up front — the fully-validated path used by
-/// [`Database::load_snapshot`].
-pub fn decode(bytes: &[u8]) -> Result<(Database, SnapshotMeta)> {
-    let (payload, blob) = split_file(bytes)?;
-    let parsed = parse_meta(payload)?;
-    if parsed.blob_len != blob.len() as u64 {
-        return Err(StorageError::SnapshotCorrupt(format!(
-            "pages blob is {} bytes, directory expects {}",
-            blob.len(),
-            parsed.blob_len
-        )));
-    }
-    assemble_database(parsed, |dtype, row_count, validity, dict, directory| {
-        let mut pages = Vec::with_capacity(directory.len());
-        let mut encoded_bytes = 0usize;
-        let mut rows_seen = 0usize;
-        for entry in &directory {
-            let start = entry.offset as usize;
-            let end = start + entry.len as usize;
-            // Contiguity was already validated, so the range is in bounds.
-            let page_bytes = &blob[start..end];
-            if fnv1a64(page_bytes) != entry.checksum {
-                return Err(StorageError::SnapshotCorrupt(format!(
-                    "page at blob offset {start} failed its checksum"
-                )));
-            }
-            let page = PageData::from_bytes(page_bytes)?;
-            match (&page, dtype) {
-                (PageData::Int(_), DataType::Int) | (PageData::Code(_), DataType::Str) => {}
-                _ => {
-                    return Err(StorageError::SnapshotCorrupt(format!(
-                        "page at blob offset {start} has the wrong column type"
-                    )))
-                }
-            }
-            rows_seen += page.len();
-            encoded_bytes += page.encoded_bytes();
-            pages.push(page);
-        }
-        if rows_seen != row_count {
-            return Err(StorageError::SnapshotCorrupt(format!(
-                "column pages hold {rows_seen} rows, expected {row_count}"
-            )));
-        }
-        // Non-null rows of a string column must dereference into the dict.
-        if let (Some(d), DataType::Str) = (&dict, dtype) {
-            let dict_len = d.len() as u32;
-            let mut scratch = Vec::new();
-            for (p, page) in pages.iter().enumerate() {
-                if let PageData::Code(cp) = page {
-                    scratch.clear();
-                    cp.decode_into(&mut scratch);
-                    let base = p * PAGE_ROWS;
-                    for (i, &code) in scratch.iter().enumerate() {
-                        if validity.get(base + i) && code >= dict_len {
-                            return Err(StorageError::SnapshotCorrupt(format!(
-                                "dictionary code {code} out of range (dict has {dict_len} strings)"
-                            )));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(EncodedColumn::from_encoded_parts(
-            dtype,
-            row_count,
-            validity,
-            dict,
-            pages,
-            encoded_bytes,
-        ))
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Lazy open
-// ---------------------------------------------------------------------------
-
-/// Opens a snapshot **lazily**: only the metadata section is read up front;
-/// each column page faults in through the returned [`PageStore`] on first
-/// access (checksum-verified per page).  Index building touches the key
-/// columns it scans, nothing else — so opening plus a point query reads
-/// O(touched pages), not the whole file.  The store's
-/// [`PageStore::bytes_read`] counter exposes exactly how much was touched.
-///
-/// A page that later fails to read or verify panics (the mmap-SIGBUS
-/// analogue); use [`load`] when full up-front validation is wanted.
-pub fn open_lazy(path: impl AsRef<Path>) -> Result<(Database, SnapshotMeta, Arc<PageStore>)> {
-    use std::os::unix::fs::FileExt;
-    let path = path.as_ref();
-    let file = std::fs::File::open(path)
-        .map_err(|e| StorageError::Io(format!("opening `{}`: {e}", path.display())))?;
-    let file_len = file
-        .metadata()
-        .map_err(|e| StorageError::Io(format!("stat `{}`: {e}", path.display())))?
-        .len();
-    let mut header = [0u8; HEADER_LEN];
-    file.read_exact_at(&mut header, 0)
-        .map_err(|e| StorageError::Io(format!("reading `{}`: {e}", path.display())))?;
-    if header[..8] != SNAPSHOT_MAGIC {
-        return Err(StorageError::SnapshotCorrupt("bad magic (not a qob snapshot)".into()));
-    }
-    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    if version != SNAPSHOT_VERSION {
-        return Err(StorageError::SnapshotVersion { found: version, supported: SNAPSHOT_VERSION });
-    }
-    let meta_len = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
-    if HEADER_LEN as u64 + meta_len + 8 > file_len {
-        return Err(StorageError::SnapshotCorrupt(format!(
-            "metadata section claims {meta_len} bytes, file is {file_len}"
-        )));
-    }
-    let mut payload = vec![0u8; meta_len as usize + 8];
-    file.read_exact_at(&mut payload, HEADER_LEN as u64)
-        .map_err(|e| StorageError::Io(format!("reading `{}`: {e}", path.display())))?;
-    let stored = u64::from_le_bytes(payload[meta_len as usize..].try_into().expect("8 bytes"));
-    let payload = &payload[..meta_len as usize];
-    let actual = fnv1a64(payload);
-    if stored != actual {
-        return Err(StorageError::SnapshotCorrupt(format!(
-            "metadata checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
-        )));
-    }
-    let parsed = parse_meta(payload)?;
-    let pages_start = HEADER_LEN as u64 + meta_len + 8;
-    if pages_start + parsed.blob_len != file_len {
-        return Err(StorageError::SnapshotCorrupt(format!(
-            "file is {file_len} bytes, directory expects {}",
-            pages_start + parsed.blob_len
-        )));
-    }
-    let store = Arc::new(PageStore::new(file));
-    let store_for_cols = Arc::clone(&store);
-    let (db, meta) =
-        assemble_database(parsed, move |dtype, row_count, validity, dict, directory| {
-            let encoded_bytes: usize = directory.iter().map(|e| e.len as usize).sum();
-            let fetches = directory
-                .into_iter()
-                .map(|e| PageFetch {
-                    store: Arc::clone(&store_for_cols),
-                    offset: pages_start + e.offset,
-                    len: e.len,
-                    checksum: e.checksum,
-                })
-                .collect();
-            Ok(EncodedColumn::from_lazy_parts(
-                dtype,
-                row_count,
-                validity,
-                dict,
-                fetches,
-                encoded_bytes,
-            ))
-        })?;
-    Ok((db, meta, store))
-}
-
-// ---------------------------------------------------------------------------
-// File convenience API
-// ---------------------------------------------------------------------------
-
-/// Writes `db` and `meta` to `path` in the snapshot format.
-///
-/// The write goes to a sibling temporary file first and is renamed into
-/// place, so a crash mid-save can never leave a half-written snapshot at
-/// `path` (which would hard-fail every later `--snapshot` run).
-pub fn save(db: &Database, meta: &[(String, i64)], path: impl AsRef<Path>) -> Result<()> {
-    let path = path.as_ref();
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}", std::process::id()));
-    let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, encode(db, meta))
-        .map_err(|e| StorageError::Io(format!("writing `{}`: {e}", tmp.display())))?;
-    std::fs::rename(&tmp, path).map_err(|e| {
-        std::fs::remove_file(&tmp).ok();
-        StorageError::Io(format!("renaming `{}` into place: {e}", path.display()))
-    })
-}
-
-/// Loads a database (and its caller metadata) from a snapshot file, decoding
-/// and verifying every page eagerly.
-pub fn load(path: impl AsRef<Path>) -> Result<(Database, SnapshotMeta)> {
-    let path = path.as_ref();
-    let bytes = std::fs::read(path)
-        .map_err(|e| StorageError::Io(format!("reading `{}`: {e}", path.display())))?;
-    decode(&bytes)
-}
-
-impl Database {
-    /// Persists this database to `path` in the snapshot format (no caller
-    /// metadata; use [`save`] to attach metadata).
-    pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<()> {
-        save(self, &[], path)
-    }
-
-    /// Loads a database from a snapshot file, rebuilding its indexes.
-    pub fn load_snapshot(path: impl AsRef<Path>) -> Result<Database> {
-        load(path).map(|(db, _)| db)
-    }
+    Ok((db, parsed.meta, store))
 }
 
 // ---------------------------------------------------------------------------
@@ -733,7 +596,11 @@ impl Cursor<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use super::*;
+    use crate::column::ColumnBuilder;
     use crate::predicate::{CmpOp, Predicate};
     use crate::table::TableBuilder;
     use crate::value::Value;
@@ -799,13 +666,116 @@ mod tests {
         }
     }
 
+    /// A snapshot path in the temp directory that no other test uses.
+    fn temp_path(tag: &str) -> PathBuf {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("qob-snapshot-{tag}-{}-{n}.qob", std::process::id()))
+    }
+
+    /// Writes `bytes` to a fresh file, runs `f` on its path and removes it.
+    fn with_file<T>(bytes: &[u8], f: impl FnOnce(&Path) -> T) -> T {
+        let path = temp_path("bytes");
+        std::fs::write(&path, bytes).unwrap();
+        let out = f(&path);
+        std::fs::remove_file(&path).ok();
+        out
+    }
+
+    fn load_bytes(bytes: &[u8]) -> Result<(Database, SnapshotMeta)> {
+        with_file(bytes, |path| load(path))
+    }
+
+    /// Opens `bytes` lazily and faults every page in through the fallible
+    /// fault, returning the first error.
+    fn fault_every_page_lazily(bytes: &[u8]) -> Result<()> {
+        with_file(bytes, |path| {
+            let (db, _, _) = open_lazy(path)?;
+            for (_, table) in db.tables() {
+                for col in 0..table.column_count() as u32 {
+                    let column = table.column(ColumnId(col));
+                    for p in 0..column.page_count() {
+                        column.fault(p)?;
+                    }
+                }
+            }
+            Ok(())
+        })
+    }
+
+    fn assert_corrupt_on_both_paths(bytes: &[u8], what: &str) {
+        let loaded = load_bytes(bytes).map(|_| ());
+        assert!(matches!(loaded, Err(StorageError::SnapshotCorrupt(_))), "{what}: load {loaded:?}");
+        let faulted = fault_every_page_lazily(bytes);
+        assert!(
+            matches!(faulted, Err(StorageError::SnapshotCorrupt(_))),
+            "{what}: lazy fault {faulted:?}"
+        );
+    }
+
+    fn dir_entry_bytes(entry: &DirEntry) -> Vec<u8> {
+        let mut out = Vec::with_capacity(20);
+        put_u64(&mut out, entry.offset);
+        put_u32(&mut out, entry.len);
+        put_u64(&mut out, entry.checksum);
+        out
+    }
+
+    /// Passes every page of a snapshot through `damage` (given the page's
+    /// position in the file and its bytes), then rewrites each page
+    /// directory entry and the metadata checksum to match — so what
+    /// `damage` did can only be caught by the per-page check.
+    fn rewrite_pages(bytes: &[u8], mut damage: impl FnMut(usize, &[u8]) -> Vec<u8>) -> Vec<u8> {
+        let meta_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+        let mut payload = bytes[HEADER_LEN..HEADER_LEN + meta_len].to_vec();
+        let blob = &bytes[HEADER_LEN + meta_len + 8..];
+        let parsed = parse_meta(&payload).unwrap();
+        let entries = parsed.tables.iter().flat_map(|t| &t.columns).flat_map(|c| &c.directory);
+        let (mut pages, mut searched) = (Vec::new(), 0);
+        for (i, entry) in entries.enumerate() {
+            let page = damage(i, &blob[entry.offset as usize..][..entry.len as usize]);
+            let old = dir_entry_bytes(entry);
+            let at = searched
+                + payload[searched..].windows(old.len()).position(|w| w == old).expect("entry");
+            let new = dir_entry_bytes(&DirEntry {
+                offset: pages.len() as u64,
+                len: page.len() as u32,
+                checksum: fnv1a64(&page),
+            });
+            payload[at..at + new.len()].copy_from_slice(&new);
+            searched = at + new.len();
+            pages.extend_from_slice(&page);
+        }
+        let mut out = bytes[..HEADER_LEN].to_vec();
+        out.extend_from_slice(&payload);
+        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        out.extend_from_slice(&pages);
+        out
+    }
+
+    /// `bytes` with page `target` replaced by `replacement`.
+    fn with_page(bytes: &[u8], target: usize, replacement: &[u8]) -> Vec<u8> {
+        assert_eq!(rewrite_pages(bytes, |_, page| page.to_vec()), bytes, "rewrite is faithful");
+        rewrite_pages(bytes, |i, page| if i == target { replacement } else { page }.to_vec())
+    }
+
+    /// The bytes of the single page of a column built from `values`.
+    fn one_page(dtype: DataType, values: impl IntoIterator<Item = Value>) -> Vec<u8> {
+        let mut builder = ColumnBuilder::new(dtype);
+        for value in values {
+            assert!(builder.push(&value));
+        }
+        let column = builder.finish();
+        assert_eq!(column.page_count(), 1);
+        column.page(0).to_bytes()
+    }
+
     #[test]
     fn roundtrip_preserves_tables_keys_indexes_and_meta() {
         for config in IndexConfig::all() {
             let db = sample_db(config);
             let meta = vec![("scale.movies".to_owned(), 200i64), ("scale.seed".to_owned(), 42)];
-            let bytes = encode(&db, &meta);
-            let (reloaded, meta2) = decode(&bytes).unwrap();
+            let (reloaded, meta2) = load_bytes(&encode(&db, &meta)).unwrap();
             assert_eq!(meta, meta2);
             assert_databases_identical(&db, &reloaded);
         }
@@ -814,9 +784,8 @@ mod tests {
     #[test]
     fn save_and_load_through_a_file() {
         let db = sample_db(IndexConfig::PrimaryAndForeignKey);
-        let path =
-            std::env::temp_dir().join(format!("qob-snapshot-test-{}.qob", std::process::id()));
-        db.save_snapshot(&path).unwrap();
+        let path = temp_path("save");
+        save(&db, &[], &path).unwrap();
         // The atomic-rename dance leaves no temporary file behind.
         let dir = path.parent().unwrap();
         let stem = path.file_name().unwrap().to_string_lossy().into_owned();
@@ -829,7 +798,7 @@ mod tests {
             })
             .count();
         assert_eq!(leftovers, 0, "temporary save files must not survive");
-        let reloaded = Database::load_snapshot(&path).unwrap();
+        let (reloaded, _) = load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_databases_identical(&db, &reloaded);
     }
@@ -837,9 +806,8 @@ mod tests {
     #[test]
     fn lazy_open_reads_only_touched_pages() {
         let db = sample_db(IndexConfig::NoIndexes);
-        let path =
-            std::env::temp_dir().join(format!("qob-snapshot-lazy-{}.qob", std::process::id()));
-        db.save_snapshot(&path).unwrap();
+        let path = temp_path("lazy");
+        save(&db, &[], &path).unwrap();
         let file_len = std::fs::metadata(&path).unwrap().len();
 
         let (lazy, _meta, store) = open_lazy(&path).unwrap();
@@ -859,18 +827,54 @@ mod tests {
             "lazy load touched {touched} of {file_len} bytes — not O(touched data)"
         );
 
-        // Faulting everything converges to the eager load.
-        let eager = Database::load_snapshot(&path).unwrap();
+        // Faulting everything converges to the full load.
+        let (loaded, _) = load(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_databases_identical(&eager, &lazy);
+        assert_databases_identical(&loaded, &lazy);
+    }
+
+    #[test]
+    fn load_leaves_no_page_behind_the_file() {
+        let db = sample_db(IndexConfig::PrimaryKeyOnly);
+        let path = temp_path("resident");
+        save(&db, &[], &path).unwrap();
+        let (loaded, _) = load(&path).unwrap();
+        // Every page is resident, so emptying the file in place (its inode,
+        // unlike an unlink) before the first read changes nothing.
+        std::fs::write(&path, b"").unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_databases_identical(&db, &loaded);
+        for ((_, a), (_, b)) in db.tables().zip(loaded.tables()) {
+            assert_eq!(a.encoded_data_bytes(), b.encoded_data_bytes());
+        }
+    }
+
+    #[test]
+    fn concurrent_first_readers_fault_a_page_once() {
+        let db = sample_db(IndexConfig::NoIndexes);
+        let path = temp_path("once");
+        save(&db, &[], &path).unwrap();
+        let (lazy, _, store) = open_lazy(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let column = lazy.table_by_name("title").unwrap().column(ColumnId(1));
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    barrier.wait();
+                    column.page(0);
+                });
+            }
+        });
+        let page_len = column.page(0).to_bytes().len() as u64;
+        assert_eq!(store.bytes_read(), page_len, "four first readers, one read");
     }
 
     #[test]
     fn lazy_open_rebuilds_indexes() {
         let db = sample_db(IndexConfig::PrimaryAndForeignKey);
-        let path =
-            std::env::temp_dir().join(format!("qob-snapshot-lazyidx-{}.qob", std::process::id()));
-        db.save_snapshot(&path).unwrap();
+        let path = temp_path("lazyidx");
+        save(&db, &[], &path).unwrap();
         let (lazy, _, _store) = open_lazy(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(lazy.index_count(), db.index_count());
@@ -898,10 +902,10 @@ mod tests {
 
     #[test]
     fn io_errors_are_reported_not_panicked() {
-        let err = Database::load_snapshot("/nonexistent/dir/db.qob").unwrap_err();
+        let err = load("/nonexistent/dir/db.qob").unwrap_err();
         assert!(matches!(err, StorageError::Io(_)), "got {err:?}");
         let db = sample_db(IndexConfig::NoIndexes);
-        let err = db.save_snapshot("/nonexistent/dir/db.qob").unwrap_err();
+        let err = save(&db, &[], "/nonexistent/dir/db.qob").unwrap_err();
         assert!(matches!(err, StorageError::Io(_)), "got {err:?}");
         let err = open_lazy("/nonexistent/dir/db.qob").unwrap_err();
         assert!(matches!(err, StorageError::Io(_)), "got {err:?}");
@@ -914,28 +918,49 @@ mod tests {
 
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
-        assert!(matches!(decode(&wrong_magic), Err(StorageError::SnapshotCorrupt(_))));
+        assert!(matches!(load_bytes(&wrong_magic), Err(StorageError::SnapshotCorrupt(_))));
 
         // A future version is rejected with a version error, not a parse error.
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         assert!(matches!(
-            decode(&bytes),
+            load_bytes(&bytes),
             Err(StorageError::SnapshotVersion { found: 99, supported: SNAPSHOT_VERSION })
         ));
 
-        assert!(matches!(decode(b"short"), Err(StorageError::SnapshotCorrupt(_))));
+        assert!(matches!(load_bytes(b"short"), Err(StorageError::SnapshotCorrupt(_))));
+        let lazy = with_file(b"short", |path| open_lazy(path).map(|_| ()));
+        assert!(matches!(lazy, Err(StorageError::SnapshotCorrupt(_))));
     }
 
-    /// Satellite regression: a stale v1 snapshot must produce the actionable
-    /// version error (naming found vs. supported and telling the user to
-    /// regenerate/re-ingest), from both the eager and the lazy path.
+    /// A metadata length near `u64::MAX` must fail the bounds check, not
+    /// overflow the arithmetic that locates the pages blob.
+    #[test]
+    fn a_huge_metadata_length_is_corrupt_on_both_paths() {
+        let bytes = encode(&sample_db(IndexConfig::NoIndexes), &[]);
+        for meta_len in [u64::MAX, u64::MAX - 20] {
+            let mut damaged = bytes.clone();
+            damaged[12..20].copy_from_slice(&meta_len.to_le_bytes());
+            let loaded = load_bytes(&damaged).map(|_| ());
+            let opened = with_file(&damaged, |path| open_lazy(path).map(|_| ()));
+            for (how, result) in [("load", loaded), ("open_lazy", opened)] {
+                assert!(
+                    matches!(result, Err(StorageError::SnapshotCorrupt(_))),
+                    "{how} with metadata length {meta_len}: {result:?}"
+                );
+            }
+        }
+    }
+
+    /// A stale v1 snapshot must produce the actionable version error
+    /// (naming found vs. supported and telling the user to
+    /// regenerate/re-ingest), from both `load` and the lazy open.
     #[test]
     fn stale_v1_snapshot_gets_an_actionable_error() {
         let db = sample_db(IndexConfig::PrimaryKeyOnly);
         let mut bytes = encode(&db, &[]);
         bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
 
-        let err = decode(&bytes).unwrap_err();
+        let err = load_bytes(&bytes).unwrap_err();
         assert!(matches!(
             err,
             StorageError::SnapshotVersion { found: 1, supported: SNAPSHOT_VERSION }
@@ -947,10 +972,7 @@ mod tests {
             "tells the user what to do: {message}"
         );
 
-        let path = std::env::temp_dir().join(format!("qob-snapshot-v1-{}.qob", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
-        let lazy_err = open_lazy(&path).unwrap_err();
-        std::fs::remove_file(&path).ok();
+        let lazy_err = with_file(&bytes, |path| open_lazy(path).map(|_| ())).unwrap_err();
         assert!(matches!(
             lazy_err,
             StorageError::SnapshotVersion { found: 1, supported: SNAPSHOT_VERSION }
@@ -966,11 +988,51 @@ mod tests {
         for pos in (12..bytes.len()).step_by(97) {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 0xff;
-            assert!(decode(&corrupt).is_err(), "flip at {pos} went undetected");
+            assert!(load_bytes(&corrupt).is_err(), "flip at {pos} went undetected");
+            assert!(fault_every_page_lazily(&corrupt).is_err(), "lazy: flip at {pos} undetected");
         }
         // Truncation anywhere is also rejected.
         for cut in [bytes.len() - 1, bytes.len() / 2, 13] {
-            assert!(decode(&bytes[..cut]).is_err(), "truncation to {cut} went undetected");
+            assert!(load_bytes(&bytes[..cut]).is_err(), "truncation to {cut} went undetected");
         }
+    }
+
+    #[test]
+    fn a_page_of_the_wrong_type_is_corrupt() {
+        let bytes = encode(&sample_db(IndexConfig::NoIndexes), &[]);
+        // Page 0 holds `title.id`'s 100 ints; put 100 in-range codes there.
+        let codes = one_page(DataType::Str, (0..100).map(|i| Value::Str(format!("movie {i}"))));
+        assert_corrupt_on_both_paths(&with_page(&bytes, 0, &codes), "wrong type");
+    }
+
+    /// The column's row total still matches — a short page followed by a
+    /// long one — so only a per-page row count catches it.
+    #[test]
+    fn a_page_one_row_short_is_corrupt() {
+        let rows = PAGE_ROWS + 10;
+        let mut table = TableBuilder::new("t", vec![ColumnMeta::new("n", DataType::Int)]);
+        for n in 0..rows {
+            table.push_row(vec![Value::Int(n as i64)]).unwrap();
+        }
+        let mut db = Database::new();
+        db.add_table(table.finish()).unwrap();
+        db.build_indexes(IndexConfig::NoIndexes).unwrap();
+        let bytes = encode(&db, &[]);
+
+        let ints = |range: std::ops::Range<usize>| {
+            one_page(DataType::Int, range.map(|n| Value::Int(n as i64)))
+        };
+        let short = with_page(&bytes, 0, &ints(0..PAGE_ROWS - 1));
+        let damaged = with_page(&short, 1, &ints(PAGE_ROWS - 1..rows));
+        assert_corrupt_on_both_paths(&damaged, "short page");
+    }
+
+    #[test]
+    fn a_code_beyond_the_dictionary_is_corrupt() {
+        let bytes = encode(&sample_db(IndexConfig::NoIndexes), &[]);
+        // Page 1 holds `title.title`: 100 rows over a 40-string dictionary.
+        // A page of 100 distinct strings holds the codes 0..100.
+        let codes = one_page(DataType::Str, (0..100).map(|i| Value::Str(i.to_string())));
+        assert_corrupt_on_both_paths(&with_page(&bytes, 1, &codes), "code beyond dictionary");
     }
 }

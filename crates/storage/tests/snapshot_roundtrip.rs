@@ -1,8 +1,10 @@
 //! Property-based tests for snapshot persistence: save → load is the
 //! identity on databases, and corrupted or mis-versioned files are rejected.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use proptest::prelude::*;
-use qob_storage::snapshot::{self, SNAPSHOT_VERSION};
+use qob_storage::snapshot::{self, SnapshotMeta, SNAPSHOT_VERSION};
 use qob_storage::{
     ColumnId, ColumnMeta, DataType, Database, IndexConfig, StorageError, TableBuilder, Value,
 };
@@ -80,6 +82,19 @@ fn assert_identical(a: &Database, b: &Database) {
     }
 }
 
+/// Writes `bytes` to a temp file of its own (one per call, so parallel
+/// tests and proptest cases never share one), loads it and removes it.
+fn load_bytes(bytes: &[u8]) -> Result<(Database, SnapshotMeta), StorageError> {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let path =
+        std::env::temp_dir().join(format!("qob-snapshot-roundtrip-{}-{n}.qob", std::process::id()));
+    std::fs::write(&path, bytes).unwrap();
+    let loaded = snapshot::load(&path);
+    std::fs::remove_file(&path).ok();
+    loaded
+}
+
 fn table_strategy() -> impl Strategy<Value = TableData> {
     (
         prop::collection::vec(proptest::option::of(-1000i64..1000), 1..40),
@@ -88,7 +103,7 @@ fn table_strategy() -> impl Strategy<Value = TableData> {
 }
 
 proptest! {
-    /// encode → decode is the identity on arbitrary databases, whatever the
+    /// encode → load is the identity on arbitrary databases, whatever the
     /// column mix, null pattern, or physical design.
     #[test]
     fn snapshot_roundtrip_is_identity(
@@ -100,12 +115,12 @@ proptest! {
         let db = build_db(&tables, config);
         let meta = vec![("k".to_owned(), meta_value)];
         let bytes = snapshot::encode(&db, &meta);
-        let (reloaded, meta2) = snapshot::decode(&bytes).unwrap();
+        let (reloaded, meta2) = load_bytes(&bytes).unwrap();
         prop_assert_eq!(&meta, &meta2);
         assert_identical(&db, &reloaded);
     }
 
-    /// Flipping any single byte of a snapshot is detected: decode either
+    /// Flipping any single byte of a snapshot is detected: load either
     /// fails the checksum or a structural validation — it never silently
     /// yields a database from corrupt bytes.
     #[test]
@@ -118,7 +133,7 @@ proptest! {
         let mut bytes = snapshot::encode(&db, &[]);
         let pos = (pos_seed % bytes.len() as u64) as usize;
         bytes[pos] ^= flip;
-        prop_assert!(snapshot::decode(&bytes).is_err(), "flip {flip:#x} at {pos} undetected");
+        prop_assert!(load_bytes(&bytes).is_err(), "flip {flip:#x} at {pos} undetected");
     }
 
     /// Truncation at any point is detected.
@@ -130,7 +145,7 @@ proptest! {
         let db = build_db(std::slice::from_ref(&table), IndexConfig::NoIndexes);
         let bytes = snapshot::encode(&db, &[]);
         let cut = (cut_seed % bytes.len() as u64) as usize;
-        prop_assert!(snapshot::decode(&bytes[..cut]).is_err(), "truncation to {cut} undetected");
+        prop_assert!(load_bytes(&bytes[..cut]).is_err(), "truncation to {cut} undetected");
     }
 }
 
@@ -140,7 +155,7 @@ fn future_version_is_rejected_with_version_error() {
     let db = build_db(std::slice::from_ref(&table), IndexConfig::PrimaryKeyOnly);
     let mut bytes = snapshot::encode(&db, &[]);
     bytes[8..12].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
-    match snapshot::decode(&bytes) {
+    match load_bytes(&bytes) {
         Err(StorageError::SnapshotVersion { found, supported }) => {
             assert_eq!(found, SNAPSHOT_VERSION + 1);
             assert_eq!(supported, SNAPSHOT_VERSION);
@@ -156,7 +171,7 @@ fn foreign_key_snapshots_rebuild_fk_indexes() {
         (vec![Some(9); 20], vec![None, Some("b".to_owned())]),
     ];
     let db = build_db(&tables, IndexConfig::PrimaryAndForeignKey);
-    let (reloaded, _) = snapshot::decode(&snapshot::encode(&db, &[])).unwrap();
+    let (reloaded, _) = load_bytes(&snapshot::encode(&db, &[])).unwrap();
     assert_eq!(reloaded.index_config(), IndexConfig::PrimaryAndForeignKey);
     let t1 = reloaded.table_id("t1").unwrap();
     let ref0 = reloaded.table(t1).column_id("ref0").unwrap();
